@@ -2,9 +2,9 @@
 quadrangle with a polarity, its Moufang set, and the sphere/circle
 geometry built on it."""
 
-from .fields import (FieldError, FieldInstance, KElem, LElem,
-                     default_instance, kprime_decompose, kprime_member,
-                     kscale, phi_k, pow2theta_k, theta_k)
+from .fields import (Check, CheckList, FieldError, FieldInstance, KElem,
+                     LElem, default_instance, kprime_decompose,
+                     kprime_member, kscale, phi_k, theta_k)
 from .moufang import (Block, ClosureError, MoufangPoint, MoufangSet,
                       ReconstructedQuadrangle, UnsupportedBlock,
                       derived_net_report, reconstruct_quadrangle,
@@ -19,14 +19,14 @@ from .sampling import Rng
 from .verifier import Report, SuiteConfig, emit_jsonl, emit_text, run
 
 __all__ = [
-    "Block", "ClosureError", "FieldError", "FieldInstance", "Flag",
-    "InternalConsistencyError", "KElem", "LElem", "MoufangPoint",
-    "MoufangSet", "ParseError", "Poly2", "ProjectionUnsupported", "QLine",
-    "QPoint", "Quadrangle", "R1Coord", "R2Coord", "ReconstructedQuadrangle",
-    "Report", "Rng", "SuiteConfig", "UPlus", "UPlusElem", "UnsupportedBlock",
-    "default_instance", "derived_net_report", "emit_jsonl", "emit_text",
-    "kprime_decompose", "kprime_member", "kscale", "parse_instance_file",
-    "parse_instance_text", "phi_k", "poly_divexact", "poly_gcd",
-    "pow2theta_k", "reconstruct_quadrangle", "reconstruct_report", "run",
-    "theta_k",
+    "Block", "Check", "CheckList", "ClosureError", "FieldError",
+    "FieldInstance", "Flag", "InternalConsistencyError", "KElem", "LElem",
+    "MoufangPoint", "MoufangSet", "ParseError", "Poly2",
+    "ProjectionUnsupported", "QLine", "QPoint", "Quadrangle", "R1Coord",
+    "R2Coord", "ReconstructedQuadrangle", "Report", "Rng", "SuiteConfig",
+    "UPlus", "UPlusElem", "UnsupportedBlock", "default_instance",
+    "derived_net_report", "emit_jsonl", "emit_text", "kprime_decompose",
+    "kprime_member", "kscale", "parse_instance_file", "parse_instance_text",
+    "phi_k", "poly_divexact", "poly_gcd", "reconstruct_quadrangle",
+    "reconstruct_report", "run", "theta_k",
 ]

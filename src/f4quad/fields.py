@@ -83,10 +83,6 @@ class KElem:
     def t(cls) -> "KElem":
         return K_T
 
-    @classmethod
-    def from_poly(cls, p: Poly2) -> "KElem":
-        return cls(p)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -94,9 +90,6 @@ class KElem:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -244,11 +237,6 @@ def theta_k(f: KElem) -> KElem:
     return KElem(f.num.subst_theta(), f.den.subst_theta())
 
 
-def pow2theta_k(f: KElem) -> KElem:
-    """x^(2*theta) = theta(x^2) = phi(x), valid on all of K."""
-    return phi_k(f)
-
-
 def kprime_decompose(f: KElem) -> tuple[KElem, KElem]:
     """Split f = g + s*h with g, h in GF(2)(s^2, t); f is in K' iff h = 0.
 
@@ -310,9 +298,6 @@ class LElem:
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
 
-    def is_in_k(self) -> bool:
-        return self.c1.is_zero()
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -363,36 +348,26 @@ def kscale(k: KElem, z: LElem) -> LElem:
 
 
 # ----------------------------------------------------------------------
-# validation report plumbing
+# sub-check records, shared by instance validation and the Moufang layer
 # ----------------------------------------------------------------------
 
 @dataclass
-class ValidationCheck:
+class Check:
     name: str
     passed: bool
     detail: str = ""
 
 
 @dataclass
-class ValidationReport:
-    checks: list[ValidationCheck] = field(default_factory=list)
+class CheckList:
+    checks: list[Check] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(ValidationCheck(name, passed, detail))
+        self.checks.append(Check(name, passed, detail))
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"{status}  {c.name}"
-            if c.detail:
-                line += f"  [{c.detail}]"
-            lines.append(line)
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -466,10 +441,6 @@ class FieldInstance:
         f1 = phi_k(z.c1)
         return LElem(f0 + f1 * self.phi_e.c0, f1 * self.phi_e.c1)
 
-    def pow2theta_l(self, z: LElem) -> LElem:
-        """z^(2*theta) = phi(z) on all of L."""
-        return self.phi_l(z)
-
     def lprime_member(self, z: LElem) -> bool:
         """Membership in L' = phi(L): both phi-preimage coordinates in K'."""
         p0, p1 = self.phi_e.c0, self.phi_e.c1
@@ -486,19 +457,15 @@ class FieldInstance:
         c0 = theta_k(z.c0 + d1 * p0)
         return LElem(c0, c1)
 
-    def ltrace_prime(self, z: LElem) -> KElem:
-        """Trace of an L' element, landing in K'."""
-        return z.trace()
-
     # -- instance validation ---------------------------------------------------
 
     def validate(self, seed: int = 0, samples: int = 20,
-                 max_degree: int = 3) -> ValidationReport:
+                 max_degree: int = 3) -> CheckList:
         """Machine checks of the defining conditions; anisotropy is probed,
         not proved."""
         from .sampling import Rng, sample_k, sample_l
 
-        rep = ValidationReport()
+        rep = CheckList()
         rng = Rng(seed)
 
         # (i) x^2 + x + delta has no root in K (roots reduce to the

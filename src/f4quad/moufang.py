@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import KElem, LElem, kprime_member, kscale, phi_k, theta_k
+from .fields import (CheckList, KElem, LElem, kprime_member, kscale, phi_k,
+                     theta_k)
 from .quadrangle import Flag, Quadrangle
 from .rootgroups import InternalConsistencyError, R1Coord, R2Coord, UPlusElem
 from .sampling import Rng, sample_k, sample_kprime, sample_l
@@ -300,9 +301,7 @@ class MoufangSet:
         def sample(rng: Rng, n: int, max_degree: int):
             return [point_at(sample_kprime(rng, max_degree)) for _ in range(n)]
 
-        blk = Block("circle", gnarl, through, contains, sample)
-        blk.point_at = point_at
-        return blk
+        return Block("circle", gnarl, through, contains, sample, point_at)
 
     # -- the two fully explicit circles --------------------------------------------------
 
@@ -347,9 +346,7 @@ class MoufangSet:
                     out.append(pt)
             return out
 
-        blk = Block("circle", gnarl, through, contains, sample)
-        blk.point_at = point_at
-        return blk
+        return Block("circle", gnarl, through, contains, sample, point_at)
 
     def special_circle_second(self) -> "Block":
         """The circle through [(0,0,1),(0,0,0)] with gnarl [(0,0,0),(0,0,1)]."""
@@ -389,9 +386,7 @@ class MoufangSet:
                     out.append(pt)
             return out
 
-        blk = Block("circle", gnarl, through, contains, sample)
-        blk.point_at = point_at
-        return blk
+        return Block("circle", gnarl, through, contains, sample, point_at)
 
     # -- the polarity-twisted translation experiment -------------------------------------
 
@@ -407,23 +402,17 @@ class MoufangSet:
         return MoufangPoint(p.r1, r2)
 
     def tau_prime_circle_experiment(self, rng: Rng, n: int,
-                                    max_degree: int) -> "TauPrimeReport":
+                                    max_degree: int) -> CheckList:
         """Map the first explicit circle through tau' and test each image
-        point against the second explicit circle."""
-        c1 = self.special_circle_first()
+        point against the second explicit circle: one sub-check per
+        sample point, detailed as 'point -> image' when it misses."""
         c2 = self.special_circle_second()
-        matched, unmatched = 0, 0
-        examples = []
-        pts = c1.sample(rng, n, max_degree)
-        for pt in pts:
+        rep = CheckList()
+        for pt in self.special_circle_first().sample(rng, n, max_degree):
             img = self.tau_prime(pt)
-            if c2.contains(img):
-                matched += 1
-            else:
-                unmatched += 1
-                if len(examples) < 3:
-                    examples.append(f"{pt} -> {img}")
-        return TauPrimeReport(len(pts), matched, unmatched, examples)
+            hit = c2.contains(img)
+            rep.add("image-on-second-circle", hit, "" if hit else f"{pt} -> {img}")
+        return rep
 
     # -- samplers ---------------------------------------------------------------------------
 
@@ -447,12 +436,13 @@ class Block:
     """A sphere or circle: descriptor plus membership rule plus sampler."""
 
     def __init__(self, kind: str, gnarl: MoufangPoint, base: MoufangPoint,
-                 contains, sample):
+                 contains, sample, point_at=None):
         self.kind = kind
         self.gnarl = gnarl
         self.base = base
         self.contains = contains
         self.sample = sample
+        self.point_at = point_at
 
     def descriptor(self) -> str:
         return f"{self.kind} gnarl={self.gnarl} base={self.base}"
@@ -461,45 +451,16 @@ class Block:
         return self.descriptor()
 
 
-@dataclass
-class TauPrimeReport:
-    total: int
-    matched: int
-    unmatched: int
-    examples: list[str]
-
-    def __str__(self) -> str:
-        return (f"tau' image vs second explicit circle: {self.matched} matched, "
-                f"{self.unmatched} unmatched of {self.total}"
-                + (f"; e.g. {self.examples[0]}" if self.examples else ""))
-
-
 # ----------------------------------------------------------------------
 # the derived geometry at infinity
 # ----------------------------------------------------------------------
 
-@dataclass
-class NetCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class NetReport:
-    checks: list[NetCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
-                       max_degree: int) -> NetReport:
+                       max_degree: int) -> CheckList:
     """Net axioms for the lines at infinity: vertical lines are disjoint,
     a vertical and a non-vertical line meet exactly once, and blocks with
     a common gnarl-first-part form parallel classes."""
-    checks: list[NetCheck] = []
+    rep = CheckList()
     g = ms.group
 
     # (i) two distinct vertical lines never intersect
@@ -516,7 +477,7 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
                 break
         if not ok:
             break
-    checks.append(NetCheck("vertical-lines-disjoint", ok, det))
+    rep.add("vertical-lines-disjoint", ok, det)
 
     # (ii) vertical meets the base non-vertical block exactly at [(x,y,a),0]
     nonvert = ms.sphere_general(ms.zero, ms.infinity)
@@ -531,7 +492,7 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
         if not r2.is_zero() and nonvert.contains(MoufangPoint(r1, r2)):
             ok, det = False, f"second intersection {MoufangPoint(r1, r2)}"
             break
-    checks.append(NetCheck("vertical-meets-nonvertical-once", ok, det))
+    rep.add("vertical-meets-nonvertical-once", ok, det)
 
     # (iii) parallel classes: same first part, different second part, disjoint
     ok, det = True, ""
@@ -553,8 +514,8 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
                 break
         if not ok:
             break
-    checks.append(NetCheck("parallel-class-disjoint", ok, det))
-    return NetReport(checks)
+    rep.add("parallel-class-disjoint", ok, det)
+    return rep
 
 
 # ----------------------------------------------------------------------
@@ -616,22 +577,6 @@ class ReconstructedQuadrangle:
         return self._duals[id(line_side)]
 
 
-@dataclass
-class ReconstructionReport:
-    n_points: int
-    n_spheres: int
-    rule1_checked: int
-    rule2_checked: int
-    rule3_hits: int
-    injective: bool
-    polarity_consistent: bool
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.injective and self.polarity_consistent
-
-
 def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
                            n_spheres: int,
                            max_degree: int) -> ReconstructedQuadrangle:
@@ -674,7 +619,7 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
 
 
 def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
-                       n_spheres: int, max_degree: int) -> ReconstructionReport:
+                       n_spheres: int, max_degree: int) -> CheckList:
     """Build the reconstruction on a sample and embed it back.
 
     The embedding sends a label's point sort to its flag point and its
@@ -682,31 +627,30 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
     projection centre and its line sort to the polar image of that
     centre.  All three incidence rules must agree with the coordinate
     quadrangle's incidence through this map, and swapping the two sorts
-    must agree with the polarity.
+    must agree with the polarity.  Every mismatch is a failed sub-check
+    whose detail names it.
     """
     quad = ms.quad
     rq = reconstruct_quadrangle(ms, rng, n_points, n_spheres, max_degree)
     points, blocks = rq.points, rq.spheres
-    failures: list[str] = []
+    rep = CheckList()
 
-    rule1 = 0
     for xp in points[:40]:
         for yp in points[:40]:
-            rule1 += 1
             if rq.incident(xp, yp) != quad.incident(rq.embed_point(xp),
                                                     rq.embed_line(yp)):
-                failures.append(f"rule1 mismatch at {xp} / {yp}")
+                rep.add("rule1", False, f"rule1 mismatch at {xp} / {yp}")
 
-    rule2 = 0
     for xp in points[:30]:
         for blk in blocks[:30]:
-            rule2 += 2
             if rq.incident(xp, blk) != quad.incident(rq.embed_point(xp),
                                                      rq.embed_line(blk)):
-                failures.append(f"rule2 (x_p I A_l) mismatch at {xp}, {blk}")
+                rep.add("rule2", False,
+                        f"rule2 (x_p I A_l) mismatch at {xp}, {blk}")
             if rq.incident(blk, xp) != quad.incident(rq.embed_point(blk),
                                                      rq.embed_line(xp)):
-                failures.append(f"rule2 (A_p I x_l) mismatch at {xp}, {blk}")
+                rep.add("rule2", False,
+                        f"rule2 (A_p I x_l) mismatch at {xp}, {blk}")
 
     rule3 = 0
     limit = min(len(blocks), 25)
@@ -715,32 +659,28 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
             want = rq.incident(blocks[i], blocks[j])
             got = quad.incident(rq.embed_point(blocks[i]),
                                 rq.embed_line(blocks[j]))
-            if want:
-                rule3 += 1
+            rule3 += want
             if want != got:
-                failures.append(f"rule3 mismatch at spheres {i},{j}")
-    if rule3 == 0:
-        failures.append("sample too small to exercise the mutual-containment "
-                        "incidence rule")
+                rep.add("rule3", False, f"rule3 mismatch at spheres {i},{j}")
+    rep.add("rule3-exercised", rule3 > 0,
+            f"{rule3} mutual-containment incidences" if rule3 else
+            "sample too small to exercise the mutual-containment incidence rule")
 
+    # only a pass has a detail, so a failure adds nothing to the note
     centres = [rq.embed_point(b) for b in blocks]
     injective = (len(set(map(str, centres))) == len(centres)
                  and len(set(map(str, points))) == len(points))
+    rep.add("injective", injective,
+            f"{len(points)} points, {len(blocks)} spheres" if injective else "")
 
     # interchanging the two sorts is the polarity: line images are the
     # polar duals of point images
-    polarity_consistent = True
-    for xp in points[:40]:
-        if quad.rho_point(rq.embed_point(xp)) != rq.embed_line(xp):
-            polarity_consistent = False
-            failures.append(f"sort swap differs from the polarity at {xp}")
-            break
-    for blk in blocks[:10]:
-        if quad.rho_point(rq.embed_point(blk)) != rq.embed_line(blk):
-            polarity_consistent = False
-            failures.append("sort swap differs from the polarity at a sphere")
-            break
-
-    return ReconstructionReport(len(points), len(blocks), rule1, rule2,
-                                rule3, injective, polarity_consistent,
-                                failures[:10])
+    bad = next((xp for xp in points[:40]
+                if quad.rho_point(rq.embed_point(xp)) != rq.embed_line(xp)), None)
+    rep.add("polarity-consistent-points", bad is None,
+            "" if bad is None else f"sort swap differs from the polarity at {bad}")
+    bad = next((blk for blk in blocks[:10]
+                if quad.rho_point(rq.embed_point(blk)) != rq.embed_line(blk)), None)
+    rep.add("polarity-consistent-spheres", bad is None,
+            "" if bad is None else "sort swap differs from the polarity at a sphere")
+    return rep

@@ -8,11 +8,18 @@
 Recursive descent with the usual precedence (^ binds tightest, then
 * and /, then + and -); '-' is accepted as a synonym of '+' since the
 coefficients live in GF(2).  Errors carry line and column.
+
+delta is parsed first, inside K ('e' is rejected: L is not yet
+defined); the other three are parsed in L = K[e]/(e^2 + e + delta).
+beta and alpha must be nonzero and free of e, phiE must involve e, and
+a power may not raise an expression above total degree MAX_DEGREE.
 """
 
 from __future__ import annotations
 
 from .fields import FieldError, FieldInstance, KElem, LElem
+
+MAX_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -77,9 +84,11 @@ class _Parser:
     """expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
     factor := atom ('^' int)* ; atom := var | int | '(' expr ')'."""
 
-    def __init__(self, tz: _Tokenizer, inst_ops):
+    def __init__(self, tz: _Tokenizer, inst: FieldInstance | None):
         self.tz = tz
-        self.ops = inst_ops
+        self.in_k = inst is None
+        self.inst = inst or FieldInstance(KElem.zero(), LElem.e(),
+                                          KElem.one(), KElem.one())
 
     def parse(self) -> LElem:
         val = self.expr()
@@ -106,11 +115,12 @@ class _Parser:
                 self.tz.take()
                 rhs = self.factor()
                 if text == "*":
-                    val = self.ops.lmul(val, rhs)
-                else:
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", self.tz.line, col)
-                    val = self.ops.ldiv(val, rhs)
+                    val = self.inst.lmul(val, rhs)
+                    continue
+                try:
+                    val = self.inst.ldiv(val, rhs)
+                except FieldError:  # a zero divisor (zero norm)
+                    raise ParseError("division by zero", self.tz.line, col) from None
             else:
                 return val
 
@@ -124,10 +134,13 @@ class _Parser:
                 if kind2 != "int":
                     raise ParseError("exponent must be a non-negative integer",
                                      self.tz.line, col2)
-                n = int(text2)
+                if (len(text2) > 9
+                        or int(text2) * max(1, _degree(val)) > MAX_DEGREE):
+                    raise ParseError("power too large (exponent times degree "
+                                     f"above {MAX_DEGREE})", self.tz.line, col2)
                 acc = LElem.one()
-                for _ in range(n):
-                    acc = self.ops.lmul(acc, val)
+                for _ in range(int(text2)):
+                    acc = self.inst.lmul(acc, val)
                 val = acc
             else:
                 return val
@@ -139,9 +152,11 @@ class _Parser:
                 return LElem(KElem.s())
             if text == "t":
                 return LElem(KElem.t())
+            if self.in_k:
+                raise ParseError("delta must not involve e", self.tz.line, col)
             return LElem.e()
         if kind == "int":
-            return LElem.one() if int(text) % 2 else LElem.zero()
+            return LElem.one() if int(text[-1]) % 2 else LElem.zero()
         if kind == "punct" and text == "(":
             val = self.expr()
             kind2, text2, col2 = self.tz.take()
@@ -153,41 +168,15 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", self.tz.line, col)
 
 
-class _BootstrapOps:
-    """L arithmetic for parsing, bound to a provisional delta.
-
-    delta is needed to multiply in L, but delta is itself being parsed;
-    expressions for delta, beta, alpha must stay inside K (no 'e'), so
-    multiplication never actually reduces e^2 while parsing them.  For
-    phiE a second pass uses the already-parsed delta.
-    """
-
-    def __init__(self, delta: KElem | None):
-        self.delta = delta
-
-    def lmul(self, z: LElem, w: LElem) -> LElem:
-        if z.c1.is_zero() or w.c1.is_zero():
-            return LElem(z.c0 * w.c0 + KElem.zero(),
-                         z.c0 * w.c1 + z.c1 * w.c0)
-        if self.delta is None:
-            raise FieldError("e*e used before delta is known")
-        a1b1 = z.c1 * w.c1
-        return LElem(z.c0 * w.c0 + a1b1 * self.delta,
-                     z.c0 * w.c1 + z.c1 * w.c0 + a1b1)
-
-    def ldiv(self, z: LElem, w: LElem) -> LElem:
-        if not w.c1.is_zero():
-            if self.delta is None:
-                raise FieldError("division by an e-expression before delta is known")
-            n = w.c0.square() + w.c0 * w.c1 + self.delta * w.c1.square()
-            wbar = w.conj()
-            inv = LElem(n.inv() * wbar.c0, n.inv() * wbar.c1)
-            return self.lmul(z, inv)
-        return LElem(z.c0 / w.c0, z.c1 / w.c0)
+def _degree(z: LElem) -> int:
+    return max(p.total_degree() for c in (z.c0, z.c1) for p in (c.num, c.den))
 
 
-def parse_expression(text: str, line: int, delta: KElem | None) -> LElem:
-    return _Parser(_Tokenizer(text, line), _BootstrapOps(delta)).parse()
+def parse_expression(text: str, line: int,
+                     inst: FieldInstance | None) -> LElem:
+    """One right-hand side, in L over `inst`; without an instance the
+    expression is delta's and must stay in K."""
+    return _Parser(_Tokenizer(text, line), inst).parse()
 
 
 def parse_instance_text(text: str) -> FieldInstance:
@@ -211,17 +200,22 @@ def parse_instance_text(text: str) -> FieldInstance:
     if missing:
         raise ParseError(f"missing fields: {', '.join(sorted(missing))}", 0, 0)
 
-    def as_k(name: str, delta: KElem | None) -> KElem:
+    def value(name: str, inst: FieldInstance | None):
         rhs, lineno = raw[name]
-        val = parse_expression(rhs, lineno, delta)
+        val = parse_expression(rhs, lineno, inst)
+        if name == "phiE":
+            if val.c1.is_zero():
+                raise ParseError("phiE must involve e", lineno, 1)
+            return val
         if not val.c1.is_zero():
             raise ParseError(f"{name} must not involve e", lineno, 1)
+        if name != "delta" and val.is_zero():
+            raise ParseError(f"{name} must be nonzero", lineno, 1)
         return val.c0
 
-    delta = as_k("delta", None)
-    beta = as_k("beta", delta)
-    alpha = as_k("alpha", delta)
-    phi_e = parse_expression(*raw["phiE"], delta)
+    delta = value("delta", None)
+    inst = FieldInstance(delta, LElem.e(), KElem.one(), KElem.one())
+    beta, alpha, phi_e = (value(n, inst) for n in ("beta", "alpha", "phiE"))
     return FieldInstance(delta=delta, phi_e=phi_e, beta=beta, alpha=alpha)
 
 

@@ -143,11 +143,6 @@ class Poly2:
     def num_terms(self) -> int:
         return sum(mask.bit_count() for mask in self._rows.values())
 
-    def deg_s(self) -> int:
-        if not self._rows:
-            return -1
-        return max(mask.bit_length() for mask in self._rows.values()) - 1
-
     def deg_t(self) -> int:
         if not self._rows:
             return -1
@@ -258,9 +253,6 @@ class Poly2:
     def lc_t(self) -> int:
         """Leading coefficient (a GF(2)[s] mask) w.r.t. t."""
         return self._rows[max(self._rows)]
-
-    def coeff_t(self, j: int) -> int:
-        return self._rows.get(j, 0)
 
     def content_t(self) -> int:
         """GCD in GF(2)[s] of all t-coefficients."""

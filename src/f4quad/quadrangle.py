@@ -233,9 +233,9 @@ class Quadrangle:
                 return self.ln1(a.coords[0]) if a.coords[0] == b.coords[0] else None
             k, kb = a.coords
             pa, pl, pa2 = b.coords
-            p2, _ = g.comm14(pa, k)
+            p2, p3 = g.comm14(pa, k)
             k2 = pl + g.comm13(pa, pa2) + p2
-            if self._cond2(pa, k) == pa2 + kb + g.comm24(k2, k):
+            if p3 + g.comm24(p2, k) == pa2 + kb + g.comm24(k2, k):
                 return self.ln3(k, kb, k2)
             return None
         # both maximal: reduce the first to the zero point

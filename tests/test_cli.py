@@ -114,3 +114,10 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+def test_unusable_field_value_is_config_error(tmp_path, capsys):
+    path = tmp_path / "zero_beta.txt"
+    path.write_text("delta = s + t\nphiE = e + s\nbeta = 0\nalpha = t\n")
+    assert main(["verify-fields", "--instance", str(path)]) == 2
+    assert "line 3" in capsys.readouterr().err

@@ -299,8 +299,8 @@ def test_tau_prime_examples(ms):
 
 def test_tau_prime_experiment_reports(ms):
     rep = ms.tau_prime_circle_experiment(Rng(77), 12, 2)
-    assert rep.total == 12
-    assert rep.matched + rep.unmatched == rep.total
+    assert len(rep.checks) == 12  # one sub-check per sample point
+    assert all(c.passed or " -> " in c.detail for c in rep.checks)
 
 
 def test_block_descriptors(ms):
@@ -324,9 +324,10 @@ def test_net_report(ms):
 
 def test_reconstruction_report(ms):
     rep = reconstruct_report(ms, Rng(80), 14, 14, 1)
-    assert rep.ok, rep.failures
-    assert rep.rule3_hits > 0
-    assert rep.injective and rep.polarity_consistent
+    assert rep.ok, [c.detail for c in rep.checks if not c.passed]
+    assert {c.name for c in rep.checks if c.passed} >= {
+        "rule3-exercised", "injective", "polarity-consistent-points",
+        "polarity-consistent-spheres"}
 
 
 def test_reconstructed_structure_object(ms):

@@ -3,7 +3,7 @@
 import pytest
 
 from f4quad.fields import KElem, default_instance
-from f4quad.parser import ParseError, parse_instance_text
+from f4quad.parser import MAX_DEGREE, ParseError, parse_instance_text
 
 DEFAULT_TEXT = """
 # the shipped instance
@@ -53,7 +53,7 @@ def test_coefficients_reduce_mod_2():
 delta = s + t
 phiE = e + s
 beta = 3*s
-alpha = 2 + t
+alpha = 2 + t + 1""" + "0" * 5000 + """
 """)
     assert inst.beta == KElem.s()
     assert inst.alpha == KElem.t()
@@ -110,3 +110,28 @@ def test_division_by_zero_rejected():
     with pytest.raises(ParseError):
         parse_instance_text(
             "delta = s + t\nphiE = e + s\nbeta = s/(t+t)\nalpha = t")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("delta = s + t\nphiE = e + s\nbeta = 0\nalpha = t", 3, "beta must be nonzero"),
+    ("delta = s + t\nphiE = s\nbeta = s\nalpha = t", 2, "phiE must involve e"),
+    ("delta = e*e\nphiE = e + s\nbeta = s\nalpha = t", 1, "delta must not involve e"),
+])
+def test_field_constraint_is_parse_error(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_power_is_bounded():
+    inst = parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = s\n"
+                               f"alpha = (s + t)^{MAX_DEGREE} + t")
+    assert inst.alpha == (KElem.s() + KElem.t()) ** MAX_DEGREE + KElem.t()
+    for power in (f"(s+t)^{MAX_DEGREE + 1}", "(s^8)^9", "1^16000",
+                  "s^" + "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(
+                f"delta = s + t\nphiE = e + s\nbeta = s\nalpha = t + {power}")
+        # columns count within the right-hand side " t + <power>"
+        assert (err.value.line, err.value.col) == (4, power.rindex("^") + 7)
