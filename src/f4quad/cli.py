@@ -55,7 +55,10 @@ def main(argv: list[str] | None = None) -> int:
         if not rep.ok:
             msg = "; ".join(c.name for c in rep.checks if not c.passed)
             if args.survey:
-                print(f"# instance validation problems: {msg}")
+                # a '#' line is a comment of the text body; jsonl holds
+                # only records, so there the note goes to stderr
+                print(f"# instance validation problems: {msg}",
+                      file=sys.stdout if args.format == "text" else sys.stderr)
             else:
                 print(f"instance validation failed: {msg}", file=sys.stderr)
                 return 2

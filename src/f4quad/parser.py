@@ -33,42 +33,47 @@ _PUNCT = set("+-*/^()")
 
 
 class _Tokenizer:
-    def __init__(self, text: str, line: int):
+    """Tokens of one right-hand side; `offset` is the number of
+    characters before it on its line, so columns count from the line
+    start."""
+
+    def __init__(self, text: str, line: int, offset: int = 0):
         self.text = text
         self.line = line
+        self.offset = offset
         self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.idx = 0
 
     def _scan(self):
-        i, n = 0, len(self.text)
+        i, n, col0 = 0, len(self.text), self.offset + 1
         while i < n:
             ch = self.text[i]
             if ch.isspace():
                 i += 1
                 continue
             if ch in _PUNCT:
-                self.tokens.append(("punct", ch, i + 1))
+                self.tokens.append(("punct", ch, col0 + i))
                 i += 1
                 continue
             if ch.isdigit():
                 j = i
                 while j < n and self.text[j].isdigit():
                     j += 1
-                self.tokens.append(("int", self.text[i:j], i + 1))
+                self.tokens.append(("int", self.text[i:j], col0 + i))
                 i = j
                 continue
             if ch in ("s", "t", "e"):
                 nxt = self.text[i + 1] if i + 1 < n else " "
                 if nxt.isalnum() or nxt == "_":
                     raise ParseError(f"unknown name starting at {self.text[i:i+8]!r}",
-                                     self.line, i + 1)
-                self.tokens.append(("var", ch, i + 1))
+                                     self.line, col0 + i)
+                self.tokens.append(("var", ch, col0 + i))
                 i += 1
                 continue
-            raise ParseError(f"unexpected character {ch!r}", self.line, i + 1)
-        self.tokens.append(("end", "", n + 1))
+            raise ParseError(f"unexpected character {ch!r}", self.line, col0 + i)
+        self.tokens.append(("end", "", col0 + n))
 
     def peek(self):
         return self.tokens[self.idx]
@@ -172,16 +177,17 @@ def _degree(z: LElem) -> int:
     return max(p.total_degree() for c in (z.c0, z.c1) for p in (c.num, c.den))
 
 
-def parse_expression(text: str, line: int,
-                     inst: FieldInstance | None) -> LElem:
+def parse_expression(text: str, line: int, inst: FieldInstance | None,
+                     offset: int = 0) -> LElem:
     """One right-hand side, in L over `inst`; without an instance the
-    expression is delta's and must stay in K."""
-    return _Parser(_Tokenizer(text, line), inst).parse()
+    expression is delta's and must stay in K.  `offset` is the number of
+    characters before `text` on its line."""
+    return _Parser(_Tokenizer(text, line, offset), inst).parse()
 
 
 def parse_instance_text(text: str) -> FieldInstance:
     """Parse the four definitions into a FieldInstance (not yet validated)."""
-    raw: dict[str, tuple[str, int]] = {}
+    raw: dict[str, tuple[str, int, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -190,19 +196,21 @@ def parse_instance_text(text: str) -> FieldInstance:
             raise ParseError("expected 'name = expression'", lineno,
                              len(line) - len(line.lstrip()) + 1)
         name, _, rhs = stripped.partition("=")
+        # characters before the right-hand side on the line
+        offset = len(line) - len(line.lstrip()) + len(name) + 1
         name = name.strip()
         if name not in ("delta", "phiE", "beta", "alpha"):
             raise ParseError(f"unknown field {name!r}", lineno, 1)
         if name in raw:
             raise ParseError(f"duplicate field {name!r}", lineno, 1)
-        raw[name] = (rhs, lineno)
+        raw[name] = (rhs, lineno, offset)
     missing = {"delta", "phiE", "beta", "alpha"} - set(raw)
     if missing:
         raise ParseError(f"missing fields: {', '.join(sorted(missing))}", 0, 0)
 
     def value(name: str, inst: FieldInstance | None):
-        rhs, lineno = raw[name]
-        val = parse_expression(rhs, lineno, inst)
+        rhs, lineno, offset = raw[name]
+        val = parse_expression(rhs, lineno, inst, offset)
         if name == "phiE":
             if val.c1.is_zero():
                 raise ParseError("phiE must involve e", lineno, 1)

@@ -7,14 +7,27 @@ from t-exponent to a bitmask of s-exponents, which turns addition into
 a per-row xor and multiplication into carry-less integer arithmetic on
 the rows.
 
-GCDs are computed content/primitive-part-wise: contents are univariate
-GCDs of the coefficient rows (bitmask Euclid), the primitive parts go
-through a primitive pseudo-remainder sequence in t.  Over GF(2) the
-only unit is 1, so reduced objects are canonical with no further
-normalisation.
+Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
+monomial input at once; other pairs go through three steps:
+
+* a memo of the last GCD_MEMO_SIZE results, keyed by the input pair
+  (most gcd calls of a verification repeat an earlier pair);
+* on a miss, after the common monomial factor comes out, a coprimality
+  certificate (most pairs are coprime): `_coprime_at_alpha` substitutes
+  s -> alpha and t -> alpha, alpha a root of x^8 + x^4 + x^3 + x + 1,
+  and runs Euclid in GF(256)[y].  It is a proof, not a probabilistic
+  test; the argument is in its docstring;
+* otherwise the exact algorithm, content/primitive-part-wise: contents
+  are univariate GCDs of the coefficient rows (bitmask Euclid), the
+  primitive parts go through a primitive pseudo-remainder sequence in t.
+
+Over GF(2) the only unit is 1, so reduced objects are canonical with no
+further normalisation.
 """
 
 from __future__ import annotations
+
+import threading
 
 
 # ----------------------------------------------------------------------
@@ -416,8 +429,18 @@ def _pseudo_rem(a: Poly2, b: Poly2) -> Poly2:
     return a
 
 
+# The gcd memo: insertion-ordered, the oldest entry is evicted first.
+# The lock makes evict-and-insert one step for threads that share it.
+GCD_MEMO_SIZE = 256
+_GCD_MEMO: dict[tuple[Poly2, Poly2], Poly2] = {}
+_GCD_MEMO_LOCK = threading.Lock()
+
+
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """GCD in GF(2)[s,t]; gcd(0, q) = q, canonical (units are trivial)."""
+    """GCD in GF(2)[s,t]; gcd(0, q) = q, canonical (units are trivial).
+
+    Memo, coprimality certificate, then the exact algorithm: see the
+    module docstring."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -429,9 +452,26 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     vt = min(p.val_t(), q.val_t())
     if p.is_monomial() or q.is_monomial():
         return Poly2.monomial(vs, vt)
+    key = (p, q)
+    g = _GCD_MEMO.get(key)
+    if g is not None:
+        return g
     if vs or vt:
         p = Poly2({j - vt: m >> vs for j, m in p._rows.items()})
         q = Poly2({j - vt: m >> vs for j, m in q._rows.items()})
+    g = _ONE if _coprime_at_alpha(p, q) else _prs_gcd(p, q)
+    if vs or vt:
+        g = g.shift(vs, vt)
+    with _GCD_MEMO_LOCK:
+        if len(_GCD_MEMO) >= GCD_MEMO_SIZE:
+            del _GCD_MEMO[next(iter(_GCD_MEMO))]
+        _GCD_MEMO[key] = g
+    return g
+
+
+def _prs_gcd(p: Poly2, q: Poly2) -> Poly2:
+    """GCD of nonzero p, q: the gcd of their contents in GF(2)[s] times
+    the last member of the primitive pseudo-remainder sequence in t."""
     cp, pp = p.primitive_t()
     cq, qq = q.primitive_t()
     c = u_gcd(cp, cq)
@@ -441,7 +481,106 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     while not b.is_zero():
         r = _pseudo_rem(a, b)
         a, b = b, r.primitive_t()[1]
-    g = a.scale_u(c)
-    if vs or vt:
-        g = g.shift(vs, vt)
-    return g
+    return a.scale_u(c)
+
+
+# ----------------------------------------------------------------------
+# coprimality certificate over GF(256) = GF(2)[x]/(x^8 + x^4 + x^3 + x + 1)
+# ----------------------------------------------------------------------
+# A field element is a byte (bit k = x^k).  alpha is the class of x, so
+# an s-mask reduced mod the modulus is its value at alpha.  _LOG and
+# _EXP are taken to the base x + 1, which generates the multiplicative
+# group (x alone has order 51).  _LOG[0] points into a run of zeros of
+# _EXP, so a product with a zero factor reads 0 without a branch.
+
+_MODULUS = 0x11B
+_EXP = [0] * 1536
+_LOG = [768] * 256
+_x = 1
+for _k in range(255):
+    _EXP[_k] = _EXP[_k + 255] = _EXP[_k + 510] = _x
+    _LOG[_x] = _k
+    _x ^= _x << 1  # times x + 1
+    if _x & 0x100:
+        _x ^= _MODULUS
+del _x, _k
+# _ALPHA_POW[j] = alpha^j; _TIMES_X8[v] = v * alpha^8 (one Horner step)
+_ALPHA_POW = [_EXP[j * _LOG[2] % 255] for j in range(255)]
+_TIMES_X8 = [_EXP[_LOG[v] + 8 * _LOG[2] % 255] for v in range(256)]
+
+
+def _at_alpha(mask: int) -> int:
+    """Value at alpha of a GF(2)[s] mask, i.e. the mask reduced mod
+    the modulus (Horner over its bytes, highest first)."""
+    if mask < 256:
+        return mask
+    v = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "big"):
+        v = _TIMES_X8[v] ^ byte
+    return v
+
+
+def _image_s(p: Poly2) -> list[int]:
+    """p(alpha, t): coefficients in GF(256), lowest t-degree first,
+    deg_t(p) + 1 of them."""
+    img = [0] * (max(p._rows) + 1)
+    for j, mask in p._rows.items():
+        img[j] = _at_alpha(mask)
+    return img
+
+
+def _image_t(p: Poly2) -> list[int]:
+    """p(s, alpha): coefficients in GF(256), lowest s-degree first,
+    deg_s(p) + 1 of them."""
+    img = [0] * max(m.bit_length() for m in p._rows.values())
+    for j, mask in p._rows.items():
+        a = _ALPHA_POW[j % 255]
+        while mask:
+            low = mask & -mask
+            img[low.bit_length() - 1] ^= a
+            mask ^= low
+    return img
+
+
+def _images_coprime(a: list[int], b: list[int]) -> bool:
+    """Euclid in GF(256)[y] on the images of two polynomials; False
+    unless one of them kept its degree and the images are coprime."""
+    if not (a[-1] or b[-1]):
+        return False
+    exp, log = _EXP, _LOG
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while len(b) > 1:
+        n = len(b) - 1
+        lb = [log[c] for c in b]
+        inv = 255 - lb[n]
+        del lb[n]
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top]
+            if c:
+                f = log[c] + inv
+                off = top - n
+                a[off:top] = [x ^ exp[lk + f] for x, lk in zip(a[off:top], lb)]
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return bool(b) or len(a) == 1
+
+
+def _coprime_at_alpha(p: Poly2, q: Poly2) -> bool:
+    """True only if gcd(p, q) = 1, for nonzero p, q.  False means "not
+    proven", not "not coprime".
+
+    Proof.  Let g = gcd(p, q) and p = g h.  Substitute s -> alpha.  If
+    p keeps its t-degree (its leading t-coefficient, a GF(2)[s] mask, is
+    nonzero at alpha), then lc_t(p) = lc_t(g) lc_t(h) shows lc_t(g) is
+    nonzero at alpha too, so deg_t g(alpha, t) = deg_t g.  As g(alpha, t)
+    divides both images, coprime images force deg_t g = 0.  The same
+    holds with q in place of p, and with t -> alpha and s-degrees.  When
+    both substitutions pass, g has degree 0 in s and in t, so g = 1.
+    """
+    return (_images_coprime(_image_s(p), _image_s(q))
+            and _images_coprime(_image_t(p), _image_t(q)))

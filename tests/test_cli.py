@@ -1,9 +1,11 @@
 """CLI contract: subcommands, flags, exit codes, deterministic bodies."""
 
 import json
+import os
 import subprocess
 import sys
 
+import f4quad
 from f4quad.cli import main
 from f4quad.verifier import report_body
 
@@ -104,14 +106,31 @@ def test_survey_mode_keeps_going(tmp_path, capsys):
     assert "instance validation problems" in out
 
 
+def test_survey_jsonl_stdout_is_all_records(tmp_path, capsys):
+    path = tmp_path / "wrong.txt"
+    path.write_text("delta = s + t\nphiE = e + s\nbeta = s\nalpha = s\n")
+    code = main(["verify-fields", "--survey", "--format", "jsonl",
+                 "--instance", str(path)] + FAST)
+    captured = capsys.readouterr()
+    assert code == 0
+    for line in captured.out.splitlines():
+        json.loads(line)
+    assert report_body(captured.out, "jsonl")
+    assert "instance validation problems" in captured.err
+
+
 def test_nonpositive_samples_is_config_error(capsys):
     assert main(["verify-fields", "--samples", "0"]) == 2
 
 
 def test_module_entry_point():
+    # the child imports the same f4quad as this process, installed or not
+    src = os.path.dirname(os.path.dirname(f4quad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "f4quad.cli", "verify-fields"] + FAST,
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
 

@@ -76,6 +76,10 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_instance_text("delta = s +\nphiE = e\nbeta = s\nalpha = t")
     assert err.value.line == 1
+    with pytest.raises(ParseError) as err:
+        parse_instance_text("delta = s + t\nphiE = e + s\nbeta = s\n"
+                            "  alpha = t + (s+t)^65")
+    assert (err.value.line, err.value.col) == (4, 21)
 
 
 def test_unknown_character_rejected():
@@ -133,5 +137,5 @@ def test_power_is_bounded():
         with pytest.raises(ParseError) as err:
             parse_instance_text(
                 f"delta = s + t\nphiE = e + s\nbeta = s\nalpha = t + {power}")
-        # columns count within the right-hand side " t + <power>"
-        assert (err.value.line, err.value.col) == (4, power.rindex("^") + 7)
+        # the column of the exponent within the line "alpha = t + <power>"
+        assert (err.value.line, err.value.col) == (4, power.rindex("^") + 14)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+from types import FunctionType
 
 import f4quad.sampling
 
@@ -14,6 +15,9 @@ def test_traced_names_resolve():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)  # install() is never called
     for module, path in spans.TARGETS.values():
-        assert callable(spans._resolve(module, path)), f"{module}.{path}"
+        # install() and install_marks() rebind plain functions only; a
+        # cache object in place of one would go unmeasured, silently
+        fn = spans._resolve(module, path)
+        assert isinstance(fn, FunctionType), f"{module}.{path}"
     for name in spans.SAMPLERS:
         assert callable(vars(f4quad.sampling).get(name)), name
