@@ -4,7 +4,8 @@
     f4quad verify-fields --instance my_instance.txt --format jsonl
 
 Exit codes: 0 all selected checks pass, 1 at least one non-survey check
-failed, 2 configuration error (bad flags or unparseable instance file).
+failed, 2 configuration error (bad flags, --samples above MAX_SAMPLES,
+--max-degree above MAX_DEGREE, or an unparseable instance file).
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import sys
 
 from .parser import ParseError, load_instance
 from .verifier import SUITES, SuiteConfig, emit_jsonl, emit_text, run
+
+# input bounds: the sample count and the sampled degree drive the cost
+# of every check, so past these a run is a configuration error
+MAX_SAMPLES = 10_000
+MAX_DEGREE = 8
 
 _COMMANDS = {f"verify-{name}": (name,) for name in SUITES}
 _COMMANDS["verify-all"] = tuple(SUITES)
@@ -42,6 +48,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    if not (0 < args.samples <= MAX_SAMPLES
+            and 0 <= args.max_degree <= MAX_DEGREE):
+        print(f"samples must be in 1..{MAX_SAMPLES} and max-degree "
+              f"in 0..{MAX_DEGREE}", file=sys.stderr)
+        return 2
     instance = None
     if args.instance:
         try:
@@ -62,10 +73,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"instance validation failed: {msg}", file=sys.stderr)
                 return 2
-    if args.samples <= 0 or args.max_degree < 0:
-        print("samples must be positive and max-degree non-negative",
-              file=sys.stderr)
-        return 2
     cfg = SuiteConfig(seed=args.seed, samples=args.samples,
                       max_degree=args.max_degree,
                       suites=_COMMANDS[args.command],

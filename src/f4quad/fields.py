@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polynomials import Poly2, poly_divexact, poly_gcd
+from .polynomials import _ODD_BITS, Poly2, poly_divexact, poly_gcd
 
 
 class FieldError(ArithmeticError):
@@ -45,24 +45,8 @@ class KElem:
             raise FieldError("zero denominator")
         if num.is_zero():
             self.num, self.den = Poly2.zero(), Poly2.one()
-        elif den.is_one():
-            self.num, self.den = num, den
-        elif den.is_monomial():
-            # fast path: strip the common monomial factor
-            (i, j), = den.terms()
-            ci = min(i, num.val_s())
-            cj = min(j, num.val_t())
-            if ci or cj:
-                num = Poly2({jj - cj: m >> ci for jj, m in num._rows.items()})
-                den = Poly2.monomial(i - ci, j - cj)
-            self.num, self.den = num, den
         else:
-            g = poly_gcd(num, den)
-            if g.is_one():
-                self.num, self.den = num, den
-            else:
-                self.num = poly_divexact(num, g)
-                self.den = poly_divexact(den, g)
+            self.num, self.den = _cancel(num, den)
         self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
@@ -108,12 +92,9 @@ class KElem:
             return self
         if d1 == d2:
             num = n1 + n2
-            if d1.is_one() or num.is_zero():
-                return _trusted_k(num, Poly2.one() if num.is_zero() else d1)
-            g = poly_gcd(num, d1)
-            if g.is_one():
-                return _trusted_k(num, d1)
-            return _trusted_k(poly_divexact(num, g), poly_divexact(d1, g))
+            if num.is_zero():
+                return K_ZERO
+            return _trusted_k(*_cancel(num, d1))
         g = poly_gcd(d1, d2)
         if g.is_one():
             num = n1 * d2 + n2 * d1
@@ -138,16 +119,8 @@ class KElem:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if n1.is_zero() or n2.is_zero():
             return K_ZERO
-        if not d2.is_one():
-            g = poly_gcd(n1, d2)
-            if not g.is_one():
-                n1 = poly_divexact(n1, g)
-                d2 = poly_divexact(d2, g)
-        if not d1.is_one():
-            g = poly_gcd(n2, d1)
-            if not g.is_one():
-                n2 = poly_divexact(n2, g)
-                d1 = poly_divexact(d1, g)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
         return _trusted_k(n1 * n2, d1 * d2)
 
     def inv(self) -> "KElem":
@@ -199,6 +172,29 @@ class KElem:
 
     def __repr__(self) -> str:
         return f"KElem({self})"
+
+
+def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
+    """(num/g, den/g) with g = gcd(num, den), for nonzero num and den.
+
+    A denominator 1 or s^i t^j needs no gcd: g is 1, or the monomial
+    s^min(i, val_s num) t^min(j, val_t num), and dividing by it is a
+    shift of the rows."""
+    if den.is_one():
+        return num, den
+    if den.is_monomial():
+        (j, m), = den._rows.items()
+        i = m.bit_length() - 1
+        ci = min(i, num.val_s())
+        cj = min(j, num.val_t())
+        if ci or cj:
+            num = Poly2({jj - cj: mm >> ci for jj, mm in num._rows.items()})
+            den = Poly2({j - cj: 1 << (i - ci)})
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_one():
+        return num, den
+    return poly_divexact(num, g), poly_divexact(den, g)
 
 
 def _trusted_k(num: Poly2, den: Poly2) -> KElem:
@@ -257,11 +253,10 @@ def _split_even_odd(p: Poly2) -> tuple[Poly2, Poly2]:
     """p = even + s*odd with both parts in GF(2)[s^2, t]."""
     even_rows: dict[int, int] = {}
     odd_rows: dict[int, int] = {}
-    for i, j in p.terms():
-        if i % 2 == 0:
-            even_rows[j] = even_rows.get(j, 0) ^ (1 << i)
-        else:
-            odd_rows[j] = odd_rows.get(j, 0) ^ (1 << (i - 1))
+    for j, mask in p._rows.items():
+        odd = mask & _ODD_BITS(mask.bit_length())
+        even_rows[j] = mask ^ odd
+        odd_rows[j] = odd >> 1
     return Poly2(even_rows), Poly2(odd_rows)
 
 

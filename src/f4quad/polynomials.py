@@ -7,8 +7,16 @@ from t-exponent to a bitmask of s-exponents, which turns addition into
 a per-row xor and multiplication into carry-less integer arithmetic on
 the rows.
 
+Units and monomials take exact shortcuts, each an algebraic identity:
+a product with the factor 1 is the other operand (a Poly2 is never
+mutated), a product with s^i t^j shifts the other operand's rows, and
+only two non-monomials reach the carry-less bit loop `u_mul`.  Exact
+division by s^i t^j is a shift back.
+
 Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
-monomial input at once; other pairs go through three steps:
+monomial input at once (gcd(s^i t^j, q) = s^min(i, val_s q)
+t^min(j, val_t q)); `fields` does not even ask it for a denominator 1 or
+s^i t^j.  Other pairs go through three steps:
 
 * a memo of the last GCD_MEMO_SIZE results, keyed by the input pair
   (most gcd calls of a verification repeat an earlier pair);
@@ -164,7 +172,7 @@ class Poly2:
     def total_degree(self) -> int:
         if not self._rows:
             return -1
-        return max(i + j for i, j in self.terms())
+        return max(j + mask.bit_length() - 1 for j, mask in self._rows.items())
 
     def val_s(self) -> int:
         """Largest power of s dividing the polynomial (0 for zero)."""
@@ -223,6 +231,20 @@ class Poly2:
         a, b = self._rows, other._rows
         if not a or not b:
             return _ZERO
+        # a factor 1 gives the other operand back (Poly2 is immutable);
+        # a monomial factor s^i t^j shifts the other operand's rows
+        if len(a) == 1:
+            (j, m), = a.items()
+            if not m & (m - 1):
+                if m == 1 and not j:
+                    return other
+                return other.shift(m.bit_length() - 1, j)
+        if len(b) == 1:
+            (j, m), = b.items()
+            if not m & (m - 1):
+                if m == 1 and not j:
+                    return self
+                return self.shift(m.bit_length() - 1, j)
         if len(a) > len(b):
             a, b = b, a
         rows: dict[int, int] = {}
@@ -302,17 +324,27 @@ class Poly2:
     def subst_phi(self) -> "Poly2":
         """Monomial substitution s -> t, t -> s^2."""
         rows: dict[int, int] = {}
-        for i, j in self.terms():
-            rows[i] = rows.get(i, 0) ^ (1 << (2 * j))
+        for j, mask in self._rows.items():
+            bit = 1 << (2 * j)
+            while mask:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                rows[i] = rows.get(i, 0) ^ bit
+                mask ^= low
         return Poly2(rows)
 
     def subst_theta(self) -> "Poly2":
         """Monomial substitution s^2 -> t, t -> s (even s-exponents only)."""
         rows: dict[int, int] = {}
-        for i, j in self.terms():
-            if i % 2:
+        for j, mask in self._rows.items():
+            if mask & _ODD_BITS(mask.bit_length()):
                 raise ArithmeticError("theta substitution needs even s-exponents")
-            rows[i // 2] = rows.get(i // 2, 0) ^ (1 << j)
+            bit = 1 << j
+            while mask:
+                low = mask & -mask
+                i = (low.bit_length() - 1) // 2
+                rows[i] = rows.get(i, 0) ^ bit
+                mask ^= low
         return Poly2(rows)
 
     # -- comparison / display ---------------------------------------------
@@ -372,11 +404,10 @@ def _unspread_bits(mask: int) -> int:
 
 
 def _ODD_BITS(nbits: int) -> int:
-    # 0b1010...10 of the requested width
-    out = 0
-    for k in range(1, nbits, 2):
-        out |= 1 << k
-    return out
+    # 0b1010...10, at least the requested width: 0b0101...01 with k
+    # ones is (4^k - 1) / 3
+    k = (nbits + 1) // 2
+    return (((1 << 2 * k) - 1) // 3) << 1
 
 
 _ZERO = Poly2({})
@@ -398,7 +429,8 @@ def poly_divexact(p: Poly2, g: Poly2) -> Poly2:
     if g.is_one():
         return p
     if g.is_monomial():
-        (i, j), = g.terms()
+        (j, m), = g._rows.items()
+        i = m.bit_length() - 1
         if p.val_s() < i or p.val_t() < j:
             raise ArithmeticError("inexact division by monomial")
         return Poly2({jj - j: mask >> i for jj, mask in p._rows.items()})
@@ -447,15 +479,17 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return p
     if p.is_one() or q.is_one():
         return _ONE
-    # common monomial part comes out first; it keeps the PRS sparse
-    vs = min(p.val_s(), q.val_s())
-    vt = min(p.val_t(), q.val_t())
-    if p.is_monomial() or q.is_monomial():
-        return Poly2.monomial(vs, vt)
+    if p.is_monomial():
+        return _monomial_gcd(p, q)
+    if q.is_monomial():
+        return _monomial_gcd(q, p)
     key = (p, q)
     g = _GCD_MEMO.get(key)
     if g is not None:
         return g
+    # common monomial part comes out first; it keeps the PRS sparse
+    vs = min(p.val_s(), q.val_s())
+    vt = min(p.val_t(), q.val_t())
     if vs or vt:
         p = Poly2({j - vt: m >> vs for j, m in p._rows.items()})
         q = Poly2({j - vt: m >> vs for j, m in q._rows.items()})
@@ -466,6 +500,16 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         if len(_GCD_MEMO) >= GCD_MEMO_SIZE:
             del _GCD_MEMO[next(iter(_GCD_MEMO))]
         _GCD_MEMO[key] = g
+    return g
+
+
+def _monomial_gcd(m: Poly2, q: Poly2) -> Poly2:
+    """gcd(s^i t^j, q) = s^min(i, val_s q) t^min(j, val_t q), q nonzero."""
+    (j, mask), = m._rows.items()
+    i = mask.bit_length() - 1
+    g = Poly2.__new__(Poly2)
+    g._rows = {min(j, q.val_t()): 1 << min(i, q.val_s())}
+    g._hash = None
     return g
 
 

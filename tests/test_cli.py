@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import f4quad
-from f4quad.cli import main
+from f4quad.cli import MAX_DEGREE, MAX_SAMPLES, build_arg_parser, main
 from f4quad.verifier import report_body
 
 FAST = ["--samples", "8", "--max-degree", "1"]
@@ -121,6 +123,26 @@ def test_survey_jsonl_stdout_is_all_records(tmp_path, capsys):
 
 def test_nonpositive_samples_is_config_error(capsys):
     assert main(["verify-fields", "--samples", "0"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", str(MAX_SAMPLES + 1)],
+    ["--samples", "10" + "0" * 40],
+    ["--max-degree", str(MAX_DEGREE + 1)],
+    ["--max-degree", "-1"],
+], ids=["samples", "huge-samples", "max-degree", "negative-degree"])
+def test_out_of_bounds_flags_are_config_errors(flags, capsys):
+    assert main(["verify-all"] + flags) == 2
+    assert "max-degree in 0.." in capsys.readouterr().err
+
+
+def test_bounds_admit_defaults_and_benchmark_sizes(capsys):
+    args = build_arg_parser().parse_args(["verify-all"])
+    assert args.samples <= MAX_SAMPLES and args.max_degree <= MAX_DEGREE
+    assert MAX_SAMPLES >= 4000 and MAX_DEGREE >= 6  # the fields benchmark
+    code, _ = run_cli(["verify-fields", "--samples", "1",
+                       "--max-degree", str(MAX_DEGREE)], capsys)
+    assert code == 0
 
 
 def test_module_entry_point():

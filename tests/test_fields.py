@@ -2,12 +2,14 @@
 
 import pytest
 
-from f4quad.fields import (FieldError, FieldInstance, KElem, LElem,
+from hypothesis import given, settings, strategies as st
+
+from f4quad.fields import (FieldError, FieldInstance, KElem, LElem, _cancel,
                            default_instance, kprime_decompose, kprime_member,
                            kscale, phi_k, theta_k)
-from f4quad.polynomials import Poly2
+from f4quad.polynomials import Poly2, _prs_gcd, poly_divexact
 from f4quad.sampling import (Rng, sample_k, sample_k_general, sample_l,
-                             sample_lprime)
+                             sample_lprime, sample_poly_nonzero)
 
 S = KElem.s()
 T = KElem.t()
@@ -112,6 +114,44 @@ def test_theta_phi_roundtrips():
         assert theta_k(phi_k(f)) == f
         fp = phi_k(sample_k(rng, 3))
         assert phi_k(theta_k(fp)) == fp
+
+
+def _reduced_by_prs(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
+    g = _prs_gcd(num, den)
+    return poly_divexact(num, g), poly_divexact(den, g)
+
+
+def test_cancel_matches_prs_reduction():
+    # denominators 1, a monomial (no gcd is taken) and general ones
+    rng = Rng(13)
+    for k in range(90):
+        num = sample_poly_nonzero(rng, 1 + k % 5, 5)
+        mono = Poly2.monomial(rng.below(5), rng.below(5))
+        common = sample_poly_nonzero(rng, 2, 3)
+        for den in (Poly2.one(), mono, mono * sample_poly_nonzero(rng, 3, 4)):
+            for n, d in ((num, den), (num * mono, den),
+                         (num * common, den * common)):
+                want = _reduced_by_prs(n, d)
+                assert _cancel(n, d) == want, (n, d)
+                f = KElem(n, d)
+                assert (f.num, f.den) == want, (n, d)
+
+
+_polys = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                  min_size=1, max_size=5).map(Poly2.from_terms)
+_monomials = st.builds(Poly2.monomial, st.integers(0, 4), st.integers(0, 4))
+_monomial_den = st.builds(KElem, _polys, _monomials)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_monomial_den, _monomial_den)
+def test_monomial_denominators_stay_canonical(a, b):
+    for r in (a + b, a * b, a * a + b):
+        if not r.is_zero():
+            assert _prs_gcd(r.num, r.den).is_one(), r
+        assert KElem(r.num, r.den) == r
+    for f in (a, b, a * b):
+        assert theta_k(phi_k(f)) == f
 
 
 def test_l_examples(inst):

@@ -109,6 +109,55 @@ def test_phi_theta_substitutions():
         assert a.subst_phi().subst_theta() == a
 
 
+def _reference_mul(a: Poly2, b: Poly2) -> Poly2:
+    """Term-by-term product: every pair of terms, coefficients mod 2."""
+    out: dict = {}
+    for i1, j1 in a.terms():
+        for i2, j2 in b.terms():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) ^ 1
+    return Poly2.from_terms(k for k, c in out.items() if c)
+
+
+def test_mul_matches_reference_product():
+    # units, monomials (the shift path) and general factors, both orders
+    rng = Rng(15)
+    for k in range(120):
+        a = sample_poly(rng, 1 + k % 6, 5)
+        mono = Poly2.monomial(rng.below(7), rng.below(7))
+        b = sample_poly(rng, 1 + k % 5, 5)
+        for x in (ONE, ZERO, mono, S, T, b, b + ONE):
+            assert a * x == _reference_mul(a, x), (a, x)
+            assert x * a == _reference_mul(x, a), (x, a)
+    assert ONE * (S + T) == S + T and (S + T) * ONE == S + T
+    single_row = S * S + S  # one row, not a monomial
+    assert single_row * (S + ONE) == _reference_mul(single_row, S + ONE)
+
+
+def test_total_degree_and_substitutions_match_terms():
+    rng = Rng(16)
+    for k in range(80):
+        a = sample_poly(rng, 1 + k % 7, 6)
+        ts = a.terms()
+        assert a.total_degree() == max((i + j for i, j in ts), default=-1)
+        assert a.subst_phi() == Poly2.from_terms((2 * j, i) for i, j in ts)
+        sq = a.square()
+        assert sq.subst_theta() == Poly2.from_terms(
+            (j, i // 2) for i, j in sq.terms())
+        if any(i % 2 for i, _ in ts):
+            with pytest.raises(ArithmeticError):
+                a.subst_theta()
+
+
+def test_odd_bits_closed_form_matches_loop():
+    for n in range(301):
+        loop = 0
+        for k in range(1, n, 2):
+            loop |= 1 << k
+        low = (1 << n) - 1
+        assert polynomials._ODD_BITS(n) & low == loop, n
+
+
 def test_grevlex_string_order():
     p = S * S + S * T + T * T + ONE
     assert str(p) == "s^2 + s*t + t^2 + 1"
