@@ -79,7 +79,7 @@ class KElem:
         return not self.num.is_zero()
 
     # -- arithmetic ---------------------------------------------------------
-    # addition and multiplication keep fractions reduced with the small
+    # addition and multiplication keep quotients reduced with the small
     # cross-gcds of Henrici's scheme instead of one large gcd per result
 
     def __add__(self, other: "KElem") -> "KElem":

@@ -11,10 +11,12 @@ side: the closed form transcribed verbatim, and a solver that computes
 the unique fixed point of conjugation by the polarity over the given
 free parts.  Comparing them localises any misprint in the closed form
 to a named slot; products are always formed through the solver, which
-closes by construction (the fixed subgroup is a subgroup).
+closes by construction (the fixed subgroup is a subgroup), and a product
+whose parts fail to re-embed raises ClosureError.
 
 Blocks are never materialised: a sphere or circle is a descriptor with
-an exact membership predicate plus a seeded sampler.
+an exact membership predicate and, if parametrised, a map `point_at`
+and a parameter sampler behind the one method `Block.sample`.
 """
 
 from __future__ import annotations
@@ -55,16 +57,10 @@ class MoufangPoint:
 class MoufangSet:
     """Label arithmetic, the generator form, and the block geometry."""
 
-    def __init__(self, quad: Quadrangle, eq9_mode: str = "derived",
-                 survey: bool = False):
-        if eq9_mode not in ("verbatim", "derived"):
-            raise ValueError("eq9_mode must be 'verbatim' or 'derived'")
+    def __init__(self, quad: Quadrangle):
         self.quad = quad
         self.group = quad.group
         self.inst = quad.inst
-        self.eq9_mode = eq9_mode
-        self.survey = survey
-        self.closure_notes: list[str] = []
         g = self.group
         self.infinity = MoufangPoint(None, None)
         self.zero = MoufangPoint(g.r1_zero, g.r2_zero)
@@ -132,10 +128,9 @@ class MoufangSet:
         return elt
 
     def embed(self, p: MoufangPoint) -> UPlusElem:
+        """The generator element of a finite label (the derived form)."""
         if p.is_inf:
             raise ValueError("infinity has no generator element")
-        if self.eq9_mode == "verbatim":
-            return self.embed_verbatim(p.r1, p.r2)
         return self.embed_derived(p.r1, p.r2)
 
     def compare_embeddings(self, r1: R1Coord, r2: R2Coord) -> list[str]:
@@ -155,19 +150,15 @@ class MoufangSet:
 
     # -- label arithmetic -----------------------------------------------------------
 
-    def label_of_elem(self, g: UPlusElem, check: bool = True) -> MoufangPoint:
+    def label_of_elem(self, g: UPlusElem) -> MoufangPoint:
         """Free parts of a group element, verified to re-embed exactly."""
         label = MoufangPoint(g.g1, g.g2)
-        if check:
-            again = self.embed(label)
-            if again != g:
-                msg = (f"closure violation: U3/U4 parts of {label} do not match "
-                       f"the generator form (U3 delta x={g.g3.x + again.g3.x}, "
-                       f"y={g.g3.y + again.g3.y}, K={g.g3.b + again.g3.b})")
-                if self.survey:
-                    self.closure_notes.append(msg)
-                else:
-                    raise ClosureError(msg)
+        again = self.embed(label)
+        if again != g:
+            raise ClosureError(
+                f"closure violation: U3/U4 parts of {label} do not match "
+                f"the generator form (U3 delta x={g.g3.x + again.g3.x}, "
+                f"y={g.g3.y + again.g3.y}, K={g.g3.b + again.g3.b})")
         return label
 
     def mul(self, p: MoufangPoint, q: MoufangPoint) -> MoufangPoint:
@@ -218,14 +209,8 @@ class MoufangSet:
         def contains(p: MoufangPoint) -> bool:
             return p.is_inf or p.r1 == r1
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            out = []
-            for _ in range(n):
-                r2 = self.sample_r2(rng, max_degree)
-                out.append(MoufangPoint(r1, r2))
-            return out
-
-        return Block("sphere", self.infinity, through, contains, sample)
+        return Block("sphere", self.infinity, through, contains,
+                     lambda r2: MoufangPoint(r1, r2), self.sample_r2)
 
     def circle_at_infinity(self, through: MoufangPoint) -> "Block":
         """Gnarl infinity: {inf} u {[r1, (u, v, free)]}."""
@@ -238,12 +223,9 @@ class MoufangSet:
                 return True
             return p.r1 == r1 and p.r2.u == r2.u and p.r2.v == r2.v
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            return [MoufangPoint(r1, R2Coord(r2.u, r2.v,
-                                             sample_kprime(rng, max_degree)))
-                    for _ in range(n)]
-
-        return Block("circle", self.infinity, through, contains, sample)
+        return Block("circle", self.infinity, through, contains,
+                     lambda k: MoufangPoint(r1, R2Coord(r2.u, r2.v, k)),
+                     sample_kprime)
 
     def sphere_general(self, gnarl: MoufangPoint, through: MoufangPoint) -> "Block":
         """Sphere by its geometric description: absolute flags whose point
@@ -262,11 +244,7 @@ class MoufangSet:
                 return True
             return quad.collinear(pt, centre) is not None
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            raise UnsupportedBlock(
-                "general spheres enumerate through the coordinate tables")
-
-        return Block("sphere", gnarl, through, contains, sample)
+        return Block("sphere", gnarl, through, contains)
 
     def circle_general(self, gnarl: MoufangPoint, through: MoufangPoint) -> "Block":
         """Circle with finite gnarl through infinity (coordinate recipe)."""
@@ -298,18 +276,14 @@ class MoufangSet:
                 return False
             return p.r2.a == b + gauge * phi_k(k)
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            return [point_at(sample_kprime(rng, max_degree)) for _ in range(n)]
-
-        return Block("circle", gnarl, through, contains, sample, point_at)
+        return Block("circle", gnarl, through, contains, point_at,
+                     sample_kprime)
 
     # -- the two fully explicit circles --------------------------------------------------
 
     def special_circle_first(self) -> "Block":
         """The circle with gnarl [0,0] through [(0,0,1),(0,0,0)]; its points
         are parametrised over K and the through point is a parameter limit."""
-        inst = self.inst
-        zero1 = self.group.r1_zero
         gnarl = self.zero
         through = MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), KElem.one()),
                                self.group.r2_zero)
@@ -338,15 +312,7 @@ class MoufangSet:
             xx = aa * dd
             return dd == KElem.one() + xx + phi_k(xx)
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            out = []
-            while len(out) < n:
-                pt = point_at(sample_k(rng, max_degree))
-                if pt is not None:
-                    out.append(pt)
-            return out
-
-        return Block("circle", gnarl, through, contains, sample, point_at)
+        return Block("circle", gnarl, through, contains, point_at, sample_k)
 
     def special_circle_second(self) -> "Block":
         """The circle through [(0,0,1),(0,0,0)] with gnarl [(0,0,0),(0,0,1)]."""
@@ -378,15 +344,7 @@ class MoufangSet:
             xx = theta_k(bb) / aa  # bb = phi(x/den), aa = 1/den
             return (aa * (KElem.one() + xx + xx.square() * phi_k(xx))).is_one()
 
-        def sample(rng: Rng, n: int, max_degree: int):
-            out = []
-            while len(out) < n:
-                pt = point_at(sample_k(rng, max_degree))
-                if pt is not None:
-                    out.append(pt)
-            return out
-
-        return Block("circle", gnarl, through, contains, sample, point_at)
+        return Block("circle", gnarl, through, contains, point_at, sample_k)
 
     # -- the polarity-twisted translation experiment -------------------------------------
 
@@ -433,16 +391,31 @@ class MoufangSet:
 
 
 class Block:
-    """A sphere or circle: descriptor plus membership rule plus sampler."""
+    """A sphere or circle: descriptor plus membership rule, and for a
+    parametrised block the map `point_at` (None where a parameter gives
+    no point) with the `sampler(rng, max_degree)` of its parameters."""
 
     def __init__(self, kind: str, gnarl: MoufangPoint, base: MoufangPoint,
-                 contains, sample, point_at=None):
+                 contains, point_at=None, sampler=None):
         self.kind = kind
         self.gnarl = gnarl
         self.base = base
         self.contains = contains
-        self.sample = sample
         self.point_at = point_at
+        self.sampler = sampler
+
+    def sample(self, rng: Rng, n: int, max_degree: int) -> list[MoufangPoint]:
+        """n points at sampled parameters, skipping those without a point."""
+        if self.sampler is None:
+            raise UnsupportedBlock(f"no sampler for the {self.descriptor()}; "
+                                   "general spheres enumerate through the "
+                                   "coordinate tables")
+        out = []
+        while len(out) < n:
+            pt = self.point_at(self.sampler(rng, max_degree))
+            if pt is not None:
+                out.append(pt)
+        return out
 
     def descriptor(self) -> str:
         return f"{self.kind} gnarl={self.gnarl} base={self.base}"

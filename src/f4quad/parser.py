@@ -11,8 +11,9 @@ coefficients live in GF(2).  Errors carry line and column.
 
 delta is parsed first, inside K ('e' is rejected: L is not yet
 defined); the other three are parsed in L = K[e]/(e^2 + e + delta).
-beta and alpha must be nonzero and free of e, phiE must involve e, and
-a power may not raise an expression above total degree MAX_DEGREE.
+beta and alpha must be nonzero and free of e, phiE must involve e, a
+power may not raise an expression above total degree MAX_DEGREE, and
+parentheses may not nest deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from .fields import FieldError, FieldInstance, KElem, LElem
 
 MAX_DEGREE = 64
+MAX_NESTING = 64
 
 
 class ParseError(ValueError):
@@ -91,6 +93,7 @@ class _Parser:
 
     def __init__(self, tz: _Tokenizer, inst: FieldInstance | None):
         self.tz = tz
+        self.depth = 0  # open parentheses around the current atom
         self.in_k = inst is None
         self.inst = inst or FieldInstance(KElem.zero(), LElem.e(),
                                           KElem.one(), KElem.one())
@@ -163,7 +166,12 @@ class _Parser:
         if kind == "int":
             return LElem.one() if int(text[-1]) % 2 else LElem.zero()
         if kind == "punct" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 self.tz.line, col)
+            self.depth += 1
             val = self.expr()
+            self.depth -= 1
             kind2, text2, col2 = self.tz.take()
             if not (kind2 == "punct" and text2 == ")"):
                 raise ParseError("expected ')'", self.tz.line, col2)
@@ -232,9 +240,7 @@ def parse_instance_file(path: str) -> FieldInstance:
         return parse_instance_text(fh.read())
 
 
-def load_instance(path: str, seed: int = 0, samples: int = 20,
-                  max_degree: int = 3):
+def load_instance(path: str):
     """Parse and validate; returns the instance with its report attached."""
     inst = parse_instance_file(path)
-    report = inst.validate(seed=seed, samples=samples, max_degree=max_degree)
-    return inst, report
+    return inst, inst.validate()

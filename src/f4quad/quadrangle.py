@@ -19,7 +19,7 @@ The two quaternary incidence relations, for instance, reduce to
 
     (a,l,a') I [k,b,k']  iff  w . m^-1 lies in the set U4 U1
 
-with w, m the point and line transversals, which is checked by
+with w, m the point and line transversals, which is tested by
 re-collecting u4(c) u1(d) from the candidate's extreme components.
 
 Projections use the generalized-quadrangle axiom; the one family of
@@ -262,17 +262,13 @@ class Quadrangle:
 
     # -- projection -------------------------------------------------------------------
 
-    def project(self, p: QPoint, m: QLine, with_line: bool = False):
-        """The unique point of m collinear with p (p not on m).
-
-        With with_line the joining line comes back too.
-        """
+    def project(self, p: QPoint, m: QLine) -> QPoint:
+        """The unique point of m collinear with p (p not on m)."""
         if self.incident(p, m):
             raise ValueError(f"projection of an incident pair {p} I {m}")
         g = self.group
         if m.kind == "LINF":
-            foot = self._project_base(p, "LINF")
-            return (foot, self.collinear(p, foot)) if with_line else foot
+            return self._project_base(p, "LINF")
         if m.kind == "L1":
             h = g.pure4(m.coords[0])
             back = h
@@ -285,8 +281,7 @@ class Quadrangle:
             h, back = g.inv(tv), tv
         p1 = self.act_point(p, h)
         q1 = self._project_base(p1, {"L1": "L0", "L2": "L00", "L3": "L000"}[m.kind])
-        foot = self.act_point(q1, back)
-        return (foot, self.collinear(p, foot)) if with_line else foot
+        return self.act_point(q1, back)
 
     def _project_base(self, p: QPoint, base: str) -> QPoint:
         g = self.group
@@ -441,15 +436,6 @@ class Quadrangle:
             return self.pt2(self.rho_r1(a), self.rho_r2(l))
         k, b, k2 = m.coords
         return self.pt3(self.rho_r2(k), self.rho_r1(b), self.rho_r2(k2))
-
-    def rho(self, x):
-        if isinstance(x, QPoint):
-            return self.rho_point(x)
-        if isinstance(x, QLine):
-            return self.rho_line(x)
-        if isinstance(x, Flag):
-            return Flag(self.rho_line(x.line), self.rho_point(x.point))
-        raise TypeError(f"cannot polarise {x!r}")
 
     def rho_star(self, g: UPlusElem) -> UPlusElem:
         """Conjugation of U+ by the polarity, collected to normal form."""

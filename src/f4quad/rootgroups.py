@@ -12,6 +12,9 @@ Commutator bookkeeping is pleasantly degenerate in characteristic 2:
 each root group is elementary abelian, so every root element is its own
 inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 
+Membership checks (L' and K' slots, the K-valued trace terms of
+relation (4)) are always on and raise InternalConsistencyError.
+
 A debug switch reroutes the [U2,U4] correction into U2 instead of U3
 (the untenable reading of relation (3)); under it no consistent
 collection exists, so a one-level truncation is used and associativity
@@ -82,13 +85,11 @@ class UPlusElem:
 class UPlus:
     """The unipotent group attached to a field instance."""
 
-    def __init__(self, inst: FieldInstance, eq3_slot: int = 3,
-                 checked: bool = True):
+    def __init__(self, inst: FieldInstance, eq3_slot: int = 3):
         if eq3_slot not in (2, 3):
             raise ValueError("eq3_slot must be 2 or 3")
         self.inst = inst
         self.eq3_slot = eq3_slot
-        self.checked = checked
         zr1 = R1Coord(LElem.zero(), LElem.zero(), KElem.zero())
         zr2 = R2Coord(LElem.zero(), LElem.zero(), KElem.zero())
         self.r1_zero = zr1
@@ -98,17 +99,15 @@ class UPlus:
     # -- coordinate validation ------------------------------------------------
 
     def check_r1(self, c: R1Coord, where: str = "") -> R1Coord:
-        if self.checked:
-            if not (self.inst.lprime_member(c.x) and self.inst.lprime_member(c.y)):
-                raise InternalConsistencyError(
-                    f"U1/U3 coordinate outside L' {where}: {c}")
+        if not (self.inst.lprime_member(c.x) and self.inst.lprime_member(c.y)):
+            raise InternalConsistencyError(
+                f"U1/U3 coordinate outside L' {where}: {c}")
         return c
 
     def check_r2(self, c: R2Coord, where: str = "") -> R2Coord:
-        if self.checked:
-            if not kprime_member(c.a):
-                raise InternalConsistencyError(
-                    f"U2/U4 coordinate outside K' {where}: {c}")
+        if not kprime_member(c.a):
+            raise InternalConsistencyError(
+                f"U2/U4 coordinate outside K' {where}: {c}")
         return c
 
     # -- pure elements ----------------------------------------------------------
@@ -125,12 +124,6 @@ class UPlus:
     def pure4(self, c: R2Coord) -> UPlusElem:
         return UPlusElem(self.r1_zero, self.r2_zero, self.r1_zero, c)
 
-    def r1(self, x: LElem, y: LElem, b: KElem) -> R1Coord:
-        return self.check_r1(R1Coord(x, y, b))
-
-    def r2(self, u: LElem, v: LElem, a: KElem) -> R2Coord:
-        return self.check_r2(R2Coord(u, v, a))
-
     # -- the commutator maps -----------------------------------------------------
 
     def comm13(self, p: R1Coord, q: R1Coord) -> R2Coord:
@@ -145,10 +138,9 @@ class UPlus:
         tx = inst.lmul(p.x, q.x.conj()).trace()
         ty = inst.lmul(p.y, q.y.conj()).trace()
         val = inst.alpha * (tx + inst.beta_sq * ty)
-        out = R2Coord(LElem.zero(), LElem.zero(), val)
-        if self.checked and not kprime_member(val):
+        if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
-        return out
+        return R2Coord(LElem.zero(), LElem.zero(), val)
 
     def comm24(self, p: R2Coord, q: R2Coord) -> R1Coord:
         """[U2, U4] correction, placed in U3 (relation (3); see eq3_slot)."""
@@ -182,7 +174,7 @@ class UPlus:
         norm_term = inst.lnorm(x) + inst.beta_sq * inst.lnorm(y)
         cross = (mul(usq, mul(x, ybar)) + mul(ubarsq, mul(xbar, y))
                  + kscale(alpha, mul(vbarsq, xy) + mul(vsq, xy.conj())))
-        if self.checked and not cross.trace().is_zero():
+        if not cross.trace().is_zero():
             raise InternalConsistencyError("comm14 U2 cross term left K")
         w_a = b.square() * a + a * alpha * norm_term + alpha * cross.c0
 
@@ -194,16 +186,12 @@ class UPlus:
         n_v = inst.lnorm(v)
         mix = (kscale(inst.beta_inv, mul(x, mul(u, vbar)) + mul(xbar, mul(ubar, v)))
                + mul(y, mul(ubar, vbar)) + mul(ybar, mul(u, v)))
-        if self.checked and not mix.trace().is_zero():
+        if not mix.trace().is_zero():
             raise InternalConsistencyError("comm14 U3 mix term left K")
         z_b = a * b + b * inst.beta_inv * (n_u + alpha * n_v) + alpha * mix.c0
 
-        u2_part = R2Coord(w_u, w_v, w_a)
-        u3_part = R1Coord(z_x, z_y, z_b)
-        if self.checked:
-            self.check_r2(u2_part, "(comm14 U2 part)")
-            self.check_r1(u3_part, "(comm14 U3 part)")
-        return u2_part, u3_part
+        return (self.check_r2(R2Coord(w_u, w_v, w_a), "(comm14 U2 part)"),
+                self.check_r1(R1Coord(z_x, z_y, z_b), "(comm14 U3 part)"))
 
     # -- group law -----------------------------------------------------------------
 

@@ -4,7 +4,7 @@ A tiny xorshift generator keeps the byte-for-byte reproducibility
 contract independent of the standard library's evolution.  Samplers are
 degree- and sparsity-bounded; denominators default to monomials, which
 keeps canonicalisation cheap along the deep group-theoretic pipelines
-while still exercising genuine fractions.
+while still exercising genuine quotients.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def sample_poly_nonzero(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:
             return p
 
 
-def sample_k(rng: Rng, max_degree: int, fractions: bool = True) -> KElem:
+def sample_k(rng: Rng, max_degree: int) -> KElem:
     """Random K element; denominator a monomial of small degree."""
     num = sample_poly(rng, max_degree)
-    if not fractions or rng.chance(1, 2):
+    if rng.chance(1, 2):
         return KElem(num)
     i = rng.below(2)
-    j = rng.below(2 - i) if i < 2 else 0
+    j = rng.below(2 - i)
     den = Poly2.monomial(i, j)
     return KElem(num, den)
 

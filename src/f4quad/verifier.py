@@ -71,7 +71,7 @@ class RunContext:
         self.inst = cfg.instance or default_instance()
         self.group = UPlus(self.inst, eq3_slot=cfg.eq3_slot)
         self.quad = Quadrangle(self.group)
-        self.ms = MoufangSet(self.quad, eq9_mode="derived", survey=cfg.survey)
+        self.ms = MoufangSet(self.quad)
 
     def rng(self, tag: int) -> Rng:
         return Rng(self.cfg.seed * 1000003 + tag)

@@ -162,3 +162,11 @@ def test_unusable_field_value_is_config_error(tmp_path, capsys):
     path.write_text("delta = s + t\nphiE = e + s\nbeta = 0\nalpha = t\n")
     assert main(["verify-fields", "--instance", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text("delta = s + t\nphiE = e + s\nbeta = s\n"
+                    f"alpha = {'(' * 400}t{')' * 400}\n")
+    assert main(["verify-fields", "--instance", str(path)]) == 2
+    assert "nested deeper" in capsys.readouterr().err

@@ -47,7 +47,8 @@ def test_project_with_line(ms):
     quad = ms.quad
     rng = Rng(90)
     f = ms.flag_of_label(ms.sample_label(rng, 1))
-    foot, join = quad.project(quad.pt_inf, f.line, with_line=True)
+    foot = quad.project(quad.pt_inf, f.line)
+    join = quad.collinear(quad.pt_inf, foot)
     assert quad.incident(foot, f.line)
     assert quad.incident(quad.pt_inf, join) and quad.incident(foot, join)
 
@@ -69,6 +70,6 @@ def test_empty_report_emission():
 def test_load_instance_attaches_report(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("delta = s + t\nphiE = e + s\nbeta = s\nalpha = t\n")
-    inst, report = load_instance(str(path), samples=5, max_degree=2)
+    inst, report = load_instance(str(path))
     assert report.ok
     assert inst.beta == KElem.s()

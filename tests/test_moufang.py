@@ -9,6 +9,7 @@ from f4quad.moufang import (ClosureError, MoufangPoint, MoufangSet,
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus
 from f4quad.sampling import Rng
+from f4quad.verifier import SuiteConfig, run
 
 LZ = LElem.zero()
 ONE = KElem.one()
@@ -108,23 +109,36 @@ def test_verbatim_form_deviates_in_one_named_slot(ms):
     assert saw_difference
 
 
-def test_verbatim_closure_raises_with_localisation():
-    ms = MoufangSet(Quadrangle(UPlus(default_instance())),
-                    eq9_mode="verbatim")
+def test_verbatim_closure_raises_with_localisation(ms):
+    # a product of printed-form elements differs from the printed form of
+    # its own free parts in the U3 K-slot only, and re-embedding it raises
+    g = ms.group
     rng = Rng(65)
+    for _ in range(10):
+        p, q = ms.sample_label(rng, 1), ms.sample_label(rng, 1)
+        prod = g.mul(ms.embed_verbatim(p.r1, p.r2),
+                     ms.embed_verbatim(q.r1, q.r2))
+        again = ms.embed_verbatim(prod.g1, prod.g2)
+        assert (again.g1, again.g2, again.g3.x, again.g3.y, again.g4) == \
+            (prod.g1, prod.g2, prod.g3.x, prod.g3.y, prod.g4)
+        if again.g3.b != prod.g3.b:
+            break
+    else:
+        pytest.fail("the printed form closed on every sample")
     with pytest.raises(ClosureError) as err:
-        for _ in range(10):
-            ms.mul(ms.sample_label(rng, 1), ms.sample_label(rng, 1))
-    assert "U3/U4" in str(err.value) or "closure" in str(err.value)
+        ms.label_of_elem(prod)
+    assert "closure violation" in str(err.value)
+    assert "U3 delta x=0, y=0, K=" in str(err.value)
 
 
-def test_survey_mode_collects_notes():
-    ms = MoufangSet(Quadrangle(UPlus(default_instance())),
-                    eq9_mode="verbatim", survey=True)
-    rng = Rng(66)
-    for _ in range(5):
-        ms.mul(ms.sample_label(rng, 1), ms.sample_label(rng, 1))
-    assert ms.closure_notes
+def test_survey_run_fails_a_broken_closure(monkeypatch):
+    # survey mode keeps going past failures but must not hide them
+    monkeypatch.setattr(MoufangSet, "embed",
+                        lambda self, p: self.embed_verbatim(p.r1, p.r2))
+    report = run(SuiteConfig(survey=True, suites=("moufang",), samples=8))
+    res = {r.name: r for r in report.results}["generator-closure-derived"]
+    assert res.status == "fail"
+    assert "closure violation" in res.counterexample
 
 
 def test_derived_subgroup_label_shapes(ms):
@@ -161,6 +175,8 @@ def test_lemma_base_case_block(ms):
         r1 = ms.sample_r1(rng, 1)
         if not r1.is_zero():
             assert not blk.contains(MoufangPoint(r1, r2))
+    with pytest.raises(UnsupportedBlock):  # membership rule, no sampler
+        blk.sample(rng, 1, 1)
 
 
 def test_sphere_at_infinity_matches_commutator_orbit(ms):

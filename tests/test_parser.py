@@ -1,9 +1,13 @@
 """Instance file grammar and validation wiring."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f4quad.fields import KElem, default_instance
-from f4quad.parser import MAX_DEGREE, ParseError, parse_instance_text
+from f4quad.parser import (MAX_DEGREE, MAX_NESTING, ParseError,
+                           parse_instance_text)
 
 DEFAULT_TEXT = """
 # the shipped instance
@@ -139,3 +143,35 @@ def test_power_is_bounded():
                 f"delta = s + t\nphiE = e + s\nbeta = s\nalpha = t + {power}")
         # the column of the exponent within the line "alpha = t + <power>"
         assert (err.value.line, err.value.col) == (4, power.rindex("^") + 14)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 400])
+def test_nesting_is_bounded(depth):
+    text = ("delta = s + t\nphiE = e + s\nbeta = s\n"
+            f"alpha = {'(' * depth}t{')' * depth}")
+    if depth <= MAX_NESTING:
+        assert parse_instance_text(text).alpha == KElem.t()
+        return
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    # the first '(' too many, counted from the line start "alpha = "
+    assert (err.value.line, err.value.col) == (4, 9 + MAX_NESTING)
+
+
+FIELDS = {"delta": "s + t", "phiE": "e + s", "beta": "s", "alpha": "t"}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)),
+       body=st.text(alphabet="ste0123456789 +-*/^()", max_size=40),
+       depth=st.integers(0, 500))
+def test_fuzzed_right_hand_side_raises_only_parse_error(field, body, depth):
+    text = "\n".join(f"{name} = {rhs}" for name, rhs in FIELDS.items()
+                     if name != field)
+    text += f"\n{field} = {'(' * depth}{body}{')' * depth}"
+    t0 = time.perf_counter()
+    try:
+        parse_instance_text(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - t0 < 1.0

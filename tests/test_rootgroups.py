@@ -31,25 +31,25 @@ def rand_elem(ms, rng, deg=1):
 
 
 def test_comm13_examples(group):
-    p = group.r1(LO, LZ, ZERO)
+    p = group.check_r1(R1Coord(LO, LZ, ZERO))
     assert group.comm13(p, p) == group.r2_zero
     # central pairs with no L slots commute
-    c1 = group.r1(LZ, LZ, KElem.s())
-    c2 = group.r1(LZ, LZ, KElem.t())
+    c1 = group.check_r1(R1Coord(LZ, LZ, KElem.s()))
+    c2 = group.check_r1(R1Coord(LZ, LZ, KElem.t()))
     assert group.comm13(c1, c2) == group.r2_zero
     # trace(e+s) = 1, so the value is alpha = t
-    q = group.r1(LE + LElem.from_k(KElem.s()), LZ, ZERO)
+    q = group.check_r1(R1Coord(LE + LElem.from_k(KElem.s()), LZ, ZERO))
     assert group.comm13(p, q) == R2Coord(LZ, LZ, KElem.t())
 
 
 def test_comm24_examples(group):
-    p = group.r2(LO, LZ, ZERO)
+    p = group.check_r2(R2Coord(LO, LZ, ZERO))
     assert group.comm24(p, p) == group.r1_zero
-    c1 = group.r2(LZ, LZ, KElem.t())
-    c2 = group.r2(LZ, LZ, KElem.t() * KElem.t())
+    c1 = group.check_r2(R2Coord(LZ, LZ, KElem.t()))
+    c2 = group.check_r2(R2Coord(LZ, LZ, KElem.t() * KElem.t()))
     assert group.comm24(c1, c2) == group.r1_zero
     # trace(e) = 1, so the value is 1/beta = 1/s
-    q = group.r2(LE, LZ, ZERO)
+    q = group.check_r2(R2Coord(LE, LZ, ZERO))
     assert group.comm24(p, q) == R1Coord(LZ, LZ, ONE / KElem.s())
 
 
@@ -127,7 +127,7 @@ def test_associativity_holds_with_standard_slot(group, ms):
 
 def test_alternative_slot_reading_fails():
     inst = default_instance()
-    alt = UPlus(inst, eq3_slot=2, checked=False)
+    alt = UPlus(inst, eq3_slot=2)
     ms = MoufangSet(Quadrangle(UPlus(inst)))
     rng = Rng(25)
     broke = False

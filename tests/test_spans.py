@@ -5,6 +5,10 @@ import os
 from types import FunctionType
 
 import f4quad.sampling
+from f4quad.fields import default_instance
+from f4quad.moufang import MoufangSet
+from f4quad.quadrangle import Quadrangle
+from f4quad.rootgroups import UPlus
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                      "spans.py")
@@ -21,3 +25,19 @@ def test_traced_names_resolve():
         assert isinstance(fn, FunctionType), f"{module}.{path}"
     for name in spans.SAMPLERS:
         assert callable(vars(f4quad.sampling).get(name)), name
+
+
+def test_embeddings_go_through_the_class_binding(monkeypatch):
+    # moufang.embed_derived is traced by rebinding the class attribute, so
+    # the group law must reach it there
+    original, calls = MoufangSet.embed_derived, []
+
+    def counting(self, r1, r2):
+        calls.append(r1)
+        return original(self, r1, r2)
+
+    monkeypatch.setattr(MoufangSet, "embed_derived", counting)
+    ms = MoufangSet(Quadrangle(UPlus(default_instance())))
+    rng = f4quad.sampling.Rng(3)
+    ms.mul(ms.sample_label(rng, 1), ms.sample_label(rng, 1))
+    assert len(calls) == 3  # both factors, then the product re-embedded
