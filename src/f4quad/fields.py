@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polynomials import _ODD_BITS, Poly2, poly_divexact, poly_gcd
+from .polynomials import Poly2, poly_divexact, poly_gcd
 
 
 class FieldError(ArithmeticError):
@@ -179,18 +179,11 @@ def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
 
     A denominator 1 or s^i t^j needs no gcd: g is 1, or the monomial
     s^min(i, val_s num) t^min(j, val_t num), and dividing by it is a
-    shift of the rows."""
+    shift."""
     if den.is_one():
         return num, den
     if den.is_monomial():
-        (j, m), = den._rows.items()
-        i = m.bit_length() - 1
-        ci = min(i, num.val_s())
-        cj = min(j, num.val_t())
-        if ci or cj:
-            num = Poly2({jj - cj: mm >> ci for jj, mm in num._rows.items()})
-            den = Poly2({j - cj: 1 << (i - ci)})
-        return num, den
+        return num.cancel_monomial(den)
     g = poly_gcd(num, den)
     if g.is_one():
         return num, den
@@ -240,24 +233,13 @@ def kprime_decompose(f: KElem) -> tuple[KElem, KElem]:
     odd/even conjugate: with p = p0 + s p1 over q = q0 + s q1,
     f = [(p0 q0 + s^2 p1 q1) + s (p0 q1 + p1 q0)] / (q0^2 + s^2 q1^2).
     """
-    p0, p1 = _split_even_odd(f.num)
-    q0, q1 = _split_even_odd(f.den)
+    p0, p1 = f.num.split_even_odd()
+    q0, q1 = f.den.split_even_odd()
     s2 = Poly2.monomial(2, 0)
     den = q0.square() + s2 * q1.square()
     g = KElem(p0 * q0 + s2 * (p1 * q1), den)
     h = KElem(p0 * q1 + p1 * q0, den)
     return g, h
-
-
-def _split_even_odd(p: Poly2) -> tuple[Poly2, Poly2]:
-    """p = even + s*odd with both parts in GF(2)[s^2, t]."""
-    even_rows: dict[int, int] = {}
-    odd_rows: dict[int, int] = {}
-    for j, mask in p._rows.items():
-        odd = mask & _ODD_BITS(mask.bit_length())
-        even_rows[j] = mask ^ odd
-        odd_rows[j] = odd >> 1
-    return Poly2(even_rows), Poly2(odd_rows)
 
 
 # ----------------------------------------------------------------------

@@ -2,16 +2,37 @@
 
 A polynomial is a finite set of monomials s^i t^j; coefficients live in
 GF(2), so the presence of a monomial *is* its coefficient and addition
-is symmetric difference.  Internally the terms are stored as a mapping
-from t-exponent to a bitmask of s-exponents, which turns addition into
-a per-row xor and multiplication into carry-less integer arithmetic on
-the rows.
+is symmetric difference.
 
-Units and monomials take exact shortcuts, each an algebraic identity:
-a product with the factor 1 is the other operand (a Poly2 is never
-mutated), a product with s^i t^j shifts the other operand's rows, and
-only two non-monomials reach the carry-less bit loop `u_mul`.  Exact
-division by s^i t^j is a shift back.
+Layout (Kronecker substitution).  A Poly2 is one int `_v` and a stride
+`_w`: the monomial s^i t^j is bit `_w*j + i` of `_v`, so the `_w` bits
+from `_w*j` on are row j, the coefficient of t^j as a GF(2)[s] bitmask.
+The stride is W = 64 unless the s-degree is 64 or more; then it is the
+least W * 2^k above the s-degree.  So (_v, _w) is canonical, and `==`
+and `hash` compare ints.  On this layout:
+
+* a sum is one xor (operands of different strides meet at the wider;
+  a wide sum that cancels to a narrow one is brought back to W);
+* a product with the factor 1 is the other operand (a Poly2 is never
+  mutated), a product with s^i t^j is one shift of the other operand,
+  and exact division by s^i t^j is one shift back;
+* a general product is the carry-less bit loop `u_mul` run on the two
+  packed ints.  That is exact only while no row of the product reaches
+  into the next.  So it runs only when both operands are at stride W
+  and clear `_HI`, the upper half (bits 32-63) of every one of the
+  first 256 rows; every row of the product then has s-degree at most
+  62.  Other operands take the row path, one `u_mul` per pair of rows,
+  and the result is packed again.  A shift by s^i or a square that
+  fails the same guard, and a product with a GF(2)[s] coefficient (in
+  the gcd), are first relaid at the stride their result needs;
+* t-valuation, t-degree, term count, leading t-coefficient, the even
+  s-exponent test and the split into even and odd s-exponents are int
+  operations; the s-valuation ORs the rows together by halving.
+
+Rows are unpacked (`_rows`, through the bytes of `_v`, in time linear
+in its size) only by the row-path product, exact division by a
+non-monomial, the content and pseudo-remainder sequence of the gcd, the
+GF(256) certificate, `terms()`/`str` and `total_degree`.
 
 Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
 monomial input at once (gcd(s^i t^j, q) = s^min(i, val_s q)
@@ -35,7 +56,9 @@ further normalisation.
 
 from __future__ import annotations
 
+import sys
 import threading
+from operator import add
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +104,103 @@ def u_divexact(a: int, b: int) -> int:
     return q
 
 
+def _ODD_BITS(nbits: int) -> int:
+    # 0b1010...10, at least the requested width: 0b0101...01 with k
+    # ones is (4^k - 1) / 3
+    k = (nbits + 1) // 2
+    return (((1 << 2 * k) - 1) // 3) << 1
+
+
+def _spread(x: int) -> int:
+    """Bit i -> bit 2i: the binary digits of x read in base 4."""
+    return int(f"{x:b}", 4)
+
+
+def _squeeze(x: int) -> int:
+    """Bit 2i -> bit i, for an x with no odd bit set: every second
+    binary digit of x, from the lowest."""
+    return int(f"{x:b}"[::-2][::-1], 2)
+
+
+# ----------------------------------------------------------------------
+# the packed layout: bit w*j + i of an int is s^i t^j at stride w
+# ----------------------------------------------------------------------
+
+W = 64
+# bits 32-63 of each of the first 256 rows at stride W
+_HI = int.from_bytes((bytes(4) + b"\xff" * 4) * 256, "little")
+
+
+def _stride(nbits: int) -> int:
+    """The least W * 2^k that holds a row of nbits bits."""
+    if nbits <= W:
+        return W
+    return W << ((nbits - 1) // W).bit_length()
+
+
+def _rows(v: int, w: int) -> list[int]:
+    """The rows of v at stride w, t^0 first, up to the last nonzero one.
+    Linear in the size of v, so a high t-degree costs no more than its
+    bits: the rows at stride W are read as 8-byte words."""
+    wb = w >> 3
+    n = (v.bit_length() + w - 1) // w * wb
+    if w == W:
+        # native words: in big-endian order they come top row first
+        words = memoryview(v.to_bytes(n, sys.byteorder)).cast("Q").tolist()
+        return words if sys.byteorder == "little" else words[::-1]
+    b = v.to_bytes(n, "little")
+    return [int.from_bytes(b[k:k + wb], "little") for k in range(0, n, wb)]
+
+
+def _fold(v: int, w: int) -> int:
+    """The OR of the rows of v at stride w: bit i is set iff some
+    monomial has s^i.  Halves the number of rows per step."""
+    n = (v.bit_length() + w - 1) // w
+    while n > 1:
+        n = (n + 1) >> 1
+        cut = n * w
+        v = (v >> cut) | (v & ((1 << cut) - 1))
+    return v
+
+
+def _restride(v: int, w: int, w2: int) -> int:
+    """v relaid from stride w to stride w2, which exceeds its s-degree:
+    byte r of every row moves as one strided slice."""
+    wb, w2b = w >> 3, w2 >> 3
+    n = (v.bit_length() + w - 1) // w
+    b = v.to_bytes(n * wb, "little")
+    out = bytearray(n * w2b)
+    for r in range(min(wb, w2b)):
+        out[r::w2b] = b[r::wb]
+    return int.from_bytes(out, "little")
+
+
+_alloc = object.__new__
+
+
+def _new(v: int, w: int) -> "Poly2":
+    p = _alloc(Poly2)
+    p._v = v
+    p._w = w
+    return p
+
+
+def _shrink(v: int, w: int) -> "Poly2":
+    """The Poly2 with bits v at stride w, which may be wider than the
+    canonical stride (a sum, a quotient or a root can lower the s-degree)."""
+    if w > W:
+        w2 = _stride(_fold(v, w).bit_length())
+        if w2 < w:
+            return _new(_restride(v, w, w2), w2)
+    return _new(v, w)
+
+
+def _clears_hi(v: int, w: int) -> bool:
+    """True iff v is at stride W and every row has s-degree below 32:
+    v has no bit of _HI, and none past its 256 rows (then v < _HI)."""
+    return w == W and v < _HI and not v & _HI
+
+
 # ----------------------------------------------------------------------
 # bivariate polynomials
 # ----------------------------------------------------------------------
@@ -93,18 +213,19 @@ def _grevlex_key(term: tuple[int, int]) -> tuple[int, int]:
 
 
 class Poly2:
-    """Polynomial in GF(2)[s, t], canonical sparse form."""
+    """Polynomial in GF(2)[s, t], canonical packed form (module docstring)."""
 
-    __slots__ = ("_rows", "_hash")
+    __slots__ = ("_v", "_w")
 
     def __init__(self, rows: dict[int, int] | None = None):
-        d = {}
-        if rows:
-            for j, mask in rows.items():
-                if mask:
-                    d[j] = mask
-        self._rows = d
-        self._hash: int | None = None
+        """rows[j] is the coefficient of t^j, a GF(2)[s] bitmask."""
+        rows = rows or {}
+        w = _stride(max((m.bit_length() for m in rows.values()), default=0))
+        v = 0
+        for j, m in rows.items():
+            v ^= m << w * j
+        self._v = v
+        self._w = w
 
     # -- constructors ---------------------------------------------------
 
@@ -129,31 +250,36 @@ class Poly2:
         """The monomial s^i t^j."""
         if i < 0 or j < 0:
             raise ValueError("exponents must be non-negative")
-        return cls({j: 1 << i})
+        w = _stride(i + 1)
+        return _new(1 << w * j + i, w)
 
     @classmethod
     def from_terms(cls, terms) -> "Poly2":
-        rows: dict[int, int] = {}
+        """The sum of s^i t^j over the (i, j) pairs given (mod 2)."""
+        terms = list(terms)
+        w = _stride(max((i for i, _ in terms), default=0) + 1)
+        v = 0
         for i, j in terms:
-            rows[j] = rows.get(j, 0) ^ (1 << i)
-        return cls(rows)
+            if i < 0 or j < 0:
+                raise ValueError("exponents must be non-negative")
+            v ^= 1 << w * j + i
+        return _shrink(v, w)
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._v
 
     def is_one(self) -> bool:
-        return self._rows == {0: 1}
+        return self._v == 1
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        return bool(self._v)
 
     def terms(self) -> list[tuple[int, int]]:
         """All (s-exponent, t-exponent) pairs, grevlex-descending."""
         out = []
-        for j, mask in self._rows.items():
-            m = mask
+        for j, m in enumerate(_rows(self._v, self._w)):
             while m:
                 low = m & -m
                 out.append((low.bit_length() - 1, j))
@@ -162,157 +288,177 @@ class Poly2:
         return out
 
     def num_terms(self) -> int:
-        return sum(mask.bit_count() for mask in self._rows.values())
+        return self._v.bit_count()
 
     def deg_t(self) -> int:
-        if not self._rows:
-            return -1
-        return max(self._rows)
+        """Degree in t; -1 for zero."""
+        return (self._v.bit_length() - 1) // self._w
 
     def total_degree(self) -> int:
-        if not self._rows:
-            return -1
-        return max(j + mask.bit_length() - 1 for j, mask in self._rows.items())
+        v, w = self._v, self._w
+        if not v >> w:  # zero, or a single row
+            return v.bit_length() - 1
+        rows = _rows(v, w)
+        return max(map(add, map(int.bit_length, rows), range(len(rows)))) - 1
 
     def val_s(self) -> int:
         """Largest power of s dividing the polynomial (0 for zero)."""
-        if not self._rows:
-            return 0
-        acc = 0
-        for mask in self._rows.values():
-            acc |= mask
-        return (acc & -acc).bit_length() - 1
+        v, w = self._v, self._w
+        f = _fold(v, w) if v >> w else v
+        return (f & -f).bit_length() - 1 if f else 0
 
     def val_t(self) -> int:
-        if not self._rows:
-            return 0
-        return min(self._rows)
+        v = self._v
+        return ((v & -v).bit_length() - 1) // self._w if v else 0
 
     def is_monomial(self) -> bool:
-        return len(self._rows) == 1 and next(iter(self._rows.values())).bit_count() == 1
+        v = self._v
+        return v != 0 and not v & (v - 1)
 
     def even_s_exponents(self) -> bool:
-        """True iff every monomial has an even power of s."""
-        for mask in self._rows.values():
-            if mask & _ODD_BITS(mask.bit_length()):
-                return False
-        return True
+        """True iff every monomial has an even power of s (the stride is
+        even, so these are the even bits)."""
+        v = self._v
+        return not v & _ODD_BITS(v.bit_length())
 
     def all_exponents_even(self) -> bool:
-        for j, mask in self._rows.items():
-            if j % 2:
-                return False
-            if mask & _ODD_BITS(mask.bit_length()):
-                return False
-        return True
+        return (self.even_s_exponents()
+                and not any(_rows(self._v, self._w)[1::2]))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
         if not isinstance(other, Poly2):
             return NotImplemented
-        rows = dict(self._rows)
-        for j, mask in other._rows.items():
-            m = rows.get(j, 0) ^ mask
-            if m:
-                rows[j] = m
-            else:
-                rows.pop(j, None)
-        p = Poly2.__new__(Poly2)
-        p._rows = rows
-        p._hash = None
-        return p
+        w = self._w
+        if w == other._w:
+            if w != W:
+                return _shrink(self._v ^ other._v, w)
+            p = _alloc(Poly2)
+            p._v = self._v ^ other._v
+            p._w = W
+            return p
+        # the wider operand has the larger s-degree, and nothing in the
+        # narrower one cancels its top terms: the sum keeps that stride
+        a, b = (self, other) if w > other._w else (other, self)
+        return _new(a._v ^ _restride(b._v, b._w, a._w), a._w)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         if not isinstance(other, Poly2):
             return NotImplemented
-        a, b = self._rows, other._rows
+        a, b = self._v, other._v
         if not a or not b:
             return _ZERO
         # a factor 1 gives the other operand back (Poly2 is immutable);
-        # a monomial factor s^i t^j shifts the other operand's rows
-        if len(a) == 1:
-            (j, m), = a.items()
-            if not m & (m - 1):
-                if m == 1 and not j:
-                    return other
-                return other.shift(m.bit_length() - 1, j)
-        if len(b) == 1:
-            (j, m), = b.items()
-            if not m & (m - 1):
-                if m == 1 and not j:
-                    return self
-                return self.shift(m.bit_length() - 1, j)
-        if len(a) > len(b):
-            a, b = b, a
-        rows: dict[int, int] = {}
-        for j1, m1 in a.items():
-            for j2, m2 in b.items():
-                j = j1 + j2
-                rows[j] = rows.get(j, 0) ^ u_mul(m1, m2)
-        p = Poly2.__new__(Poly2)
-        p._rows = {j: m for j, m in rows.items() if m}
-        p._hash = None
-        return p
+        # a monomial factor s^i t^j shifts the other operand
+        if not a & (a - 1):
+            if a == 1:
+                return other
+            j, i = divmod(a.bit_length() - 1, self._w)
+            return other.shift(i, j)
+        if not b & (b - 1):
+            if b == 1:
+                return self
+            j, i = divmod(b.bit_length() - 1, other._w)
+            return self.shift(i, j)
+        # no row of the packed product spills while both clear _HI
+        # (_clears_hi for both, inlined)
+        if (a < _HI and b < _HI and not (a | b) & _HI
+                and self._w == W == other._w):
+            p = _alloc(Poly2)
+            p._v = u_mul(a, b)
+            p._w = W
+            return p
+        return _row_product(self, other)
 
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by the monomial s^i t^j."""
-        rows = {jj + j: mask << i for jj, mask in self._rows.items()}
-        p = Poly2.__new__(Poly2)
-        p._rows = rows
-        p._hash = None
-        return p
+        v, w = self._v, self._w
+        if not v:
+            return self
+        if i and not (i <= W // 2 and _clears_hi(v, w)):
+            # s^i may carry a row past the stride: relay at the stride
+            # of the shifted s-degree first
+            w2 = _stride(_fold(v, w).bit_length() + i)
+            if w2 != w:
+                v, w = _restride(v, w, w2), w2
+        return _new(v << w * j + i, w)
 
     def square(self) -> "Poly2":
-        rows = {}
-        for j, mask in self._rows.items():
-            rows[2 * j] = _spread_bits(mask)
-        p = Poly2.__new__(Poly2)
-        p._rows = rows
-        p._hash = None
-        return p
+        v, w = self._v, self._w
+        if not _clears_hi(v, w):
+            # s^i t^j -> s^2i t^2j is bit i -> 2i at the same stride
+            # while 2i stays below it; otherwise the stride doubles
+            if 2 * (_fold(v, w).bit_length() - 1) >= w:
+                v, w = _restride(v, w, 2 * w), 2 * w
+        return _new(_spread(v), w)
 
     def sqrt(self) -> "Poly2":
         """Square root when all exponents are even (unique in char 2)."""
         if not self.all_exponents_even():
             raise ArithmeticError("not a square in GF(2)[s,t]")
-        rows = {}
-        for j, mask in self._rows.items():
-            rows[j // 2] = _unspread_bits(mask)
-        return Poly2(rows)
+        return _shrink(_squeeze(self._v), self._w)
+
+    def split_even_odd(self) -> tuple["Poly2", "Poly2"]:
+        """(even, odd) with self = even + s*odd, both in GF(2)[s^2, t]."""
+        v, w = self._v, self._w
+        odd = v & _ODD_BITS(v.bit_length())
+        return _shrink(v ^ odd, w), _shrink(odd >> 1, w)
+
+    def cancel_monomial(self, m: "Poly2") -> tuple["Poly2", "Poly2"]:
+        """(self/g, m/g) for g = gcd(self, m), self nonzero and m = s^i t^j
+        a monomial: g = s^min(i, val_s self) t^min(j, val_t self), so g
+        divides both and each quotient is a shift."""
+        j, i = divmod(m._v.bit_length() - 1, m._w)
+        v, w = self._v, self._w
+        f = _fold(v, w) if v >> w else v
+        ci = min(i, (f & -f).bit_length() - 1)
+        cj = min(j, ((v & -v).bit_length() - 1) // w)
+        if not ci | cj:
+            return self, m
+        i -= ci
+        wm = _stride(i + 1)
+        return _shift_down(self, ci, cj), _new(1 << wm * (j - cj) + i, wm)
 
     # -- structure --------------------------------------------------------
 
     def lc_t(self) -> int:
         """Leading coefficient (a GF(2)[s] mask) w.r.t. t."""
-        return self._rows[max(self._rows)]
+        v, w = self._v, self._w
+        return v >> w * ((v.bit_length() - 1) // w)
 
     def content_t(self) -> int:
         """GCD in GF(2)[s] of all t-coefficients."""
         g = 0
-        for mask in self._rows.values():
-            g = u_gcd(g, mask)
-            if g == 1:
-                break
+        for mask in _rows(self._v, self._w):
+            if mask:
+                g = u_gcd(g, mask)
+                if g == 1:
+                    break
         return g
 
     def scale_u(self, mask: int) -> "Poly2":
         """Multiply by a GF(2)[s] coefficient."""
         if mask == 0:
             return _ZERO
-        if mask == 1:
+        if mask == 1 or not self._v:
             return self
-        rows = {j: u_mul(m, mask) for j, m in self._rows.items()}
-        return Poly2(rows)
+        # every row times mask, packed: the s-degree grows by deg mask,
+        # so at that stride no row reaches into the next
+        v, w = self._v, self._w
+        w2 = _stride(_fold(v, w).bit_length() + mask.bit_length() - 1)
+        if w2 != w:
+            v = _restride(v, w, w2)
+        return _new(u_mul(v, mask), w2)
 
     def div_u_exact(self, mask: int) -> "Poly2":
-        rows = {j: u_divexact(m, mask) for j, m in self._rows.items()}
-        return Poly2(rows)
+        rows = _rows(self._v, self._w)
+        return Poly2({j: u_divexact(m, mask) for j, m in enumerate(rows) if m})
 
     def primitive_t(self) -> tuple[int, "Poly2"]:
-        if not self._rows:
+        if not self._v:
             return 0, self
         c = self.content_t()
         if c == 1:
@@ -323,42 +469,41 @@ class Poly2:
 
     def subst_phi(self) -> "Poly2":
         """Monomial substitution s -> t, t -> s^2."""
-        rows: dict[int, int] = {}
-        for j, mask in self._rows.items():
-            bit = 1 << (2 * j)
-            while mask:
-                low = mask & -mask
-                i = low.bit_length() - 1
-                rows[i] = rows.get(i, 0) ^ bit
-                mask ^= low
-        return Poly2(rows)
+        v, w = self._v, self._w
+        w2 = _stride(2 * self.deg_t() + 1)
+        out = 0
+        while v:
+            top = v.bit_length() - 1
+            j, i = divmod(top, w)
+            out |= 1 << w2 * i + 2 * j
+            v ^= 1 << top
+        return _new(out, w2)
 
     def subst_theta(self) -> "Poly2":
         """Monomial substitution s^2 -> t, t -> s (even s-exponents only)."""
-        rows: dict[int, int] = {}
-        for j, mask in self._rows.items():
-            if mask & _ODD_BITS(mask.bit_length()):
-                raise ArithmeticError("theta substitution needs even s-exponents")
-            bit = 1 << j
-            while mask:
-                low = mask & -mask
-                i = (low.bit_length() - 1) // 2
-                rows[i] = rows.get(i, 0) ^ bit
-                mask ^= low
-        return Poly2(rows)
+        if not self.even_s_exponents():
+            raise ArithmeticError("theta substitution needs even s-exponents")
+        v, w = self._v, self._w
+        w2 = _stride(self.deg_t() + 1)
+        out = 0
+        while v:
+            top = v.bit_length() - 1
+            j, i = divmod(top, w)
+            out |= 1 << w2 * (i >> 1) + j
+            v ^= 1 << top
+        return _new(out, w2)
 
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self._rows == other._rows
+        return (isinstance(other, Poly2)
+                and self._v == other._v and self._w == other._w)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._rows.items()))
-        return self._hash
+        return hash(self._v)
 
     def __str__(self) -> str:
-        if not self._rows:
+        if not self._v:
             return "0"
         parts = []
         for i, j in self.terms():
@@ -381,39 +526,32 @@ class Poly2:
         return f"Poly2({self})"
 
 
-def _spread_bits(mask: int) -> int:
-    """Interleave zeros: bit i -> bit 2i (squaring a GF(2)[s] mask)."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (2 * (low.bit_length() - 1))
-        mask ^= low
-    return out
+def _row_product(a: Poly2, b: Poly2) -> Poly2:
+    """The product row by row, for operands the packed product would
+    spill on."""
+    rb = list(enumerate(_rows(b._v, b._w)))
+    rows: dict[int, int] = {}
+    for j1, m1 in enumerate(_rows(a._v, a._w)):
+        if m1:
+            for j2, m2 in rb:
+                if m2:
+                    rows[j1 + j2] = rows.get(j1 + j2, 0) ^ u_mul(m1, m2)
+    return Poly2(rows)
 
 
-def _unspread_bits(mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        k = low.bit_length() - 1
-        if k % 2:
-            raise ArithmeticError("mask is not a square")
-        out |= 1 << (k // 2)
-        mask ^= low
-    return out
+def _shift_down(p: Poly2, i: int, j: int) -> Poly2:
+    """p / (s^i t^j) for a p that s^i t^j divides: every bit moves down
+    within its own row."""
+    w = p._w
+    if w == W:
+        return _new(p._v >> i + W * j, W)
+    return _shrink(p._v >> i + w * j, w)
 
 
-def _ODD_BITS(nbits: int) -> int:
-    # 0b1010...10, at least the requested width: 0b0101...01 with k
-    # ones is (4^k - 1) / 3
-    k = (nbits + 1) // 2
-    return (((1 << 2 * k) - 1) // 3) << 1
-
-
-_ZERO = Poly2({})
-_ONE = Poly2({0: 1})
-_S = Poly2({0: 2})
-_T = Poly2({1: 1})
+_ZERO = _new(0, W)
+_ONE = _new(1, W)
+_S = _new(2, W)
+_T = _new(1 << W, W)
 
 
 # ----------------------------------------------------------------------
@@ -429,25 +567,27 @@ def poly_divexact(p: Poly2, g: Poly2) -> Poly2:
     if g.is_one():
         return p
     if g.is_monomial():
-        (j, m), = g._rows.items()
-        i = m.bit_length() - 1
+        j, i = divmod(g._v.bit_length() - 1, g._w)
         if p.val_s() < i or p.val_t() < j:
             raise ArithmeticError("inexact division by monomial")
-        return Poly2({jj - j: mask >> i for jj, mask in p._rows.items()})
-    quot_rows: dict[int, int] = {}
-    r = p
-    dg = g.deg_t()
-    lcg = g.lc_t()
-    while not r.is_zero():
-        dr = r.deg_t()
-        if dr < dg:
-            raise ArithmeticError("inexact bivariate division")
-        qc = u_divexact(r.lc_t(), lcg)
-        quot_rows[dr - dg] = qc
-        r = r + g.scale_u(qc).shift(0, dr - dg)
-        if not r.is_zero() and r.deg_t() == dr:
-            raise ArithmeticError("inexact bivariate division")
-    return Poly2(quot_rows)
+        return _shift_down(p, i, j)
+    # long division in t on the rows; the quotient's t^k coefficient is
+    # an exact univariate quotient of leading coefficients
+    r = _rows(p._v, p._w)
+    rg = list(enumerate(_rows(g._v, g._w)))
+    dg, lcg = rg[-1]
+    quot: dict[int, int] = {}
+    for dr in range(len(r) - 1, dg - 1, -1):
+        c = r[dr]
+        if c:
+            k = dr - dg
+            qc = quot[k] = u_divexact(c, lcg)
+            for jg, m in rg:
+                if m:
+                    r[k + jg] ^= u_mul(qc, m)
+    if any(r[:dg]):
+        raise ArithmeticError("inexact bivariate division")
+    return Poly2(quot)
 
 
 def _pseudo_rem(a: Poly2, b: Poly2) -> Poly2:
@@ -491,8 +631,8 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     vs = min(p.val_s(), q.val_s())
     vt = min(p.val_t(), q.val_t())
     if vs or vt:
-        p = Poly2({j - vt: m >> vs for j, m in p._rows.items()})
-        q = Poly2({j - vt: m >> vs for j, m in q._rows.items()})
+        p = _shift_down(p, vs, vt)
+        q = _shift_down(q, vs, vt)
     g = _ONE if _coprime_at_alpha(p, q) else _prs_gcd(p, q)
     if vs or vt:
         g = g.shift(vs, vt)
@@ -505,12 +645,8 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
 
 def _monomial_gcd(m: Poly2, q: Poly2) -> Poly2:
     """gcd(s^i t^j, q) = s^min(i, val_s q) t^min(j, val_t q), q nonzero."""
-    (j, mask), = m._rows.items()
-    i = mask.bit_length() - 1
-    g = Poly2.__new__(Poly2)
-    g._rows = {min(j, q.val_t()): 1 << min(i, q.val_s())}
-    g._hash = None
-    return g
+    j, i = divmod(m._v.bit_length() - 1, m._w)
+    return Poly2.monomial(min(i, q.val_s()), min(j, q.val_t()))
 
 
 def _prs_gcd(p: Poly2, q: Poly2) -> Poly2:
@@ -567,17 +703,15 @@ def _at_alpha(mask: int) -> int:
 def _image_s(p: Poly2) -> list[int]:
     """p(alpha, t): coefficients in GF(256), lowest t-degree first,
     deg_t(p) + 1 of them."""
-    img = [0] * (max(p._rows) + 1)
-    for j, mask in p._rows.items():
-        img[j] = _at_alpha(mask)
-    return img
+    return [_at_alpha(mask) for mask in _rows(p._v, p._w)]
 
 
 def _image_t(p: Poly2) -> list[int]:
     """p(s, alpha): coefficients in GF(256), lowest s-degree first,
     deg_s(p) + 1 of them."""
-    img = [0] * max(m.bit_length() for m in p._rows.values())
-    for j, mask in p._rows.items():
+    rows = _rows(p._v, p._w)
+    img = [0] * max(m.bit_length() for m in rows)
+    for j, mask in enumerate(rows):
         a = _ALPHA_POW[j % 255]
         while mask:
             low = mask & -mask

@@ -145,6 +145,20 @@ def test_power_is_bounded():
         assert (err.value.line, err.value.col) == (4, power.rindex("^") + 14)
 
 
+def test_power_at_the_limit_is_exact():
+    # s^64 is the largest power admitted, and the first s-degree that
+    # needs a stride wider than W in the packed layout
+    inst = parse_instance_text(f"delta = s + t\nphiE = e + s\n"
+                               f"beta = (s^32 + t)^2 / (s^32 + t) + s^{MAX_DEGREE}\n"
+                               f"alpha = t^{MAX_DEGREE} + t^32 + s^2")
+    assert MAX_DEGREE == 64
+    assert str(inst.beta) == "s^64 + s^32 + t"
+    assert str(inst.alpha) == "t^64 + t^32 + s^2"
+    assert inst.beta * KElem.s() / KElem.s() ** 65 == KElem.one() + (
+        KElem.s() ** 32 + KElem.t()) / KElem.s() ** 64
+    assert inst.validate(samples=5, max_degree=2).ok
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 400])
 def test_nesting_is_bounded(depth):
     text = ("delta = s + t\nphiE = e + s\nbeta = s\n"

@@ -288,3 +288,178 @@ def test_gcd_memo_under_threads():
     assert not any(th.is_alive() for th in threads)
     assert not errors
     assert len(polynomials._GCD_MEMO) <= polynomials.GCD_MEMO_SIZE
+
+
+# ----------------------------------------------------------------------
+# differential tests of the packed layout against a row-dict reference
+# ----------------------------------------------------------------------
+
+def _clmul(a: int, b: int) -> int:
+    out = 0
+    for k in range(b.bit_length()):
+        if b >> k & 1:
+            out ^= a << k
+    return out
+
+
+class _Rows:
+    """Reference polynomial: {t-exponent: GF(2)[s] bitmask}, no zero rows."""
+
+    def __init__(self, rows: dict[int, int]):
+        self.rows = {j: m for j, m in rows.items() if m}
+
+    @classmethod
+    def of(cls, terms) -> "_Rows":
+        rows: dict[int, int] = {}
+        for i, j in terms:
+            rows[j] = rows.get(j, 0) ^ (1 << i)
+        return cls(rows)
+
+    def pairs(self):
+        return {(i, j) for j, m in self.rows.items()
+                for i in range(m.bit_length()) if m >> i & 1}
+
+    def __add__(self, other):
+        rows = dict(self.rows)
+        for j, m in other.rows.items():
+            rows[j] = rows.get(j, 0) ^ m
+        return _Rows(rows)
+
+    def __mul__(self, other):
+        rows: dict[int, int] = {}
+        for j1, m1 in self.rows.items():
+            for j2, m2 in other.rows.items():
+                rows[j1 + j2] = rows.get(j1 + j2, 0) ^ _clmul(m1, m2)
+        return _Rows(rows)
+
+    def shift(self, i, j):
+        return _Rows({jj + j: m << i for jj, m in self.rows.items()})
+
+    def square(self):
+        return _Rows.of((2 * i, 2 * j) for i, j in self.pairs())
+
+    def subst_phi(self):
+        return _Rows.of((2 * j, i) for i, j in self.pairs())
+
+    def terms(self):
+        return sorted(self.pairs(), key=lambda ij: (ij[0] + ij[1], -ij[1]),
+                      reverse=True)
+
+    def __str__(self):
+        def mono(i, j):
+            f = [x for x in (("s" if i == 1 else f"s^{i}") if i else "",
+                             ("t" if j == 1 else f"t^{j}") if j else "") if x]
+            return "*".join(f) or "1"
+        return " + ".join(mono(i, j) for i, j in self.terms()) or "0"
+
+
+def _agree(p: Poly2, r: _Rows):
+    pairs = r.pairs()
+    assert p.terms() == r.terms()
+    assert str(p) == str(r)
+    assert p.num_terms() == len(pairs)
+    same = Poly2(r.rows)  # packed again from the reference rows
+    assert p == same and hash(p) == hash(same)
+    assert p.deg_t() == max((j for _, j in pairs), default=-1)
+    assert p.total_degree() == max((i + j for i, j in pairs), default=-1)
+    if pairs:
+        assert p.val_s() == min(i for i, _ in pairs)
+        assert p.val_t() == min(j for _, j in pairs)
+        assert p.is_monomial() == (len(pairs) == 1)
+
+
+# s-degrees at and around the stride edges, and t-degrees past the 256
+# rows that the spill guard _HI covers
+_S_EDGES = (0, 1, 2, 5, 31, 32, 33, 63, 64, 65, 127, 128, 129)
+_T_EDGES = (0, 1, 2, 3, 255, 256, 300)
+
+
+def _edge_terms(rng: Rng, k: int) -> list[tuple[int, int]]:
+    return [(_S_EDGES[rng.below(len(_S_EDGES))] if rng.below(3) else rng.below(40),
+             _T_EDGES[rng.below(len(_T_EDGES))] if rng.below(4) == 0 else rng.below(6))
+            for _ in range(k)]
+
+
+def _check_pair(ta, tb, shift=(0, 0)):
+    a, b = Poly2.from_terms(ta), Poly2.from_terms(tb)
+    ra, rb = _Rows.of(ta), _Rows.of(tb)
+    _agree(a, ra)
+    _agree(b, rb)
+    _agree(a + b, ra + rb)
+    _agree(a * b, ra * rb)
+    _agree(b * a, ra * rb)
+    _agree(a.shift(*shift), ra.shift(*shift))
+    _agree(a.square(), ra.square())
+    assert a.square().sqrt() == a
+    _agree(a.subst_phi(), ra.subst_phi())
+    assert a.subst_phi().subst_theta() == a
+    assert a.subst_phi().subst_phi() == a.square()
+    even, odd = a.split_even_odd()
+    assert even + odd.shift(1, 0) == a
+    assert even.even_s_exponents() and odd.even_s_exponents()
+    if not b.is_zero() and not a.is_zero():
+        assert poly_divexact(a * b, b) == a
+    assert (a + b == b + a) and hash(a + b) == hash(b + a)
+
+
+def test_packed_matches_rows_seeded():
+    rng = Rng(17)
+    for k in range(150):
+        ta = _edge_terms(rng, 1 + k % 6)
+        tb = _edge_terms(rng, 1 + k % 4)
+        _check_pair(ta, tb, (_S_EDGES[k % len(_S_EDGES)], k % 3))
+
+
+@pytest.mark.parametrize("i", [31, 32, 63, 64, 127, 128])
+def test_stride_edges(i):
+    # operands at s-degree i with a second row; the product doubles it
+    ta = [(i, 1), (0, 0), (3, 2)]
+    tb = [(i, 0), (1, 1)]
+    _check_pair(ta, tb, (i, 1))
+    wide = Poly2.monomial(i, 0)
+    assert str(wide * wide) == f"s^{2 * i}"
+    assert poly_divexact(wide * wide, wide) == wide
+
+
+def test_t_degree_past_the_guarded_rows():
+    # row 300 lies outside the rows that _HI covers; its s-degree 40 must
+    # still keep the product off the packed multiply, though the other
+    # operand and row 0 clear _HI
+    far = [(40, 300), (0, 0)]
+    near = [(31, 0), (1, 0)]
+    _check_pair(far, near)
+    p = Poly2.from_terms(far) * Poly2.from_terms(near)
+    assert (71, 300) in p.terms()
+
+
+def test_mixed_strides():
+    narrow = [(5, 0), (31, 2)]
+    for i in (64, 127, 128, 200):
+        wide = [(i, 1), (2, 0)]
+        _check_pair(narrow, wide, (40, 0))
+        _check_pair(wide, narrow, (64, 0))
+
+
+def test_wide_sum_cancels_to_narrow():
+    wide = Poly2.monomial(64, 1)
+    p = wide + wide + S
+    assert p == S and hash(p) == hash(S) and str(p) == "s"
+    q = Poly2.from_terms([(64, 1), (64, 1), (1, 0)])
+    assert q == S and hash(q) == hash(S)
+    # a quotient and a root fall back to the narrow stride too
+    assert poly_divexact(wide * S, Poly2.monomial(65, 1)) == ONE
+    assert (wide * wide).sqrt() == wide
+    assert (wide + S).split_even_odd() == (wide, ONE)
+    assert ((wide + ONE) * (S + ONE)).shift(0, 0) + wide * S + wide == S + ONE
+
+
+_edge_polys = st.lists(
+    st.tuples(st.one_of(st.integers(0, 8), st.sampled_from(_S_EDGES)),
+              st.one_of(st.integers(0, 4), st.sampled_from(_T_EDGES))),
+    max_size=6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edge_polys, _edge_polys, st.sampled_from(_S_EDGES), st.integers(0, 3))
+def test_packed_matches_rows_hypothesis(ta, tb, i, j):
+    _check_pair(ta, tb, (i, j))
