@@ -17,22 +17,31 @@ and `hash` compare ints.  On this layout:
   mutated), a product with s^i t^j is one shift of the other operand,
   and exact division by s^i t^j is one shift back;
 * a general product is the carry-less bit loop `u_mul` run on the two
-  packed ints.  That is exact only while no row of the product reaches
-  into the next.  So it runs only when both operands are at stride W
-  and clear `_HI`, the upper half (bits 32-63) of every one of the
-  first 256 rows; every row of the product then has s-degree at most
-  62.  Other operands take the row path, one `u_mul` per pair of rows,
-  and the result is packed again.  A shift by s^i or a square that
-  fails the same guard, and a product with a GF(2)[s] coefficient (in
-  the gcd), are first relaid at the stride their result needs;
-* t-valuation, t-degree, term count, leading t-coefficient, the even
-  s-exponent test and the split into even and odd s-exponents are int
-  operations; the s-valuation ORs the rows together by halving.
+  packed ints.  That is exact when no row of the product reaches into
+  the next, i.e. when the stride exceeds the product's s-degree, which
+  is exactly the sum of the operands' s-degrees.  The cheap first test
+  is `_HI`, the upper half (bits 32-63) of every one of the first 256
+  rows at stride W: when both operands are at stride W and clear it,
+  every row of the product has s-degree at most 62.  Other operands
+  (a wide one, a row past s^31 or past t^255) are first relaid at the
+  stride the product needs.  A shift by s^i, a square, and a product
+  with a GF(2)[s] coefficient (in the gcd) are relaid the same way;
+* t-valuation, t-degree, total degree, term count, leading
+  t-coefficient, the even s-exponent test and the split into even and
+  odd s-exponents are int operations; the s-valuation ORs the rows
+  together by halving, and the total degree does the same with row j
+  raised j bits.
 
 Rows are unpacked (`_rows`, through the bytes of `_v`, in time linear
-in its size) only by the row-path product, exact division by a
-non-monomial, the content and pseudo-remainder sequence of the gcd, the
-GF(256) certificate, `terms()`/`str` and `total_degree`.
+in its size) only by exact division by a non-monomial, the content and
+pseudo-remainder sequence of the gcd, the GF(256) certificate, the
+square-root test and `terms()`/`str`.
+
+The layout is dense in t: a polynomial of t-degree d takes d + 1 rows
+of at least 64 bits whatever its number of terms, and a general product
+loops over the bits of the sparser operand, each step a shift and an
+xor as long as the other.  So sparse polynomials of high t-degree cost
+more than a dict of their rows would (README, performance notes).
 
 Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
 monomial input at once (gcd(s^i t^j, q) = s^min(i, val_s q)
@@ -58,7 +67,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from operator import add
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +306,20 @@ class Poly2:
         v, w = self._v, self._w
         if not v >> w:  # zero, or a single row
             return v.bit_length() - 1
-        rows = _rows(v, w)
-        return max(map(add, map(int.bit_length, rows), range(len(rows)))) - 1
+        # fold the rows onto row 0, row j raised j bits: its top bit is
+        # then at the largest i + j.  Row j keeps i + j below the stride
+        # when every row clears _HI and j < 33, else relay wider first
+        n = (v.bit_length() - 1) // w + 1
+        if not (n <= 33 and w == W and not v & _HI):  # _clears_hi
+            w2 = _stride(_fold(v, w).bit_length() + n - 1)
+            if w2 != w:
+                v, w = _restride(v, w, w2), w2
+        while n > 1:
+            h = (n + 1) >> 1
+            cut = h * w
+            v = (v >> cut) << h | (v & ((1 << cut) - 1))
+            n = h
+        return v.bit_length() - 1
 
     def val_s(self) -> int:
         """Largest power of s dividing the polynomial (0 for zero)."""
@@ -371,7 +391,15 @@ class Poly2:
             p._v = u_mul(a, b)
             p._w = W
             return p
-        return _row_product(self, other)
+        # otherwise relay both at the stride of the product's s-degree,
+        # which is exactly the sum of theirs: no row reaches the next
+        wa, wb = self._w, other._w
+        w = _stride(_fold(a, wa).bit_length() + _fold(b, wb).bit_length() - 1)
+        if w != wa:
+            a = _restride(a, wa, w)
+        if w != wb:
+            b = _restride(b, wb, w)
+        return _new(u_mul(a, b), w)
 
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by the monomial s^i t^j."""
@@ -524,19 +552,6 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({self})"
-
-
-def _row_product(a: Poly2, b: Poly2) -> Poly2:
-    """The product row by row, for operands the packed product would
-    spill on."""
-    rb = list(enumerate(_rows(b._v, b._w)))
-    rows: dict[int, int] = {}
-    for j1, m1 in enumerate(_rows(a._v, a._w)):
-        if m1:
-            for j2, m2 in rb:
-                if m2:
-                    rows[j1 + j2] = rows.get(j1 + j2, 0) ^ u_mul(m1, m2)
-    return Poly2(rows)
 
 
 def _shift_down(p: Poly2, i: int, j: int) -> Poly2:

@@ -423,13 +423,24 @@ def test_stride_edges(i):
 
 def test_t_degree_past_the_guarded_rows():
     # row 300 lies outside the rows that _HI covers; its s-degree 40 must
-    # still keep the product off the packed multiply, though the other
+    # still send the product to a stride past 64, though the other
     # operand and row 0 clear _HI
     far = [(40, 300), (0, 0)]
     near = [(31, 0), (1, 0)]
     _check_pair(far, near)
     p = Poly2.from_terms(far) * Poly2.from_terms(near)
     assert (71, 300) in p.terms()
+
+
+@pytest.mark.parametrize("j", [1, 31, 32, 33, 34, 64, 300])
+def test_total_degree_across_the_fold_guard(j):
+    # total_degree raises row j by j bits; past 33 rows, or with a row
+    # above s^31, the rows are relaid wider first
+    for i in (0, 1, 31, 32, 33, 63, 64, 65):
+        for low in ([], [(0, 0)], [(i + j + 1, 0)], [(i, j - 1), (1, 0)]):
+            terms = [(i, j)] + low
+            p = Poly2.from_terms(terms)
+            assert p.total_degree() == max(a + b for a, b in set(terms))
 
 
 def test_mixed_strides():
