@@ -15,6 +15,12 @@ inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 Membership checks (L' and K' slots, the K-valued trace terms of
 relation (4)) are always on and raise InternalConsistencyError.
 
+Each UPlus keeps the last COMM14_MEMO_SIZE non-trivial [U1,U4]
+corrections, keyed by the input pair: a commutator and the Moufang
+set's multiplication ask for the same pair again and again, and
+coordinate equality is exact canonical equality, so a hit returns
+exactly what recomputation would.
+
 A debug switch reroutes the [U2,U4] correction into U2 instead of U3
 (the untenable reading of relation (3)); under it no consistent
 collection exists, so a one-level truncation is used and associativity
@@ -23,6 +29,7 @@ demonstrably fails.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .fields import FieldInstance, KElem, LElem, kprime_member, kscale
@@ -82,6 +89,12 @@ class UPlusElem:
         return f"{self.g1}_1 {self.g2}_2 {self.g3}_3 {self.g4}_4"
 
 
+# The comm14 memo of each UPlus: insertion-ordered, the oldest entry is
+# evicted first.  The lock makes evict-and-insert one step for threads
+# that share the instance.
+COMM14_MEMO_SIZE = 32
+
+
 class UPlus:
     """The unipotent group attached to a field instance."""
 
@@ -95,6 +108,9 @@ class UPlus:
         self.r1_zero = zr1
         self.r2_zero = zr2
         self.identity = UPlusElem(zr1, zr2, zr1, zr2)
+        self._comm14_memo: dict[tuple[R1Coord, R2Coord],
+                                tuple[R2Coord, R1Coord]] = {}
+        self._comm14_lock = threading.Lock()
 
     # -- coordinate validation ------------------------------------------------
 
@@ -153,10 +169,26 @@ class UPlus:
         return R1Coord(LElem.zero(), LElem.zero(), val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """[U1, U4] correction pair (U2 part, U3 part), relation (4)."""
-        inst = self.inst
+        """[U1, U4] correction pair (U2 part, U3 part), relation (4).
+
+        Non-trivial pairs go through the instance's memo (module
+        docstring)."""
         if p.is_zero() or q.is_zero():
             return self.r2_zero, self.r1_zero
+        key = (p, q)
+        memo = self._comm14_memo
+        out = memo.get(key)
+        if out is None:
+            out = self._comm14(p, q)
+            with self._comm14_lock:
+                if len(memo) >= COMM14_MEMO_SIZE:
+                    del memo[next(iter(memo))]
+                memo[key] = out
+        return out
+
+    def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
+        """comm14 computed, for p and q both nonzero."""
+        inst = self.inst
         x, y, b = p.x, p.y, p.b
         u, v, a = q.u, q.v, q.a
         xbar, ybar = x.conj(), y.conj()
@@ -181,7 +213,6 @@ class UPlus:
         z_x = kscale(a, x) + mul(ubarsq, y) + kscale(alpha, mul(vsq, ybar))
         z_y = kscale(a, y) + kscale(inst.beta_sq_inv,
                                     mul(usq, x) + kscale(alpha, mul(vsq, xbar)))
-        tr_uv = inst.lmul(u, ubar).c0  # u ubar, already in K
         n_u = inst.lnorm(u)
         n_v = inst.lnorm(v)
         mix = (kscale(inst.beta_inv, mul(x, mul(u, vbar)) + mul(xbar, mul(ubar, v)))

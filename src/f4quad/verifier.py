@@ -255,11 +255,12 @@ def _chk_group_identity(ctx: RunContext):
         x = _sample_uplus(ms, rng)
         if g.mul(x, g.identity) != x or g.mul(g.identity, x) != x:
             return False, f"x={x}"
-        if not g.mul(x, g.inv(x)).is_identity():
+        xi = g.inv(x)
+        if not g.mul(x, xi).is_identity():
             return False, f"x={x}"
-        if not g.mul(g.inv(x), x).is_identity():
+        if not g.mul(xi, x).is_identity():
             return False, f"x={x}"
-        if g.inv(g.inv(x)) != x:
+        if g.inv(xi) != x:
             return False, f"x={x}"
     return True, None
 
@@ -328,13 +329,12 @@ def _chk_nilpotency(ctx: RunContext):
         b = _sample_uplus(ms, rng)
         c = _sample_uplus(ms, rng)
         d = _sample_uplus(ms, rng)
-        inner = g.commutator(g.commutator(g.commutator(a, b), c), d)
-        if not inner.is_identity():
-            return False, f"a={a}; b={b}; c={c}; d={d}"
         deg2 = g.commutator(a, b)
+        deg3 = g.commutator(deg2, c)
+        if not g.commutator(deg3, d).is_identity():
+            return False, f"a={a}; b={b}; c={c}; d={d}"
         if g.filtration_degree(deg2) < 2:
             return False, f"commutator depth at {a}; {b}"
-        deg3 = g.commutator(g.commutator(a, b), c)
         if g.filtration_degree(deg3) < 3:
             return False, f"double commutator depth"
     return True, None
@@ -595,13 +595,14 @@ def _chk_block_transport(ctx: RunContext):
     for _ in range(max(2, ctx.cfg.samples // 10)):
         through = ms.sample_label(rng, 1)
         g = ms.sample_label(rng, 1)
+        moved = ms.act(through, g)
         sph = ms.sphere_at_infinity(through)
-        img = ms.sphere_at_infinity(ms.act(through, g))
+        img = ms.sphere_at_infinity(moved)
         for pt in sph.sample(rng, 4, 1):
             if not img.contains(ms.act(pt, g)):
                 return False, f"sphere transport at {pt}"
         circ = ms.circle_at_infinity(through)
-        imgc = ms.circle_at_infinity(ms.act(through, g))
+        imgc = ms.circle_at_infinity(moved)
         for pt in circ.sample(rng, 4, 1):
             if not imgc.contains(ms.act(pt, g)):
                 return False, f"circle transport at {pt}"

@@ -1,11 +1,15 @@
 """Root group coordinates, commutator maps and the collected group law."""
 
+import sys
+import threading
+
 import pytest
 
 from f4quad.fields import KElem, LElem, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
-from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
+from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
+                               R1Coord, R2Coord, UPlus, UPlusElem)
 from f4quad.sampling import Rng
 
 ZERO = KElem.zero()
@@ -210,3 +214,89 @@ def test_suzuki_tits_restriction(group):
         assert group.suzuki_tits_member(group.mul(es[0], es[1]))
         assert group.suzuki_tits_member(group.commutator(es[0], es[1]))
         assert group.suzuki_tits_member(group.inv(es[0]))
+
+
+# ----------------------------------------------------------------------
+# the comm14 memo
+# ----------------------------------------------------------------------
+
+def _comm14_pairs(ms, seed, n, k=5):
+    """n non-trivial (p, q) pairs over k distinct p and k distinct q, so
+    that pairs sharing one argument but not the other are common."""
+    rng = Rng(seed)
+    ps = [p for p in (ms.sample_r1(rng, 1) for _ in range(3 * k)) if not p.is_zero()][:k]
+    qs = [q for q in (ms.sample_r2(rng, 1) for _ in range(3 * k)) if not q.is_zero()][:k]
+    return [(ps[rng.below(len(ps))], qs[rng.below(len(qs))])
+            for _ in range(n)]
+
+
+def test_comm14_memo_hits_and_misses(ms):
+    inst = default_instance()
+    warm = UPlus(inst)
+    pairs = _comm14_pairs(ms, 40, 30)
+    hits = 0
+    for p, q in pairs + pairs[::-1]:
+        hits += (p, q) in warm._comm14_memo
+        assert warm.comm14(p, q) == UPlus(inst).comm14(p, q)
+    assert 0 < hits < 2 * len(pairs)
+
+
+def test_comm14_memo_stays_bounded(ms):
+    group = UPlus(default_instance())
+    rng = Rng(41)
+    distinct = set()
+    while len(distinct) <= COMM14_MEMO_SIZE + 8:
+        p, q = ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)
+        if not (p.is_zero() or q.is_zero()):
+            group.comm14(p, q)
+            distinct.add((p, q))
+    assert len(group._comm14_memo) <= COMM14_MEMO_SIZE
+
+
+def test_comm14_memo_keeps_no_exception(ms, monkeypatch):
+    group = UPlus(default_instance())
+    (p, q), = _comm14_pairs(ms, 42, 1)
+
+    def refuse(c, where=""):
+        raise InternalConsistencyError(f"refused {where}")
+
+    monkeypatch.setattr(group, "check_r1", refuse)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError):
+            group.comm14(p, q)
+    assert not group._comm14_memo
+    monkeypatch.undo()
+    assert group.comm14(p, q) == UPlus(default_instance()).comm14(p, q)
+
+
+def test_comm14_memo_under_threads(ms):
+    inst = default_instance()
+    pairs = _comm14_pairs(ms, 43, 80, k=8)  # more distinct pairs than the cap
+    fresh = UPlus(inst)
+    cases = [(p, q, fresh._comm14(p, q)) for p, q in pairs]
+    shared = UPlus(inst)
+    errors = []
+
+    def worker(part):
+        try:
+            for p, q, want in part:
+                if shared.comm14(p, q) != want:
+                    errors.append((p, q))
+        except Exception as exc:  # reported through `errors`
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker,
+                                    args=(cases[i:] + cases[:i],))
+                   for i in (0, 20, 40, 60)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(shared._comm14_memo) <= COMM14_MEMO_SIZE
