@@ -10,6 +10,9 @@ are pairs c0 + c1*e.  Conjugation sends e -> e + 1.  An instance fixes
 delta, the image phi(e), and the pair (beta, alpha = phi(beta)) that
 parametrises the anisotropic forms.  L' is the subfield generated by
 the squares of L together with K', equivalently the image phi(L).
+Products in L over denominators 1 or s^i t^j (delta's too) take no gcd:
+shifts to one denominator, three products (Karatsuba), and one
+`Poly2.cancel_monomial` per coordinate; other inputs use K arithmetic.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -134,7 +137,8 @@ class KElem:
         return self * other.inv()
 
     def square(self) -> "KElem":
-        return KElem(self.num.square(), self.den.square())
+        # gcd(a^2, b^2) = gcd(a, b)^2 = 1: the square is already reduced
+        return _trusted_k(self.num.square(), self.den.square())
 
     def __pow__(self, n: int) -> "KElem":
         if n < 0:
@@ -175,15 +179,12 @@ class KElem:
 
 
 def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
-    """(num/g, den/g) with g = gcd(num, den), for nonzero num and den.
-
-    A denominator 1 or s^i t^j needs no gcd: g is 1, or the monomial
-    s^min(i, val_s num) t^min(j, val_t num), and dividing by it is a
-    shift."""
+    """(num/g, den/g) with g = gcd(num, den), for nonzero num and den;
+    a denominator 1 or s^i t^j needs no gcd (`Poly2.cancel_monomial`)."""
     if den.is_one():
         return num, den
     if den.is_monomial():
-        return num.cancel_monomial(den)
+        return num.cancel_monomial(*den.exponents())
     g = poly_gcd(num, den)
     if g.is_one():
         return num, den
@@ -197,6 +198,24 @@ def _trusted_k(num: Poly2, den: Poly2) -> KElem:
     out.den = den
     out._hash = None
     return out
+
+
+def _over(num: Poly2, i: int, j: int) -> KElem:
+    """num / (s^i t^j), reduced by the monomial cancel: no gcd."""
+    return _trusted_k(*num.cancel_monomial(i, j)) if num else K_ZERO
+
+
+def _shared(z: "LElem"):
+    """(A0, A1, i, j) with z = (A0 + A1 e) / (s^i t^j), i and j least,
+    when both denominators of z are 1 or monomials; else None."""
+    (n0, d0), (n1, d1) = (z.c0.num, z.c0.den), (z.c1.num, z.c1.den)
+    if not (d0.is_monomial() and d1.is_monomial()):
+        return None
+    if d0 == d1:
+        return (n0, n1, *d0.exponents())
+    (i0, j0), (i1, j1) = d0.exponents(), d1.exponents()
+    i, j = max(i0, i1), max(j0, j1)
+    return n0.shift(i - i0, j - j0), n1.shift(i - i1, j - j1), i, j
 
 
 K_ZERO = KElem(Poly2.zero())
@@ -321,6 +340,11 @@ L_E = LElem(K_ZERO, K_ONE)
 
 def kscale(k: KElem, z: LElem) -> LElem:
     """Multiply an L element by a K scalar."""
+    zs = _shared(z)
+    if zs and k.den.is_monomial():
+        (a0, a1, i, j), (ki, kj) = zs, k.den.exponents()
+        return LElem(_over(k.num * a0, i + ki, j + kj),
+                     _over(k.num * a1, i + ki, j + kj))
     return LElem(k * z.c0, k * z.c1)
 
 
@@ -372,6 +396,8 @@ class FieldInstance:
         self.alpha_inv = alpha.inv()
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
+        self._delta_over = ((delta.num, *delta.den.exponents())
+                            if delta.den.is_monomial() else None)
 
     # -- L arithmetic -------------------------------------------------------
 
@@ -380,35 +406,50 @@ class FieldInstance:
         a0, a1 = z.c0, z.c1
         b0, b1 = w.c0, w.c1
         if a1.is_zero():
-            if a0.is_zero():
-                return L_ZERO
-            return LElem(a0 * b0, a0 * b1)
+            return kscale(a0, w) if a0 else L_ZERO
         if b1.is_zero():
-            if b0.is_zero():
-                return L_ZERO
-            return LElem(b0 * a0, b0 * a1)
+            return kscale(b0, z) if b0 else L_ZERO
+        zs, ws = _shared(z), _shared(w)
+        if zs and ws and self._delta_over:
+            # (A0 + A1)(B0 + B1) + P = A0 B1 + A1 B0 + A1 B1 (Karatsuba)
+            (A0, A1, i, j), (B0, B1, k, m) = zs, ws
+            p = A0 * B0
+            return LElem(self._plus_delta(p, A1 * B1, i + k, j + m),
+                         _over((A0 + A1) * (B0 + B1) + p, i + k, j + m))
         a1b1 = a1 * b1
         return LElem(a0 * b0 + a1b1 * self.delta,
                      a0 * b1 + a1 * b0 + a1b1)
 
     def lnorm(self, z: LElem) -> KElem:
         """z * conj(z) = c0^2 + c0 c1 + delta c1^2, an element of K."""
+        zs = _shared(z)
+        if zs and self._delta_over:
+            A0, A1, i, j = zs
+            return self._plus_delta(A0 * (A0 + A1), A1.square(), 2 * i, 2 * j)
         return z.c0.square() + z.c0 * z.c1 + self.delta * z.c1.square()
 
     def linv(self, z: LElem) -> LElem:
         if z.is_zero():
             raise FieldError("inversion of zero in L")
-        n_inv = self.lnorm(z).inv()
-        zbar = z.conj()
-        return LElem(n_inv * zbar.c0, n_inv * zbar.c1)
+        return kscale(self.lnorm(z).inv(), z.conj())
 
     def ldiv(self, z: LElem, w: LElem) -> LElem:
         return self.lmul(z, self.linv(w))
 
     def lsquare(self, z: LElem) -> LElem:
-        c0, c1 = z.c0, z.c1
-        c1sq = c1.square()
-        return LElem(c0.square() + self.delta * c1sq, c1sq)
+        c1sq, zs = z.c1.square(), _shared(z)
+        if zs and self._delta_over:
+            A0, A1, i, j = zs
+            c0 = self._plus_delta(A0.square(), A1.square(), 2 * i, 2 * j)
+        else:
+            c0 = z.c0.square() + self.delta * c1sq
+        return LElem(c0, c1sq)
+
+    def _plus_delta(self, p: Poly2, q: Poly2, i: int, j: int) -> KElem:
+        """(p + delta q) / (s^i t^j), with delta = D / (s^di t^dj) held
+        as _delta_over = (D, di, dj) (None for any other denominator)."""
+        D, di, dj = self._delta_over
+        return _over(p.shift(di, dj) + D * q, i + di, j + dj)
 
     # -- the twist on L -------------------------------------------------------
 

@@ -374,15 +374,9 @@ class Poly2:
         # a factor 1 gives the other operand back (Poly2 is immutable);
         # a monomial factor s^i t^j shifts the other operand
         if not a & (a - 1):
-            if a == 1:
-                return other
-            j, i = divmod(a.bit_length() - 1, self._w)
-            return other.shift(i, j)
+            return other if a == 1 else other.shift(*self.exponents())
         if not b & (b - 1):
-            if b == 1:
-                return self
-            j, i = divmod(b.bit_length() - 1, other._w)
-            return self.shift(i, j)
+            return self if b == 1 else self.shift(*other.exponents())
         # no row of the packed product spills while both clear _HI
         # (_clears_hi for both, inlined)
         if (a < _HI and b < _HI and not (a | b) & _HI
@@ -404,7 +398,7 @@ class Poly2:
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by the monomial s^i t^j."""
         v, w = self._v, self._w
-        if not v:
+        if not v or not i | j:
             return self
         if i and not (i <= W // 2 and _clears_hi(v, w)):
             # s^i may carry a row past the stride: relay at the stride
@@ -435,20 +429,25 @@ class Poly2:
         odd = v & _ODD_BITS(v.bit_length())
         return _shrink(v ^ odd, w), _shrink(odd >> 1, w)
 
-    def cancel_monomial(self, m: "Poly2") -> tuple["Poly2", "Poly2"]:
-        """(self/g, m/g) for g = gcd(self, m), self nonzero and m = s^i t^j
-        a monomial: g = s^min(i, val_s self) t^min(j, val_t self), so g
-        divides both and each quotient is a shift."""
-        j, i = divmod(m._v.bit_length() - 1, m._w)
+    def exponents(self) -> tuple[int, int]:
+        """(i, j) for the monomial s^i t^j."""
+        j, i = divmod(self._v.bit_length() - 1, self._w)
+        return i, j
+
+    def cancel_monomial(self, i: int, j: int) -> tuple["Poly2", "Poly2"]:
+        """(self/g, s^i t^j/g) for g = gcd(self, s^i t^j), self nonzero:
+        g = s^min(i, val_s self) t^min(j, val_t self), so g divides both
+        and each quotient is a shift."""
         v, w = self._v, self._w
-        f = _fold(v, w) if v >> w else v
-        ci = min(i, (f & -f).bit_length() - 1)
-        cj = min(j, ((v & -v).bit_length() - 1) // w)
-        if not ci | cj:
-            return self, m
-        i -= ci
-        wm = _stride(i + 1)
-        return _shift_down(self, ci, cj), _new(1 << wm * (j - cj) + i, wm)
+        ci = cj = 0
+        if i:
+            f = _fold(v, w) if v >> w else v
+            ci = min(i, (f & -f).bit_length() - 1)
+        if j:
+            cj = min(j, ((v & -v).bit_length() - 1) // w)
+        i, j = i - ci, j - cj
+        m = _new(1 << W * j + i, W) if i < W else Poly2.monomial(i, j)
+        return (_shift_down(self, ci, cj) if ci | cj else self), m
 
     # -- structure --------------------------------------------------------
 
@@ -582,7 +581,7 @@ def poly_divexact(p: Poly2, g: Poly2) -> Poly2:
     if g.is_one():
         return p
     if g.is_monomial():
-        j, i = divmod(g._v.bit_length() - 1, g._w)
+        i, j = g.exponents()
         if p.val_s() < i or p.val_t() < j:
             raise ArithmeticError("inexact division by monomial")
         return _shift_down(p, i, j)
@@ -660,7 +659,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
 
 def _monomial_gcd(m: Poly2, q: Poly2) -> Poly2:
     """gcd(s^i t^j, q) = s^min(i, val_s q) t^min(j, val_t q), q nonzero."""
-    j, i = divmod(m._v.bit_length() - 1, m._w)
+    i, j = m.exponents()
     return Poly2.monomial(min(i, q.val_s()), min(j, q.val_t()))
 
 

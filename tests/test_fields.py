@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from f4quad import fields
 from f4quad.fields import (FieldError, FieldInstance, KElem, LElem, _cancel,
                            default_instance, kprime_decompose, kprime_member,
                            kscale, phi_k, theta_k)
@@ -277,3 +278,90 @@ def test_kscale():
         k = sample_k(rng, 2)
         z = sample_l(rng, 2)
         assert kscale(k, z) == inst.lmul(LElem.from_k(k), z)
+
+
+def test_square_is_reduced():
+    # the square of a reduced fraction is reduced: gcd(a^2, b^2) = 1
+    rng = Rng(17)
+    for _ in range(60):
+        f = sample_k_general(rng, 3)
+        assert f.square() == KElem(f.num.square(), f.den.square()), f
+        g = KElem(sample_poly_nonzero(rng, 3, 4),
+                  Poly2.s() + Poly2.t() * sample_poly_nonzero(rng, 2, 3))
+        sq = g.square()
+        assert (sq.num, sq.den) == _reduced_by_prs(g.num.square(),
+                                                   g.den.square()), g
+
+
+def _k_of_kind(rng, kind):
+    """0, or a K value whose denominator is 1 (kind 1), a monomial
+    (kind 2) or a non-monomial (kind 3) before reduction."""
+    if kind == 0:
+        return ZERO
+    den = (Poly2.one(), Poly2.monomial(rng.below(4), rng.below(4)),
+           Poly2.s() + Poly2.t() * sample_poly_nonzero(rng, 2, 3))[kind - 1]
+    return KElem(sample_poly_nonzero(rng, 3, 4), den)
+
+
+def _l_values(rng):
+    """One L value per pair of coordinate kinds, zero coordinates too."""
+    return [LElem(_k_of_kind(rng, k0), _k_of_kind(rng, k1))
+            for k0 in range(4) for k1 in range(4)]
+
+
+_INSTANCES = (
+    default_instance(),
+    # delta over a monomial and over a non-monomial (the K-level fallback)
+    FieldInstance(delta=KElem(Poly2.s() + Poly2.t().square(), Poly2.s()),
+                  phi_e=LElem(S, ONE), beta=S, alpha=T),
+    FieldInstance(delta=KElem(Poly2.t(), Poly2.s() + Poly2.one()),
+                  phi_e=LElem(S, ONE), beta=S, alpha=T),
+)
+
+
+@pytest.mark.parametrize("inst", _INSTANCES, ids=("default", "delta-over-s",
+                                                  "delta-over-s+1"))
+def test_l_ops_match_k_formula(inst):
+    # the shared-denominator paths against the formulas in K, written out
+    rng = Rng(29)
+    d = inst.delta
+    zs, ws = _l_values(rng), _l_values(rng)
+    for z in zs:
+        a0, a1 = z.c0, z.c1
+        assert inst.lnorm(z) == a0 * a0 + a0 * a1 + d * a1 * a1, z
+        assert inst.lsquare(z) == LElem(a0 * a0 + d * a1 * a1, a1 * a1), z
+        for w in ws:
+            b0, b1 = w.c0, w.c1
+            want = LElem(a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+            assert inst.lmul(z, w) == want, (z, w)
+            assert inst.lmul(w, z) == want, (w, z)
+            assert kscale(a1, w) == LElem(a1 * b0, a1 * b1), (a1, w)
+            assert kscale(b0, z) == LElem(b0 * a0, b0 * a1), (b0, z)
+
+
+def test_l_fast_path_takes_no_gcd(monkeypatch):
+    calls = []
+
+    def counted(p, q, _gcd=fields.poly_gcd):
+        calls.append((p, q))
+        return _gcd(p, q)
+
+    monkeypatch.setattr(fields, "poly_gcd", counted)
+    inst = default_instance()
+    rng = Rng(31)
+    for _ in range(40):
+        z = LElem(_k_of_kind(rng, 1 + rng.below(2)),
+                  _k_of_kind(rng, 1 + rng.below(2)))
+        w = LElem(_k_of_kind(rng, 2), _k_of_kind(rng, 2))
+        inst.lmul(z, w)
+        inst.lnorm(z)
+        inst.lsquare(w)
+        kscale(w.c0, z)
+    assert not calls
+    # a general denominator still takes the K-level path and its gcds
+    g = LElem(_k_of_kind(rng, 3), _k_of_kind(rng, 3))
+    inst.lmul(g, LElem(ONE, S))
+    assert calls
+    calls.clear()
+    inst.lnorm(g)
+    assert calls

@@ -1,7 +1,9 @@
 """Polynomial kernel: canonical forms, gcd, exact division, substitutions."""
 
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,3 +476,26 @@ _edge_polys = st.lists(
 @given(_edge_polys, _edge_polys, st.sampled_from(_S_EDGES), st.integers(0, 3))
 def test_packed_matches_rows_hypothesis(ta, tb, i, j):
     _check_pair(ta, tb, (i, j))
+
+
+def test_representation_stays_private():
+    # only polynomials.py reads the packed layout (_v, _w, _rows)
+    private = re.compile(r"\._[vw]\b|_rows\b")
+    src = Path(polynomials.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "polynomials.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if private.search(line)]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (3, 0), (0, 2), (2, 5), (70, 1)])
+def test_cancel_monomial_by_exponents(i, j):
+    m = Poly2.monomial(i, j)
+    assert m.exponents() == (i, j)
+    rng = Rng(i * 31 + j)
+    for _ in range(20):
+        p = sample_poly_nonzero(rng, 4, 5).shift(rng.below(4), rng.below(4))
+        g = poly_gcd(p, m)
+        assert p.cancel_monomial(i, j) == (poly_divexact(p, g),
+                                           poly_divexact(m, g)), p
