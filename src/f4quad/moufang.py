@@ -502,23 +502,16 @@ class ReconstructedQuadrangle:
     Swapping the two sorts is the structure's polarity."""
 
     def __init__(self, ms: MoufangSet, points: list[MoufangPoint],
-                 spheres: list["Block"]):
+                 spheres: list["Block"], centres: list):
+        """`centres[k]` is the projection of the base's flag point onto
+        the gnarl's flag line of `spheres[k]`."""
         self.ms = ms
         self.points = list(points)
         self.spheres = list(spheres)
         self._flags = {p: ms.flag_of_label(p) for p in self.points}
-        self._centres = {}
-        self._duals = {}
-        for blk in self.spheres:
-            centre = self._centre(blk)
-            self._centres[id(blk)] = centre
-            self._duals[id(blk)] = ms.quad.rho_point(centre)
-
-    def _centre(self, blk: "Block"):
-        quad = self.ms.quad
-        gnarl_flag = self.ms.flag_of_label(blk.gnarl)
-        base_flag = self.ms.flag_of_label(blk.base)
-        return quad.project(base_flag.point, gnarl_flag.line)
+        self._centres = {id(blk): c for blk, c in zip(self.spheres, centres)}
+        self._duals = {id(blk): ms.quad.rho_point(c)
+                       for blk, c in zip(self.spheres, centres)}
 
     def incident(self, point_side, line_side) -> bool:
         """The three rules: labels match; the gnarl names the label; or
@@ -565,6 +558,7 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
     points = list(dict.fromkeys(points))
 
     blocks: list[Block] = []
+    centres = []
     finite_gnarls: list[MoufangPoint] = []
     seen_centres: set[str] = set()
     quad = ms.quad
@@ -586,9 +580,10 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
             continue
         seen_centres.add(str(centre))
         blocks.append(blk)
+        centres.append(centre)
         if not gnarl.is_inf:
             finite_gnarls.append(gnarl)
-    return ReconstructedQuadrangle(ms, points, blocks)
+    return ReconstructedQuadrangle(ms, points, blocks, centres)
 
 
 def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,

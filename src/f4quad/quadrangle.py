@@ -473,20 +473,8 @@ class Quadrangle:
 # exact linear algebra over K
 # ----------------------------------------------------------------------
 
-_L_BASIS = None
-
-
-def _l_basis():
-    global _L_BASIS
-    if _L_BASIS is None:
-        zero, one = KElem.zero(), KElem.one()
-        _L_BASIS = [
-            (LElem(one, zero), LElem(zero, zero)),
-            (LElem(zero, one), LElem(zero, zero)),
-            (LElem(zero, zero), LElem(one, zero)),
-            (LElem(zero, zero), LElem(zero, one)),
-        ]
-    return _L_BASIS
+_L_BASIS = ((LElem.one(), LElem.zero()), (LElem.e(), LElem.zero()),
+            (LElem.zero(), LElem.one()), (LElem.zero(), LElem.e()))
 
 
 def _solve_semilinear(themap, rhs_pair):
@@ -496,7 +484,7 @@ def _solve_semilinear(themap, rhs_pair):
     4x4 matrix over K, which is then eliminated exactly.
     """
     cols = []
-    for u, v in _l_basis():
+    for u, v in _L_BASIS:
         fu, fv = themap(u, v)
         cols.append([fu.c0, fu.c1, fv.c0, fv.c1])
     matrix = [[cols[j][i] for j in range(4)] for i in range(4)]

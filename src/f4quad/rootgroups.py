@@ -15,11 +15,12 @@ inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 Membership checks (L' and K' slots, the K-valued trace terms of
 relation (4)) are always on and raise InternalConsistencyError.
 
-Each UPlus keeps the last COMM14_MEMO_SIZE non-trivial [U1,U4]
-corrections, keyed by the input pair: a commutator and the Moufang
-set's multiplication ask for the same pair again and again, and
-coordinate equality is exact canonical equality, so a hit returns
-exactly what recomputation would.
+Each UPlus keeps the COMM14_MEMO_SIZE most recently used non-trivial
+[U1,U4] corrections in a `functools.lru_cache`, keyed by the input
+pair: a commutator and the Moufang set's multiplication ask for the
+same pair again and again, and coordinate equality is exact canonical
+equality, so a hit returns exactly what recomputation would.  The
+cache is thread-safe and stores no exception.
 
 A debug switch reroutes the [U2,U4] correction into U2 instead of U3
 (the untenable reading of relation (3)); under it no consistent
@@ -29,8 +30,8 @@ demonstrably fails.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import FieldInstance, KElem, LElem, kprime_member, kscale
 
@@ -89,9 +90,6 @@ class UPlusElem:
         return f"{self.g1}_1 {self.g2}_2 {self.g3}_3 {self.g4}_4"
 
 
-# The comm14 memo of each UPlus: insertion-ordered, the oldest entry is
-# evicted first.  The lock makes evict-and-insert one step for threads
-# that share the instance.
 COMM14_MEMO_SIZE = 32
 
 
@@ -108,9 +106,9 @@ class UPlus:
         self.r1_zero = zr1
         self.r2_zero = zr2
         self.identity = UPlusElem(zr1, zr2, zr1, zr2)
-        self._comm14_memo: dict[tuple[R1Coord, R2Coord],
-                                tuple[R2Coord, R1Coord]] = {}
-        self._comm14_lock = threading.Lock()
+        # per instance: a class-level cache would key on self and keep
+        # every UPlus alive
+        self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -175,16 +173,7 @@ class UPlus:
         docstring)."""
         if p.is_zero() or q.is_zero():
             return self.r2_zero, self.r1_zero
-        key = (p, q)
-        memo = self._comm14_memo
-        out = memo.get(key)
-        if out is None:
-            out = self._comm14(p, q)
-            with self._comm14_lock:
-                if len(memo) >= COMM14_MEMO_SIZE:
-                    del memo[next(iter(memo))]
-                memo[key] = out
-        return out
+        return self._comm14_cache(p, q)
 
     def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """comm14 computed, for p and q both nonzero."""

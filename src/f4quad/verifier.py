@@ -64,7 +64,7 @@ class Report:
 
 
 class RunContext:
-    """Lazily built shared objects for a run."""
+    """The objects a run shares, built once when the run starts."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg

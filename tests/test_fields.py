@@ -272,12 +272,14 @@ def test_artin_schreier_root_detected():
 
 
 def test_kscale():
+    # sample_k reaches the shared-denominator branch, sample_k_general
+    # the K formula
     rng = Rng(13)
-    inst = default_instance()
-    for _ in range(20):
-        k = sample_k(rng, 2)
-        z = sample_l(rng, 2)
-        assert kscale(k, z) == inst.lmul(LElem.from_k(k), z)
+    for sample in (sample_k, sample_k_general):
+        for _ in range(40):
+            k = sample(rng, 2)
+            z = sample_l(rng, 2)
+            assert kscale(k, z) == LElem(k * z.c0, k * z.c1), (k, z)
 
 
 def test_square_is_reduced():

@@ -181,7 +181,7 @@ def _with_constant_term(p: Poly2) -> Poly2:
 def test_gcd_matches_prs():
     # poly_gcd (memo, monomial part, certificate) against the primitive
     # PRS alone, on products up to total degree 40
-    polynomials._GCD_MEMO.clear()
+    polynomials._gcd_general.cache_clear()
     rng = Rng(11)
     certified = 0
     for k in range(80):
@@ -249,14 +249,30 @@ def test_gcd_agrees_with_sympy():
 
 
 def test_gcd_memo_stays_bounded():
-    polynomials._GCD_MEMO.clear()
+    memo = polynomials._gcd_general
+    memo.cache_clear()
     pairs = [(S + Poly2.monomial(0, k), S * T + ONE) for k in range(1, 1001)]
     for p, q in pairs:
+        g = poly_gcd(p, q)
+        assert memo.cache_info().currsize <= polynomials.GCD_MEMO_SIZE
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (0, len(pairs))
+    assert info.currsize == info.maxsize == polynomials.GCD_MEMO_SIZE
+    # a hit is the stored result, equal to a fresh one
+    assert poly_gcd(p, q) is g and g == _prs_gcd(p, q)
+    assert memo.cache_info().hits == 1
+
+
+def test_gcd_exits_skip_the_memo():
+    # zero, one and monomial inputs are answered before any hashing
+    memo = polynomials._gcd_general
+    memo.cache_clear()
+    f = S * T + ONE
+    m = Poly2.monomial(2, 1)
+    for p, q in ((ZERO, f), (f, ZERO), (ONE, f), (f, ONE), (m, f), (f, m),
+                 (m, S * S * T + S * T * T), (m, m)):
         poly_gcd(p, q)
-        assert len(polynomials._GCD_MEMO) <= polynomials.GCD_MEMO_SIZE
-    assert len(polynomials._GCD_MEMO) == polynomials.GCD_MEMO_SIZE
-    p, q = pairs[-1]
-    assert poly_gcd(p, q) is polynomials._GCD_MEMO[(p, q)]
+    assert memo.cache_info() == (0, 0, polynomials.GCD_MEMO_SIZE, 0)
 
 
 def test_gcd_memo_under_threads():
@@ -289,7 +305,8 @@ def test_gcd_memo_under_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert len(polynomials._GCD_MEMO) <= polynomials.GCD_MEMO_SIZE
+    assert (polynomials._gcd_general.cache_info().currsize
+            <= polynomials.GCD_MEMO_SIZE)
 
 
 # ----------------------------------------------------------------------

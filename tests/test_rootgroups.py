@@ -234,11 +234,11 @@ def test_comm14_memo_hits_and_misses(ms):
     inst = default_instance()
     warm = UPlus(inst)
     pairs = _comm14_pairs(ms, 40, 30)
-    hits = 0
     for p, q in pairs + pairs[::-1]:
-        hits += (p, q) in warm._comm14_memo
         assert warm.comm14(p, q) == UPlus(inst).comm14(p, q)
-    assert 0 < hits < 2 * len(pairs)
+    info = warm._comm14_cache.cache_info()
+    assert info.hits + info.misses == 2 * len(pairs)
+    assert 0 < info.hits < 2 * len(pairs)
 
 
 def test_comm14_memo_stays_bounded(ms):
@@ -250,7 +250,8 @@ def test_comm14_memo_stays_bounded(ms):
         if not (p.is_zero() or q.is_zero()):
             group.comm14(p, q)
             distinct.add((p, q))
-    assert len(group._comm14_memo) <= COMM14_MEMO_SIZE
+            assert group._comm14_cache.cache_info().currsize <= COMM14_MEMO_SIZE
+    assert group._comm14_cache.cache_info().currsize == COMM14_MEMO_SIZE
 
 
 def test_comm14_memo_keeps_no_exception(ms, monkeypatch):
@@ -264,7 +265,9 @@ def test_comm14_memo_keeps_no_exception(ms, monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalConsistencyError):
             group.comm14(p, q)
-    assert not group._comm14_memo
+    # both failed calls were computed, and nothing was stored
+    info = group._comm14_cache.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
     monkeypatch.undo()
     assert group.comm14(p, q) == UPlus(default_instance()).comm14(p, q)
 
@@ -299,4 +302,4 @@ def test_comm14_memo_under_threads(ms):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert len(shared._comm14_memo) <= COMM14_MEMO_SIZE
+    assert shared._comm14_cache.cache_info().currsize <= COMM14_MEMO_SIZE
