@@ -18,7 +18,9 @@ KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
 normalise beyond the gcd.  A useful consequence used throughout: an
 element of K lies in K' exactly when the canonical numerator and
-denominator both have only even powers of s.
+denominator both have only even powers of s.  phi, theta, inversion and
+squaring map reduced fractions to reduced ones, and a factor 1 gives
+the other operand back, so none of these reduce again.
 """
 
 from __future__ import annotations
@@ -122,6 +124,11 @@ class KElem:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if n1.is_zero() or n2.is_zero():
             return K_ZERO
+        # a factor 1 gives the other operand back (KElem is immutable)
+        if n1.is_one() and d1.is_one():
+            return other
+        if n2.is_one() and d2.is_one():
+            return self
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
         return _trusted_k(n1 * n2, d1 * d2)
@@ -129,7 +136,8 @@ class KElem:
     def inv(self) -> "KElem":
         if self.num.is_zero():
             raise FieldError("inversion of zero in K")
-        return KElem(self.den, self.num)
+        # swapping a reduced pair leaves it reduced
+        return _trusted_k(self.den, self.num)
 
     def __truediv__(self, other: "KElem") -> "KElem":
         if not isinstance(other, KElem):
@@ -229,8 +237,14 @@ K_T = KElem(Poly2.t())
 # ----------------------------------------------------------------------
 
 def phi_k(f: KElem) -> KElem:
-    """The twist endomorphism on K: s -> t, t -> s^2 (phi o phi = squaring)."""
-    return KElem(f.num.subst_phi(), f.den.subst_phi())
+    """The twist endomorphism on K: s -> t, t -> s^2 (phi o phi = squaring).
+
+    The image of a reduced fraction is reduced, so it is not re-reduced.
+    phi is an isomorphism of GF(2)[s,t] onto R = GF(2)[t, s^2].  If a
+    non-unit h divided phi(n) and phi(d), then h^2, which lies in R,
+    would divide phi(n)^2 and phi(d)^2 in R; but their gcd in R is
+    phi(gcd(n, d))^2 = 1."""
+    return _trusted_k(f.num.subst_phi(), f.den.subst_phi())
 
 
 def kprime_member(f: KElem) -> bool:
@@ -239,10 +253,15 @@ def kprime_member(f: KElem) -> bool:
 
 
 def theta_k(f: KElem) -> KElem:
-    """Inverse of the twist on K': rewrite in s^2, t and substitute back."""
+    """Inverse of the twist on K': rewrite in s^2, t and substitute back.
+
+    The image of a reduced fraction is reduced, so it is not re-reduced.
+    theta is the inverse isomorphism R = GF(2)[t, s^2] -> GF(2)[s,t], and
+    a common factor of theta(n), theta(d) in GF(2)[s,t] would map to a
+    common factor of n, d in R, which divides both in GF(2)[s,t] too."""
     if not kprime_member(f):
         raise FieldError(f"theta applied outside K': {f}")
-    return KElem(f.num.subst_theta(), f.den.subst_theta())
+    return _trusted_k(f.num.subst_theta(), f.den.subst_theta())
 
 
 def kprime_decompose(f: KElem) -> tuple[KElem, KElem]:

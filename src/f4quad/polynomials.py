@@ -45,14 +45,16 @@ more than a dict of their rows would (README, performance notes).
 
 Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
 monomial input at once (gcd(s^i t^j, q) = s^min(i, val_s q)
-t^min(j, val_t q)); `fields` does not even ask it for a denominator 1 or
-s^i t^j.  Other pairs go through three steps:
+t^min(j, val_t q)), and an equal pair by gcd(p, p) = p, which the
+certificate below cannot prove and the PRS would take the long way to;
+`fields` does not even ask it for a denominator 1 or s^i t^j.  Other
+pairs go through three steps:
 
 * a `functools.lru_cache` of the GCD_MEMO_SIZE most recently used
   results, keyed by the input pair (thread-safe; it stores no
   exception).  Only these pairs pay for the hashing: at program seed 9
-  group-law makes no lookup, verify-all 5,294 (2,883 hits) and
-  field-kernel 16,151 (794 hits);
+  group-law makes no lookup, verify-all 5,229 (2,874 hits) and
+  field-kernel 10,489 (204 hits);
 * on a miss, after the common monomial factor comes out, a coprimality
   certificate (most pairs are coprime): `_coprime_at_alpha` substitutes
   s -> alpha and t -> alpha, alpha a root of x^8 + x^4 + x^3 + x + 1,
@@ -274,6 +276,12 @@ class Poly2:
             if i < 0 or j < 0:
                 raise ValueError("exponents must be non-negative")
             v ^= 1 << w * j + i
+        return _shrink(v, w)
+
+    @classmethod
+    def from_packed(cls, v: int, w: int) -> "Poly2":
+        """The polynomial whose s^i t^j is bit w*j + i of v >= 0, for a
+        stride w = _stride(n) with every i < n."""
         return _shrink(v, w)
 
     # -- queries ---------------------------------------------------------
@@ -621,8 +629,9 @@ def _pseudo_rem(a: Poly2, b: Poly2) -> Poly2:
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """GCD in GF(2)[s,t]; gcd(0, q) = q, canonical (units are trivial).
 
-    Zero, one and monomial inputs are answered here; other pairs go
-    through the memo of `_gcd_general` (see the module docstring)."""
+    Zero, one and monomial inputs and equal pairs are answered here;
+    other pairs go through the memo of `_gcd_general` (see the module
+    docstring)."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -633,6 +642,8 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return _monomial_gcd(p, q)
     if q.is_monomial():
         return _monomial_gcd(q, p)
+    if p == q:  # a * a.inv() asks this; the memo would run the PRS
+        return p
     return _gcd_general(p, q)
 
 

@@ -5,12 +5,21 @@ contract independent of the standard library's evolution.  Samplers are
 degree- and sparsity-bounded; denominators default to monomials, which
 keeps canonicalisation cheap along the deep group-theoretic pipelines
 while still exercising genuine quotients.
+
+`sample_poly`, which every sampler draws through, runs the generator
+step inline on a local state and sets each term's bit of the packed
+`Poly2` directly; `tests/test_sampling.py` pins its draws and the final
+state against a loop over `Rng.below`, that is over `Rng.next64`.
 """
 
 from __future__ import annotations
 
 from .fields import FieldInstance, KElem, LElem, phi_k
-from .polynomials import Poly2
+from .polynomials import Poly2, _stride
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MULT = 0x2545F4914F6CDD1D  # the xorshift64* output multiplier
 
 
 class Rng:
@@ -19,18 +28,18 @@ class Rng:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         self.state = (z ^ (z >> 31)) or 0x2545F4914F6CDD1D
 
     def next64(self) -> int:
         x = self.state
         x ^= (x >> 12)
-        x ^= (x << 25) & 0xFFFFFFFFFFFFFFFF
+        x ^= (x << 25) & _MASK64
         x ^= (x >> 27)
         self.state = x
-        return (x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF
+        return (x * _MULT) & _MASK64
 
     def below(self, n: int) -> int:
         return self.next64() % n
@@ -40,14 +49,29 @@ class Rng:
 
 
 def sample_poly(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:
-    """Sparse random polynomial of bounded total degree."""
-    nterms = rng.below(max_terms + 1)
-    terms = []
+    """Sparse random polynomial of bounded total degree: a number of
+    terms below max_terms + 1, then each term's s- and t-exponent, each
+    draw `rng.below` (terms that coincide cancel).  The generator step
+    runs inline on a local state; the draws are those of `Rng.next64`."""
+    n = max_degree + 1
+    w = _stride(n)  # W unless an exponent of s passes a row
+    x = rng.state
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK64
+    x ^= x >> 27
+    nterms = ((x * _MULT) & _MASK64) % (max_terms + 1)
+    v = 0
     for _ in range(nterms):
-        i = rng.below(max_degree + 1)
-        j = rng.below(max_degree + 1 - i)
-        terms.append((i, j))
-    return Poly2.from_terms(terms)
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        i = ((x * _MULT) & _MASK64) % n
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        v ^= 1 << w * (((x * _MULT) & _MASK64) % (n - i)) + i
+    rng.state = x
+    return Poly2.from_packed(v, w)
 
 
 def sample_poly_nonzero(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:

@@ -8,7 +8,7 @@ from f4quad import fields
 from f4quad.fields import (FieldError, FieldInstance, KElem, LElem, _cancel,
                            default_instance, kprime_decompose, kprime_member,
                            kscale, phi_k, theta_k)
-from f4quad.polynomials import Poly2, _prs_gcd, poly_divexact
+from f4quad.polynomials import Poly2, _prs_gcd, poly_divexact, poly_gcd
 from f4quad.sampling import (Rng, sample_k, sample_k_general, sample_l,
                              sample_lprime, sample_poly_nonzero)
 
@@ -293,6 +293,49 @@ def test_square_is_reduced():
         sq = g.square()
         assert (sq.num, sq.den) == _reduced_by_prs(g.num.square(),
                                                    g.den.square()), g
+
+
+def _trusted_results(f):
+    """(result, (num, den)) for each result that phi_k, theta_k, inv and
+    a factor 1 wrap as reduced without reducing it, with the fraction
+    it stands for before any reduction."""
+    pf, g = phi_k(f), kprime_decompose(f)[0]
+    out = [(pf, (f.num.subst_phi(), f.den.subst_phi())),
+           (theta_k(pf), (pf.num.subst_theta(), pf.den.subst_theta())),
+           (theta_k(g), (g.num.subst_theta(), g.den.subst_theta())),
+           (ONE * f, (f.num, f.den)), (f * ONE, (f.num, f.den))]
+    if f:
+        out.append((f.inv(), (f.den, f.num)))
+    return out
+
+
+def _shared_factor_inputs(rng):
+    """Fractions whose numerator and denominator both carry powers of s
+    and t (and s + 1, t + 1) before reduction."""
+    base = (Poly2.s(), Poly2.t(), Poly2.s() + Poly2.one(),
+            Poly2.t() + Poly2.one())
+    for _ in range(60):
+        num = sample_poly_nonzero(rng, 3, 4)
+        den = sample_poly_nonzero(rng, 3, 4)
+        for _ in range(3):
+            num = num * base[rng.below(4)]
+            den = den * base[rng.below(4)]
+        yield KElem(num, den)
+
+
+def test_trusted_images_are_canonical():
+    rng = Rng(21)
+    inputs = [sample_k_general(rng, d) for d in range(1, 7) for _ in range(40)]
+    inputs += list(_shared_factor_inputs(rng))
+    for f in inputs:
+        for r, (num, den) in _trusted_results(f):
+            assert poly_gcd(r.num, r.den).is_one(), (f, r)
+            assert _prs_gcd(r.num, r.den).is_one(), (f, r)
+            # the same canonical pair as reducing the unreduced fraction
+            want = _cancel(num, den) if num else (Poly2.zero(), Poly2.one())
+            assert (r.num, r.den) == want, (f, r)
+            assert KElem(num, den) == r, (f, r)
+    assert ONE * inputs[0] is inputs[0] and inputs[0] * ONE is inputs[0]
 
 
 def _k_of_kind(rng, kind):

@@ -275,6 +275,19 @@ def test_gcd_exits_skip_the_memo():
     assert memo.cache_info() == (0, 0, polynomials.GCD_MEMO_SIZE, 0)
 
 
+def test_gcd_of_equal_pair_skips_the_memo():
+    memo = polynomials._gcd_general
+    memo.cache_clear()
+    rng = Rng(22)
+    for p in (Poly2.monomial(3, 2), S * T + ONE, S * S + T,
+              *(sample_poly_nonzero(rng, 4, 5) for _ in range(40))):
+        g = poly_gcd(p, Poly2.from_terms(p.terms()))  # equal, not identical
+        assert g == p
+        if not p.is_monomial():
+            assert g is p
+    assert memo.cache_info().currsize == 0
+
+
 def test_gcd_memo_under_threads():
     rng = Rng(14)
     cases = []
