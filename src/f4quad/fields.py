@@ -10,9 +10,13 @@ are pairs c0 + c1*e.  Conjugation sends e -> e + 1.  An instance fixes
 delta, the image phi(e), and the pair (beta, alpha = phi(beta)) that
 parametrises the anisotropic forms.  L' is the subfield generated by
 the squares of L together with K', equivalently the image phi(L).
-Products in L over denominators 1 or s^i t^j (delta's too) take no gcd:
-shifts to one denominator, three products (Karatsuba), and one
-`Poly2.cancel_monomial` per coordinate; other inputs use K arithmetic.
+Over denominators 1 or s^i t^j (delta's too) L arithmetic takes no gcd:
+`_shared` lifts z to a raw (A0, A1, i, j) = (A0 + A1 e) / (s^i t^j), and
+`_kraw` a K value to (N, i, j); raw sums shift to the larger exponents,
+a raw product is three products (Karatsuba) and one by delta's
+numerator, and `_over` reduces once per coordinate with
+`Poly2.cancel_monomial`.  `lmul`, `lnorm`, `lsquare` and `kscale` are a
+raw helper, then `_over`; other inputs use K arithmetic.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -213,6 +217,17 @@ def _over(num: Poly2, i: int, j: int) -> KElem:
     return _trusted_k(*num.cancel_monomial(i, j)) if num else K_ZERO
 
 
+def _lover(z) -> "LElem":
+    """The L value of a raw (A0, A1, i, j), reduced by _over."""
+    return LElem(_over(z[0], z[2], z[3]), _over(z[1], z[2], z[3]))
+
+
+def _kraw(k: KElem):
+    """(N, i, j) with k = N / (s^i t^j), when k's denominator is 1 or a
+    monomial; else None."""
+    return (k.num, *k.den.exponents()) if k.den.is_monomial() else None
+
+
 def _shared(z: "LElem"):
     """(A0, A1, i, j) with z = (A0 + A1 e) / (s^i t^j), i and j least,
     when both denominators of z are 1 or monomials; else None."""
@@ -224,6 +239,39 @@ def _shared(z: "LElem"):
     (i0, j0), (i1, j1) = d0.exponents(), d1.exponents()
     i, j = max(i0, i1), max(j0, j1)
     return n0.shift(i - i0, j - j0), n1.shift(i - i1, j - j1), i, j
+
+
+def _radd(z, w):
+    """z + w for raw L values: both shifted to the larger exponents."""
+    (A0, A1, i, j), (B0, B1, k, m) = z, w
+    I, J = max(i, k), max(j, m)
+    return (A0.shift(I - i, J - j) + B0.shift(I - k, J - m),
+            A1.shift(I - i, J - j) + B1.shift(I - k, J - m), I, J)
+
+
+def _kadd(f, g):
+    """f + g for raw K values."""
+    (F, i, j), (G, k, m) = f, g
+    I, J = max(i, k), max(j, m)
+    return F.shift(I - i, J - j) + G.shift(I - k, J - m), I, J
+
+
+def _kmul(f, g):
+    return f[0] * g[0], f[1] + g[1], f[2] + g[2]
+
+
+def _rscale(f, z):
+    """f z for a raw K value f and a raw L value z."""
+    return f[0] * z[0], f[0] * z[1], f[1] + z[2], f[2] + z[3]
+
+
+def _rconj(z):
+    return z[0] + z[1], z[1], z[2], z[3]
+
+
+def _rk(z):
+    """The raw K value of a raw L value with e-numerator 0; else None."""
+    return None if z[1] else (z[0], z[2], z[3])
 
 
 K_ZERO = KElem(Poly2.zero())
@@ -331,6 +379,10 @@ class LElem:
         """z + conj(z), always in K."""
         return self.c1
 
+    def polar(self, w: "LElem") -> KElem:
+        """tr(z conj(w)) = z0 w1 + z1 w0, the polar form of the norm."""
+        return self.c0 * w.c1 + self.c1 * w.c0
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, LElem)
                 and self.c0 == other.c0 and self.c1 == other.c1)
@@ -359,11 +411,9 @@ L_E = LElem(K_ZERO, K_ONE)
 
 def kscale(k: KElem, z: LElem) -> LElem:
     """Multiply an L element by a K scalar."""
-    zs = _shared(z)
-    if zs and k.den.is_monomial():
-        (a0, a1, i, j), (ki, kj) = zs, k.den.exponents()
-        return LElem(_over(k.num * a0, i + ki, j + kj),
-                     _over(k.num * a1, i + ki, j + kj))
+    ks, zs = _kraw(k), _shared(z)
+    if ks and zs:
+        return _lover(_rscale(ks, zs))
     return LElem(k * z.c0, k * z.c1)
 
 
@@ -415,8 +465,7 @@ class FieldInstance:
         self.alpha_inv = alpha.inv()
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
-        self._delta_over = ((delta.num, *delta.den.exponents())
-                            if delta.den.is_monomial() else None)
+        self._delta_over = _kraw(delta)
 
     # -- L arithmetic -------------------------------------------------------
 
@@ -430,11 +479,7 @@ class FieldInstance:
             return kscale(b0, z) if b0 else L_ZERO
         zs, ws = _shared(z), _shared(w)
         if zs and ws and self._delta_over:
-            # (A0 + A1)(B0 + B1) + P = A0 B1 + A1 B0 + A1 B1 (Karatsuba)
-            (A0, A1, i, j), (B0, B1, k, m) = zs, ws
-            p = A0 * B0
-            return LElem(self._plus_delta(p, A1 * B1, i + k, j + m),
-                         _over((A0 + A1) * (B0 + B1) + p, i + k, j + m))
+            return _lover(self._rmul(zs, ws))
         a1b1 = a1 * b1
         return LElem(a0 * b0 + a1b1 * self.delta,
                      a0 * b1 + a1 * b0 + a1b1)
@@ -443,8 +488,7 @@ class FieldInstance:
         """z * conj(z) = c0^2 + c0 c1 + delta c1^2, an element of K."""
         zs = _shared(z)
         if zs and self._delta_over:
-            A0, A1, i, j = zs
-            return self._plus_delta(A0 * (A0 + A1), A1.square(), 2 * i, 2 * j)
+            return _over(*self._rnorm(zs))
         return z.c0.square() + z.c0 * z.c1 + self.delta * z.c1.square()
 
     def linv(self, z: LElem) -> LElem:
@@ -456,19 +500,38 @@ class FieldInstance:
         return self.lmul(z, self.linv(w))
 
     def lsquare(self, z: LElem) -> LElem:
-        c1sq, zs = z.c1.square(), _shared(z)
+        zs = _shared(z)
         if zs and self._delta_over:
-            A0, A1, i, j = zs
-            c0 = self._plus_delta(A0.square(), A1.square(), 2 * i, 2 * j)
-        else:
-            c0 = z.c0.square() + self.delta * c1sq
-        return LElem(c0, c1sq)
+            return _lover(self._rsquare(zs))
+        c1sq = z.c1.square()
+        return LElem(z.c0.square() + self.delta * c1sq, c1sq)
 
-    def _plus_delta(self, p: Poly2, q: Poly2, i: int, j: int) -> KElem:
-        """(p + delta q) / (s^i t^j), with delta = D / (s^di t^dj) held
-        as _delta_over = (D, di, dj) (None for any other denominator)."""
+    # raw L arithmetic (module docstring); with delta = D / (s^di t^dj)
+    # a product's denominator takes s^di t^dj
+
+    def _rmul(self, z, w):
+        """(A0 + A1 e)(B0 + B1 e) = A0 B0 + delta A1 B1
+        + ((A0 + A1)(B0 + B1) + A0 B0) e."""
+        (A0, A1, i, j), (B0, B1, k, m) = z, w
         D, di, dj = self._delta_over
-        return _over(p.shift(di, dj) + D * q, i + di, j + dj)
+        p = A0 * B0
+        return (p.shift(di, dj) + D * (A1 * B1),
+                ((A0 + A1) * (B0 + B1) + p).shift(di, dj),
+                i + k + di, j + m + dj)
+
+    def _rsquare(self, z):
+        A0, A1, i, j = z
+        D, di, dj = self._delta_over
+        q = A1.square()
+        return (A0.square().shift(di, dj) + D * q, q.shift(di, dj),
+                2 * i + di, 2 * j + dj)
+
+    def _rnorm(self, z):
+        """The raw K value A0^2 + A0 A1 + delta A1^2."""
+        A0, A1, i, j = z
+        D, di, dj = self._delta_over
+        return ((A0 * (A0 + A1)).shift(di, dj) + D * A1.square(),
+                2 * i + di, 2 * j + dj)
 
     # -- the twist on L -------------------------------------------------------
 

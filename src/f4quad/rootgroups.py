@@ -20,7 +20,12 @@ Each UPlus keeps the COMM14_MEMO_SIZE most recently used non-trivial
 pair: a commutator and the Moufang set's multiplication ask for the
 same pair again and again, and coordinate equality is exact canonical
 equality, so a hit returns exactly what recomputation would.  The
-cache is thread-safe and stores no exception.
+cache is thread-safe and stores no exception.  A miss computes in one
+pass when every coordinate and instance constant has denominator 1 or
+s^i t^j: the formula runs on raw numerators over one monomial
+denominator (`fields`), with no gcd, and each of the 10 output
+coordinates is reduced once; otherwise it runs in K.  Either way the
+cross and mix terms must lie in K and the result passes check_r1/r2.
 
 A debug switch reroutes the [U2,U4] correction into U2 instead of U3
 (the untenable reading of relation (3)); under it no consistent
@@ -33,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import FieldInstance, KElem, LElem, kprime_member, kscale
+from .fields import (FieldInstance, KElem, LElem, _kadd, _kmul, _kraw, _lover,
+                     _over, _radd, _rconj, _rk, _rscale, _shared,
+                     kprime_member, kscale)
 
 
 class InternalConsistencyError(AssertionError):
@@ -109,6 +116,9 @@ class UPlus:
         # per instance: a class-level cache would key on self and keep
         # every UPlus alive
         self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
+        raw = [_kraw(k) for k in (inst.delta, inst.alpha, inst.beta,
+                                  inst.beta_sq, inst.beta_inv, inst.beta_sq_inv)]
+        self._raw_consts = raw[1:] if all(raw) else None
 
     # -- coordinate validation ------------------------------------------------
 
@@ -149,9 +159,7 @@ class UPlus:
         inst = self.inst
         if (p.x.is_zero() and p.y.is_zero()) or (q.x.is_zero() and q.y.is_zero()):
             return self.r2_zero
-        tx = inst.lmul(p.x, q.x.conj()).trace()
-        ty = inst.lmul(p.y, q.y.conj()).trace()
-        val = inst.alpha * (tx + inst.beta_sq * ty)
+        val = inst.alpha * (p.x.polar(q.x) + inst.beta_sq * p.y.polar(q.y))
         if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
         return R2Coord(LElem.zero(), LElem.zero(), val)
@@ -161,9 +169,7 @@ class UPlus:
         inst = self.inst
         if (p.u.is_zero() and p.v.is_zero()) or (q.u.is_zero() and q.v.is_zero()):
             return self.r1_zero
-        tu = inst.lmul(p.u, q.u.conj()).trace()
-        tv = inst.lmul(p.v, q.v.conj()).trace()
-        val = inst.beta_inv * (tu + inst.alpha * tv)
+        val = inst.beta_inv * (p.u.polar(q.u) + inst.alpha * p.v.polar(q.v))
         return R1Coord(LElem.zero(), LElem.zero(), val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
@@ -176,7 +182,51 @@ class UPlus:
         return self._comm14_cache(p, q)
 
     def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """comm14 computed, for p and q both nonzero."""
+        """comm14 computed, for p and q both nonzero: in one pass when
+        every coordinate and constant is over 1 or s^i t^j, else in K."""
+        raw = [_shared(z) for z in (p.x, p.y, q.u, q.v)] + [_kraw(p.b), _kraw(q.a)]
+        if self._raw_consts and all(raw):
+            w, z = self._comm14_one_pass(*raw)
+        else:
+            w, z = self._comm14_k(p, q)
+        return (self.check_r2(w, "(comm14 U2 part)"),
+                self.check_r1(z, "(comm14 U3 part)"))
+
+    def _comm14_one_pass(self, x, y, u, v, b, a):
+        """_comm14_k on raw values (fields module docstring): no gcd, and
+        one _over per output coordinate."""
+        mul, sq, norm = self.inst._rmul, self.inst._rsquare, self.inst._rnorm
+        add, sc, kadd, kmul = _radd, _rscale, _kadd, _kmul
+        alpha, beta, beta_sq, beta_inv, beta_sq_inv = self._raw_consts
+        xbar, ybar, ubar, vbar = _rconj(x), _rconj(y), _rconj(u), _rconj(v)
+        usq, vsq, ubarsq, vbarsq = sq(u), sq(v), sq(ubar), sq(vbar)
+        xy = mul(x, y)
+
+        w_u = add(sc(b, u), sc(alpha, add(mul(xbar, v), sc(beta, mul(y, vbar)))))
+        w_v = add(add(sc(b, v), mul(x, u)), sc(beta, mul(y, ubar)))
+        norm_term = kadd(norm(x), kmul(beta_sq, norm(y)))
+        cross = _rk(add(add(mul(usq, mul(x, ybar)), mul(ubarsq, mul(xbar, y))),
+                        sc(alpha, add(mul(vbarsq, xy), mul(vsq, _rconj(xy))))))
+        if cross is None:
+            raise InternalConsistencyError("comm14 U2 cross term left K")
+        w_a = kadd(kadd(kmul(kmul(b, b), a), kmul(kmul(a, alpha), norm_term)),
+                   kmul(alpha, cross))
+
+        z_x = add(add(sc(a, x), mul(ubarsq, y)), sc(alpha, mul(vsq, ybar)))
+        z_y = add(sc(a, y), sc(beta_sq_inv, add(mul(usq, x), sc(alpha, mul(vsq, xbar)))))
+        mix = _rk(add(add(sc(beta_inv, add(mul(x, mul(u, vbar)),
+                                           mul(xbar, mul(ubar, v)))),
+                          mul(y, mul(ubar, vbar))), mul(ybar, mul(u, v))))
+        if mix is None:
+            raise InternalConsistencyError("comm14 U3 mix term left K")
+        z_b = kadd(kadd(kmul(a, b), kmul(kmul(b, beta_inv),
+                                         kadd(norm(u), kmul(alpha, norm(v))))),
+                   kmul(alpha, mix))
+        return (R2Coord(_lover(w_u), _lover(w_v), _over(*w_a)),
+                R1Coord(_lover(z_x), _lover(z_y), _over(*z_b)))
+
+    def _comm14_k(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
+        """comm14 in K arithmetic, for any instance; not yet checked."""
         inst = self.inst
         x, y, b = p.x, p.y, p.b
         u, v, a = q.u, q.v, q.a
@@ -210,8 +260,7 @@ class UPlus:
             raise InternalConsistencyError("comm14 U3 mix term left K")
         z_b = a * b + b * inst.beta_inv * (n_u + alpha * n_v) + alpha * mix.c0
 
-        return (self.check_r2(R2Coord(w_u, w_v, w_a), "(comm14 U2 part)"),
-                self.check_r1(R1Coord(z_x, z_y, z_b), "(comm14 U3 part)"))
+        return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
 
     # -- group law -----------------------------------------------------------------
 

@@ -410,3 +410,13 @@ def test_l_fast_path_takes_no_gcd(monkeypatch):
     calls.clear()
     inst.lnorm(g)
     assert calls
+
+
+def test_polar_is_trace_of_product_with_conjugate():
+    # tr(z conj(w)) = z0 w1 + z1 w0 on fractional coordinates of every kind
+    rng = Rng(37)
+    for inst in _INSTANCES:
+        for _ in range(70):
+            z = LElem(_k_of_kind(rng, rng.below(4)), _k_of_kind(rng, rng.below(4)))
+            w = LElem(_k_of_kind(rng, rng.below(4)), _k_of_kind(rng, rng.below(4)))
+            assert z.polar(w) == inst.lmul(z, w.conj()).trace(), (z, w)

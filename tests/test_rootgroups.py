@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
-from f4quad.fields import KElem, LElem, default_instance
+from f4quad import fields
+from f4quad.fields import FieldInstance, KElem, LElem, default_instance
 from f4quad.moufang import MoufangSet
+from f4quad.polynomials import Poly2
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
@@ -303,3 +305,97 @@ def test_comm14_memo_under_threads(ms):
     assert not any(th.is_alive() for th in threads)
     assert not errors
     assert shared._comm14_cache.cache_info().currsize <= COMM14_MEMO_SIZE
+
+
+def _k(num, den=Poly2.one()):
+    return KElem(num, den)
+
+
+_S, _T, _1 = Poly2.s(), Poly2.t(), Poly2.one()
+# the irreducible factors of beta and alpha on ROADMAP item 1's candidate
+_FACTORS = (_S, _T, _S + _1, _T + _1)
+_COMM14_INSTANCES = {
+    "default": default_instance(),
+    # phi(e) = e + c needs delta = c + phi(c): c = 1/s gives (s + t)/(s t)
+    "delta-over-st": FieldInstance(delta=_k(_S + _T, _S * _T),
+                                   phi_e=LElem(_k(_1, _S), ONE),
+                                   beta=KElem.s(), alpha=KElem.t()),
+    # beta^-1 = 1 / (s (s + 1)): a constant over a non-monomial
+    "candidate": FieldInstance(delta=_k(_S.square() + _T),
+                               phi_e=LElem(KElem.t(), ONE),
+                               beta=_k(_S.square() + _S),
+                               alpha=_k(_T.square() + _T)),
+}
+
+
+def _comm14_inputs(group, seed, monomial):
+    """Valid nonzero comm14 arguments scaled by s, t, s + 1 and t + 1 in
+    numerators and denominators; with `monomial`, s + 1 and t + 1 only in
+    numerators.  x, y and a stay in K' (s and s + 1 enter squared)."""
+    ms = MoufangSet(Quadrangle(group))
+    rng = Rng(seed)
+
+    def factor(prime):
+        f = _FACTORS[rng.below(4)]
+        f = f.square() if prime and f in (_S, _S + _1) else f
+        on_top = rng.below(2) or (monomial and not f.is_monomial())
+        return _k(f) if on_top else _k(_1, f)
+
+    def scale(z, prime):
+        return fields.kscale(factor(prime) * factor(prime), z)
+
+    out = []
+    while len(out) < 12:
+        p, q = ms.sample_r1(rng, 2), ms.sample_r2(rng, 2)
+        p = R1Coord(scale(p.x, True), scale(p.y, True), p.b * factor(False))
+        q = R2Coord(scale(q.u, False), scale(q.v, False), q.a * factor(True))
+        if not (p.is_zero() or q.is_zero()):
+            out.append((p, q))
+    return out
+
+
+def _over_monomials(p, q):
+    return all(c.den.is_monomial()
+               for c in (p.x.c0, p.x.c1, p.y.c0, p.y.c1, p.b,
+                         q.u.c0, q.u.c1, q.v.c0, q.v.c1, q.a))
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_comm14_one_pass_matches_k_level(name, monkeypatch):
+    group = UPlus(_COMM14_INSTANCES[name])
+    k_level, taken = group._comm14_k, []
+    monkeypatch.setattr(group, "_comm14_k",
+                        lambda p, q: taken.append(p) or k_level(p, q))
+    general = 0
+    for monomial in (True, False):
+        for p, q in _comm14_inputs(group, 50 + monomial, monomial):
+            taken.clear()
+            assert group._comm14(p, q) == k_level(p, q), (p, q)
+            # the one-pass path needs every coordinate and every constant
+            # over 1 or s^i t^j; beta^-1 on the candidate is not
+            one_pass = name != "candidate" and _over_monomials(p, q)
+            assert len(taken) == (not one_pass), (p, q)
+            general += not _over_monomials(p, q)
+    assert general  # inputs over s + 1 or t + 1 were among them
+
+
+def test_comm14_one_pass_takes_no_gcd(monkeypatch):
+    gcds, forbidden = [], []
+
+    def counted(p, q, _gcd=fields.poly_gcd):
+        gcds.append((p, q))
+        return _gcd(p, q)
+
+    group = UPlus(default_instance())
+    pairs = _comm14_inputs(group, 52, True)
+    monkeypatch.setattr(fields, "poly_gcd", counted)
+    monkeypatch.setattr(FieldInstance, "lmul", lambda *a: forbidden.append(a))
+    monkeypatch.setattr(group, "_comm14_k", lambda *a: forbidden.append(a))
+    for p, q in pairs:
+        raw = [fields._shared(z) for z in (p.x, p.y, q.u, q.v)]
+        group._comm14_one_pass(*raw, fields._kraw(p.b), fields._kraw(q.a))
+    assert not gcds and not forbidden
+    # comm14 takes that path; only the L' check of its result adds in K
+    for p, q in pairs:
+        group.comm14(p, q)
+    assert not forbidden
