@@ -22,6 +22,12 @@ The two quaternary incidence relations, for instance, reduce to
 with w, m the point and line transversals, which is tested by
 re-collecting u4(c) u1(d) from the candidate's extreme components.
 
+Collinearity and projection invert relation (4) in one argument.  The
+solvers hold no copy of it: they evaluate `UPlus.relation4` at the
+basis (1,0), (e,0), (0,1), (0,e) of L x L, solve the 4x4 system over K
+exactly (`solve_linear_k`), and read the last slot off its additive
+(U2: c scales it by c^2) or linear (U3) dependence on the first two.
+
 Projections use the generalized-quadrangle axiom; the one family of
 configurations that would need the opposite root groups (both elements
 maximal, in general position after all available reductions) raises
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import KElem, LElem, kprime_member, kscale, phi_k, theta_k
+from .fields import (K_ONE, K_ZERO, L_E, L_ONE, L_ZERO, KElem, LElem,
+                     kprime_member, kscale, phi_k, theta_k)
 from .polynomials import Poly2, poly_divexact
 from .rootgroups import (InternalConsistencyError, R1Coord, R2Coord, UPlus,
                          UPlusElem)
@@ -339,65 +346,38 @@ class Quadrangle:
     # -- linear solvers over K ------------------------------------------------------------
 
     def _solve_comm14_u2(self, p: R1Coord, w: R2Coord):
-        """Find k with comm14(p, k) U2 part equal to w; None if impossible."""
-        inst = self.inst
-        x, y, b = p.x, p.y, p.b
-        xbar, ybar = x.conj(), y.conj()
-        mul = inst.lmul
+        """Find k with comm14(p, k) U2 part equal to w; None if impossible.
 
-        def themap(u: LElem, v: LElem) -> tuple[LElem, LElem]:
-            fu = kscale(b, u) + kscale(inst.alpha, mul(xbar, v)
-                                       + kscale(inst.beta, mul(y, v.conj())))
-            fv = kscale(b, v) + mul(x, u) + kscale(inst.beta, mul(y, u.conj()))
-            return fu, fv
-
-        sol = _solve_semilinear(themap, (w.u, w.v))
-        if sol is None:
+        At k = (u, v, a) that part is (M(u, v), a D + C(u, v)), with M
+        K-linear and C additive with C(c z) = c^2 C(z) (squaring is
+        additive in characteristic 2): relation (4) at the basis gives
+        M's columns and C there, and at (0, 0, 1) it gives D."""
+        g = self.group
+        ks = [g.relation4(p, R2Coord(u, v, K_ZERO))[0] for u, v in _L_BASIS]
+        sol = _solve_columns([(k.u, k.v) for k in ks], (w.u, w.v))
+        d = g.relation4(p, R2Coord(L_ZERO, L_ZERO, K_ONE))[0].a
+        if sol is None or d.is_zero():
             return None
-        u, v = sol
-        xy = mul(x, y)
-        cross = (mul(inst.lsquare(u), mul(x, ybar))
-                 + mul(inst.lsquare(u.conj()), mul(xbar, y))
-                 + kscale(inst.alpha, mul(inst.lsquare(v.conj()), xy)
-                          + mul(inst.lsquare(v), xy.conj())))
-        denom = b.square() + inst.alpha * (inst.lnorm(x) + inst.beta_sq * inst.lnorm(y))
-        if denom.is_zero():
-            return None
-        a = (w.a + inst.alpha * cross.c0) / denom
+        a = sum((c.square() * k.a for c, k in zip(sol, ks)), w.a) / d
         if not kprime_member(a):
             return None
-        return R2Coord(u, v, a)
+        return R2Coord(LElem(sol[0], sol[1]), LElem(sol[2], sol[3]), a)
 
     def _solve_comm14_u3(self, q: R2Coord, w: R1Coord):
-        """Find d with comm14(d, q) U3 part equal to w; None if impossible."""
-        inst = self.inst
-        u, v, a = q.u, q.v, q.a
-        ubar, vbar = u.conj(), v.conj()
-        mul = inst.lmul
-        usq, vsq = inst.lsquare(u), inst.lsquare(v)
-        ubarsq = inst.lsquare(ubar)
+        """Find d with comm14(d, q) U3 part equal to w; None if impossible.
 
-        def themap(x: LElem, y: LElem) -> tuple[LElem, LElem]:
-            fx = kscale(a, x) + mul(ubarsq, y) + kscale(inst.alpha,
-                                                        mul(vsq, y.conj()))
-            fy = kscale(a, y) + kscale(inst.beta_sq_inv,
-                                       mul(usq, x) + kscale(inst.alpha,
-                                                            mul(vsq, x.conj())))
-            return fx, fy
-
-        sol = _solve_semilinear(themap, (w.x, w.y))
-        if sol is None:
+        At d = (x, y, b) that part is (M(x, y), b D + C(x, y)) with M and
+        C K-linear, read off relation (4) as in _solve_comm14_u2."""
+        g = self.group
+        zs = [g.relation4(R1Coord(x, y, K_ZERO), q)[1] for x, y in _L_BASIS]
+        sol = _solve_columns([(z.x, z.y) for z in zs], (w.x, w.y))
+        d = g.relation4(R1Coord(L_ZERO, L_ZERO, K_ONE), q)[1].b
+        if sol is None or d.is_zero():
             return None
-        x, y = sol
-        if not (inst.lprime_member(x) and inst.lprime_member(y)):
+        x, y = LElem(sol[0], sol[1]), LElem(sol[2], sol[3])
+        if not (self.inst.lprime_member(x) and self.inst.lprime_member(y)):
             return None
-        mix = (kscale(inst.beta_inv, mul(x, mul(u, vbar)) + mul(x.conj(), mul(ubar, v)))
-               + mul(y, mul(ubar, vbar)) + mul(y.conj(), mul(u, v)))
-        denom = a + inst.beta_inv * (inst.lnorm(u) + inst.alpha * inst.lnorm(v))
-        if denom.is_zero():
-            return None
-        bd = (w.b + inst.alpha * mix.c0) / denom
-        return R1Coord(x, y, bd)
+        return R1Coord(x, y, sum((c * z.b for c, z in zip(sol, zs)), w.b) / d)
 
     # -- polarity ------------------------------------------------------------------------
 
@@ -473,26 +453,15 @@ class Quadrangle:
 # exact linear algebra over K
 # ----------------------------------------------------------------------
 
-_L_BASIS = ((LElem.one(), LElem.zero()), (LElem.e(), LElem.zero()),
-            (LElem.zero(), LElem.one()), (LElem.zero(), LElem.e()))
+_L_BASIS = ((L_ONE, L_ZERO), (L_E, L_ZERO), (L_ZERO, L_ONE), (L_ZERO, L_E))
 
 
-def _solve_semilinear(themap, rhs_pair):
-    """Solve a K-linear map L x L -> L x L given by evaluation.
-
-    The map is evaluated on the basis (1,0),(e,0),(0,1),(0,e) to build a
-    4x4 matrix over K, which is then eliminated exactly.
-    """
-    cols = []
-    for u, v in _L_BASIS:
-        fu, fv = themap(u, v)
-        cols.append([fu.c0, fu.c1, fv.c0, fv.c1])
-    matrix = [[cols[j][i] for j in range(4)] for i in range(4)]
-    rhs = [rhs_pair[0].c0, rhs_pair[0].c1, rhs_pair[1].c0, rhs_pair[1].c1]
-    sol = solve_linear_k(matrix, rhs)
-    if sol is None:
-        return None
-    return LElem(sol[0], sol[1]), LElem(sol[2], sol[3])
+def _solve_columns(cols, rhs):
+    """The coefficients c0..c3 with sum c_i cols_i = rhs for four columns
+    in L x L, read as K^4 in the basis (1, 0), (e, 0), (0, 1), (0, e);
+    None when the columns are dependent."""
+    flat = [[z.c0, z.c1, w.c0, w.c1] for z, w in (*cols, rhs)]
+    return solve_linear_k([list(row) for row in zip(*flat[:4])], flat[4])
 
 
 def solve_linear_k(matrix: list[list[KElem]], rhs: list[KElem]):

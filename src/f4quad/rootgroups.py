@@ -12,20 +12,21 @@ Commutator bookkeeping is pleasantly degenerate in characteristic 2:
 each root group is elementary abelian, so every root element is its own
 inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 
-Membership checks (L' and K' slots, the K-valued trace terms of
-relation (4)) are always on and raise InternalConsistencyError.
+Relation (4) is written once, in `_relation4`, over operations and
+constants passed in; `UPlus.relation4` evaluates it unchecked, in one
+pass on raw numerators over one monomial denominator (`fields`, no gcd,
+one reduction per output coordinate) when every coordinate and constant
+is over 1 or s^i t^j, else in K.  The quadrangle's solvers evaluate it.
 
-Each UPlus keeps the COMM14_MEMO_SIZE most recently used non-trivial
-[U1,U4] corrections in a `functools.lru_cache`, keyed by the input
-pair: a commutator and the Moufang set's multiplication ask for the
-same pair again and again, and coordinate equality is exact canonical
-equality, so a hit returns exactly what recomputation would.  The
-cache is thread-safe and stores no exception.  A miss computes in one
-pass when every coordinate and instance constant has denominator 1 or
-s^i t^j: the formula runs on raw numerators over one monomial
-denominator (`fields`), with no gcd, and each of the 10 output
-coordinates is reduced once; otherwise it runs in K.  Either way the
-cross and mix terms must lie in K and the result passes check_r1/r2.
+Membership checks (L' and K' slots, the K-valued trace terms of
+relation (4)) are always on and raise InternalConsistencyError;
+`comm14` is `relation4` followed by check_r1/r2.  Each UPlus keeps the
+COMM14_MEMO_SIZE most recently used non-trivial [U1,U4] corrections in
+a `functools.lru_cache`, keyed by the input pair: a commutator and the
+Moufang set's multiplication ask for the same pair again and again,
+and coordinate equality is exact canonical equality, so a hit returns
+exactly what recomputation would.  The cache is thread-safe and stores
+no exception.
 
 A debug switch reroutes the [U2,U4] correction into U2 instead of U3
 (the untenable reading of relation (3)); under it no consistent
@@ -35,6 +36,7 @@ demonstrably fails.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +102,40 @@ class UPlusElem:
 COMM14_MEMO_SIZE = 32
 
 
+def _relation4(ops, consts, x, y, u, v, b, a):
+    """Relation (4): the [U1,U4] correction of p = (x, y, b), q = (u, v, a)
+    is (w_u, w_v, w_a) in U2 and (z_x, z_y, z_b) in U3.  `ops`: L product,
+    square, norm and sum, K-by-L scale, K sum and product, conjugation,
+    and the K value of an L value of trace 0 (else None); `consts`:
+    alpha, beta, beta^2, beta^-1, beta^-2.  cross and mix are traces, so
+    they lie in K for any L inputs."""
+    mul, sq, norm, add, sc, kadd, kmul, conj, tok = ops
+    alpha, beta, beta_sq, beta_inv, beta_sq_inv = consts
+    xbar, ybar, ubar, vbar = conj(x), conj(y), conj(u), conj(v)
+    usq, vsq, ubarsq, vbarsq = sq(u), sq(v), sq(ubar), sq(vbar)
+    xy = mul(x, y)
+
+    w_u = add(sc(b, u), sc(alpha, add(mul(xbar, v), sc(beta, mul(y, vbar)))))
+    w_v = add(add(sc(b, v), mul(x, u)), sc(beta, mul(y, ubar)))
+    cross = tok(add(add(mul(usq, mul(x, ybar)), mul(ubarsq, mul(xbar, y))),
+                    sc(alpha, add(mul(vbarsq, xy), mul(vsq, conj(xy))))))
+    if cross is None:
+        raise InternalConsistencyError("comm14 U2 cross term left K")
+    d2 = kadd(kmul(b, b), kmul(alpha, kadd(norm(x), kmul(beta_sq, norm(y)))))
+    w_a = kadd(kmul(a, d2), kmul(alpha, cross))
+
+    z_x = add(add(sc(a, x), mul(ubarsq, y)), sc(alpha, mul(vsq, ybar)))
+    z_y = add(sc(a, y), sc(beta_sq_inv, add(mul(usq, x), sc(alpha, mul(vsq, xbar)))))
+    mix = tok(add(add(sc(beta_inv, add(mul(x, mul(u, vbar)),
+                                       mul(xbar, mul(ubar, v)))),
+                      mul(y, mul(ubar, vbar))), mul(ybar, mul(u, v))))
+    if mix is None:
+        raise InternalConsistencyError("comm14 U3 mix term left K")
+    d3 = kadd(a, kmul(beta_inv, kadd(norm(u), kmul(alpha, norm(v)))))
+    z_b = kadd(kmul(b, d3), kmul(alpha, mix))
+    return w_u, w_v, w_a, z_x, z_y, z_b
+
+
 class UPlus:
     """The unipotent group attached to a field instance."""
 
@@ -116,9 +152,16 @@ class UPlus:
         # per instance: a class-level cache would key on self and keep
         # every UPlus alive
         self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
-        raw = [_kraw(k) for k in (inst.delta, inst.alpha, inst.beta,
-                                  inst.beta_sq, inst.beta_inv, inst.beta_sq_inv)]
+        # relation (4) in two arithmetics: _relation4's ops and constants
+        self._k_consts = (inst.alpha, inst.beta, inst.beta_sq, inst.beta_inv,
+                          inst.beta_sq_inv)
+        self._k_ops = (inst.lmul, inst.lsquare, inst.lnorm, operator.add,
+                       kscale, operator.add, operator.mul, LElem.conj,
+                       lambda z: None if z.trace() else z.c0)
+        raw = [_kraw(k) for k in (inst.delta, *self._k_consts)]
         self._raw_consts = raw[1:] if all(raw) else None
+        self._raw_ops = (inst._rmul, inst._rsquare, inst._rnorm, _radd,
+                         _rscale, _kadd, _kmul, _rconj, _rk)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -181,85 +224,32 @@ class UPlus:
             return self.r2_zero, self.r1_zero
         return self._comm14_cache(p, q)
 
-    def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """comm14 computed, for p and q both nonzero: in one pass when
-        every coordinate and constant is over 1 or s^i t^j, else in K."""
+    def relation4(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
+        """Relation (4) at any p and q, unchecked: in one pass when every
+        coordinate and constant is over 1 or s^i t^j, else in K."""
         raw = [_shared(z) for z in (p.x, p.y, q.u, q.v)] + [_kraw(p.b), _kraw(q.a)]
         if self._raw_consts and all(raw):
-            w, z = self._comm14_one_pass(*raw)
-        else:
-            w, z = self._comm14_k(p, q)
+            return self._comm14_one_pass(*raw)
+        return self._comm14_k(p, q)
+
+    def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
+        """comm14 computed and checked, for p and q both nonzero."""
+        w, z = self.relation4(p, q)
         return (self.check_r2(w, "(comm14 U2 part)"),
                 self.check_r1(z, "(comm14 U3 part)"))
 
     def _comm14_one_pass(self, x, y, u, v, b, a):
-        """_comm14_k on raw values (fields module docstring): no gcd, and
+        """_relation4 on raw values (fields module docstring): no gcd, and
         one _over per output coordinate."""
-        mul, sq, norm = self.inst._rmul, self.inst._rsquare, self.inst._rnorm
-        add, sc, kadd, kmul = _radd, _rscale, _kadd, _kmul
-        alpha, beta, beta_sq, beta_inv, beta_sq_inv = self._raw_consts
-        xbar, ybar, ubar, vbar = _rconj(x), _rconj(y), _rconj(u), _rconj(v)
-        usq, vsq, ubarsq, vbarsq = sq(u), sq(v), sq(ubar), sq(vbar)
-        xy = mul(x, y)
-
-        w_u = add(sc(b, u), sc(alpha, add(mul(xbar, v), sc(beta, mul(y, vbar)))))
-        w_v = add(add(sc(b, v), mul(x, u)), sc(beta, mul(y, ubar)))
-        norm_term = kadd(norm(x), kmul(beta_sq, norm(y)))
-        cross = _rk(add(add(mul(usq, mul(x, ybar)), mul(ubarsq, mul(xbar, y))),
-                        sc(alpha, add(mul(vbarsq, xy), mul(vsq, _rconj(xy))))))
-        if cross is None:
-            raise InternalConsistencyError("comm14 U2 cross term left K")
-        w_a = kadd(kadd(kmul(kmul(b, b), a), kmul(kmul(a, alpha), norm_term)),
-                   kmul(alpha, cross))
-
-        z_x = add(add(sc(a, x), mul(ubarsq, y)), sc(alpha, mul(vsq, ybar)))
-        z_y = add(sc(a, y), sc(beta_sq_inv, add(mul(usq, x), sc(alpha, mul(vsq, xbar)))))
-        mix = _rk(add(add(sc(beta_inv, add(mul(x, mul(u, vbar)),
-                                           mul(xbar, mul(ubar, v)))),
-                          mul(y, mul(ubar, vbar))), mul(ybar, mul(u, v))))
-        if mix is None:
-            raise InternalConsistencyError("comm14 U3 mix term left K")
-        z_b = kadd(kadd(kmul(a, b), kmul(kmul(b, beta_inv),
-                                         kadd(norm(u), kmul(alpha, norm(v))))),
-                   kmul(alpha, mix))
+        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
+            self._raw_ops, self._raw_consts, x, y, u, v, b, a)
         return (R2Coord(_lover(w_u), _lover(w_v), _over(*w_a)),
                 R1Coord(_lover(z_x), _lover(z_y), _over(*z_b)))
 
     def _comm14_k(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """comm14 in K arithmetic, for any instance; not yet checked."""
-        inst = self.inst
-        x, y, b = p.x, p.y, p.b
-        u, v, a = q.u, q.v, q.a
-        xbar, ybar = x.conj(), y.conj()
-        ubar, vbar = u.conj(), v.conj()
-        mul = inst.lmul
-        alpha, beta = inst.alpha, inst.beta
-        usq = inst.lsquare(u)
-        vsq = inst.lsquare(v)
-        ubarsq = inst.lsquare(ubar)
-        vbarsq = inst.lsquare(vbar)
-        xy = mul(x, y)
-
-        w_u = kscale(b, u) + kscale(alpha, mul(xbar, v) + kscale(beta, mul(y, vbar)))
-        w_v = kscale(b, v) + mul(x, u) + kscale(beta, mul(y, ubar))
-        norm_term = inst.lnorm(x) + inst.beta_sq * inst.lnorm(y)
-        cross = (mul(usq, mul(x, ybar)) + mul(ubarsq, mul(xbar, y))
-                 + kscale(alpha, mul(vbarsq, xy) + mul(vsq, xy.conj())))
-        if not cross.trace().is_zero():
-            raise InternalConsistencyError("comm14 U2 cross term left K")
-        w_a = b.square() * a + a * alpha * norm_term + alpha * cross.c0
-
-        z_x = kscale(a, x) + mul(ubarsq, y) + kscale(alpha, mul(vsq, ybar))
-        z_y = kscale(a, y) + kscale(inst.beta_sq_inv,
-                                    mul(usq, x) + kscale(alpha, mul(vsq, xbar)))
-        n_u = inst.lnorm(u)
-        n_v = inst.lnorm(v)
-        mix = (kscale(inst.beta_inv, mul(x, mul(u, vbar)) + mul(xbar, mul(ubar, v)))
-               + mul(y, mul(ubar, vbar)) + mul(ybar, mul(u, v)))
-        if not mix.trace().is_zero():
-            raise InternalConsistencyError("comm14 U3 mix term left K")
-        z_b = a * b + b * inst.beta_inv * (n_u + alpha * n_v) + alpha * mix.c0
-
+        """_relation4 in K arithmetic, for any instance."""
+        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
+            self._k_ops, self._k_consts, p.x, p.y, q.u, q.v, p.b, q.a)
         return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
 
     # -- group law -----------------------------------------------------------------

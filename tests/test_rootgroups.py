@@ -1,11 +1,13 @@
 """Root group coordinates, commutator maps and the collected group law."""
 
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from f4quad import fields
+from f4quad import fields, quadrangle
 from f4quad.fields import FieldInstance, KElem, LElem, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.polynomials import Poly2
@@ -399,3 +401,50 @@ def test_comm14_one_pass_takes_no_gcd(monkeypatch):
     for p, q in pairs:
         group.comm14(p, q)
     assert not forbidden
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_solvers_invert_comm14(name):
+    group = UPlus(_COMM14_INSTANCES[name])
+    quad = Quadrangle(group)
+    shift = R2Coord(LZ, LZ, KElem.s())  # s / D lies outside K'
+    for monomial in (True, False):
+        for p, k in _comm14_inputs(group, 60 + monomial, monomial):
+            w, z = group.comm14(p, k)
+            assert quad._solve_comm14_u2(p, w) == k, (p, k)
+            assert quad._solve_comm14_u3(k, z) == p, (p, k)
+            assert quad._solve_comm14_u2(p, w + shift) is None, (p, k)
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_relation4_slots_the_solvers_read(name):
+    # the U2 a-slot at (u, v, 0) is additive and takes c to c^2, the U3
+    # b-slot at (x, y, 0) is K-linear
+    group = UPlus(_COMM14_INSTANCES[name])
+    rel = group.relation4
+    pairs = _comm14_inputs(group, 62, True) + _comm14_inputs(group, 63, False)
+    for (p, q), (p2, q2) in zip(pairs, pairs[1:]):
+        c = p2.b
+        u2 = lambda u, v: rel(p, R2Coord(u, v, ZERO))[0].a
+        u3 = lambda x, y: rel(R1Coord(x, y, ZERO), q)[1].b
+        assert u2(q.u + q2.u, q.v + q2.v) == u2(q.u, q.v) + u2(q2.u, q2.v)
+        assert (u2(fields.kscale(c, q.u), fields.kscale(c, q.v))
+                == c.square() * u2(q.u, q.v))
+        assert u3(p.x + p2.x, p.y + p2.y) == u3(p.x, p.y) + u3(p2.x, p2.y)
+        assert u3(fields.kscale(c, p.x), fields.kscale(c, p.y)) == c * u3(p.x, p.y)
+    # cross and mix are traces, in K for any L inputs, also outside L'
+    ls = LElem.from_k(KElem.s())
+    assert not group.inst.lprime_member(ls)
+    for p, q in pairs:
+        rel(R1Coord(LE, ls, ONE), q)
+        rel(p, R2Coord(ls, LE, KElem.s()))
+
+
+def test_quadrangle_does_not_transcribe_relation4():
+    # the solvers evaluate relation (4) through UPlus.relation4; an L
+    # product in quadrangle.py would be a second copy of the formula
+    hits = [f"{n}: {line.strip()}"
+            for n, line in enumerate(Path(quadrangle.__file__).read_text()
+                                     .splitlines(), 1)
+            if re.search(r"\bl(mul|square|norm)\b", line)]
+    assert not hits, hits
