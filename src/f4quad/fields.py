@@ -10,13 +10,13 @@ are pairs c0 + c1*e.  Conjugation sends e -> e + 1.  An instance fixes
 delta, the image phi(e), and the pair (beta, alpha = phi(beta)) that
 parametrises the anisotropic forms.  L' is the subfield generated by
 the squares of L together with K', equivalently the image phi(L).
-Over denominators 1 or s^i t^j (delta's too) L arithmetic takes no gcd:
-`_shared` lifts z to a raw (A0, A1, i, j) = (A0 + A1 e) / (s^i t^j), and
-`_kraw` a K value to (N, i, j); raw sums shift to the larger exponents,
-a raw product is three products (Karatsuba) and one by delta's
-numerator, and `_over` reduces once per coordinate with
-`Poly2.cancel_monomial`.  `lmul`, `lnorm`, `lsquare` and `kscale` are a
-raw helper, then `_over`; other inputs use K arithmetic.
+L arithmetic runs on raw values (A0, A1, i, j, g) = (A0 + A1 e) /
+(s^i t^j g), g free of s and t and the shared Poly2 one for a monomial
+denominator (`_shared`; a K value has A1 = 0, `_kraw`).  A sum meets at
+the larger exponents and at lcm(g, h), a gcd only when g != h; a product
+adds exponents and multiplies g parts (in L: three products and one by
+delta).  `_over` reduces once per coordinate, by a monomial cancel when
+g is one.  `lmul`, `lnorm`, `lsquare`, `kscale`: a raw op, then `_over`.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -212,68 +212,86 @@ def _trusted_k(num: Poly2, den: Poly2) -> KElem:
     return out
 
 
-def _over(num: Poly2, i: int, j: int) -> KElem:
-    """num / (s^i t^j), reduced by the monomial cancel: no gcd."""
-    return _trusted_k(*num.cancel_monomial(i, j)) if num else K_ZERO
+def _over(z, k: int = 0) -> KElem:
+    """Numerator k of the raw z over its denominator, reduced: by the
+    monomial cancel (no gcd) when g is the shared one, else by _cancel."""
+    num, g = z[k], z[4]
+    if not num:
+        return K_ZERO
+    if g is _P1:
+        return _trusted_k(*num.cancel_monomial(z[2], z[3]))
+    return _trusted_k(*_cancel(num, g.shift(z[2], z[3])))
 
 
 def _lover(z) -> "LElem":
-    """The L value of a raw (A0, A1, i, j), reduced by _over."""
-    return LElem(_over(z[0], z[2], z[3]), _over(z[1], z[2], z[3]))
+    return LElem(_over(z), _over(z, 1))
 
 
 def _kraw(k: KElem):
-    """(N, i, j) with k = N / (s^i t^j), when k's denominator is 1 or a
-    monomial; else None."""
-    return (k.num, *k.den.exponents()) if k.den.is_monomial() else None
+    """(N, 0, i, j, g) with k = N / (s^i t^j g) and g free of s and t; g
+    is the shared one when k's denominator is 1 or a monomial."""
+    d = k.den
+    if d.is_monomial():
+        return k.num, _P0, *d.exponents(), _P1
+    i, j = d.val_s(), d.val_t()
+    return k.num, _P0, i, j, poly_divexact(d, Poly2.monomial(i, j))
 
 
 def _shared(z: "LElem"):
-    """(A0, A1, i, j) with z = (A0 + A1 e) / (s^i t^j), i and j least,
-    when both denominators of z are 1 or monomials; else None."""
+    """(A0, A1, i, j, g) with z = (A0 + A1 e) / (s^i t^j g)."""
     (n0, d0), (n1, d1) = (z.c0.num, z.c0.den), (z.c1.num, z.c1.den)
     if not (d0.is_monomial() and d1.is_monomial()):
-        return None
+        (n0, _, i, j, g), (n1, _, k, m, h) = _kraw(z.c0), _kraw(z.c1)
+        return _radd((n0, _P0, i, j, g), (_P0, n1, k, m, h))
     if d0 == d1:
-        return (n0, n1, *d0.exponents())
-    (i0, j0), (i1, j1) = d0.exponents(), d1.exponents()
-    i, j = max(i0, i1), max(j0, j1)
-    return n0.shift(i - i0, j - j0), n1.shift(i - i1, j - j1), i, j
+        return n0, n1, *d0.exponents(), _P1
+    (i, j), (k, m) = d0.exponents(), d1.exponents()
+    I, J = max(i, k), max(j, m)
+    return n0.shift(I - i, J - j), n1.shift(I - k, J - m), I, J, _P1
+
+
+def _gmul(g: Poly2, h: Poly2) -> Poly2:
+    return h if g is _P1 else g if h is _P1 else g * h
+
+
+def _lcm(g: Poly2, h: Poly2):
+    """(l, l / g, l / h) for l = lcm(g, h)."""
+    if g == h:
+        return g, _P1, _P1
+    c = poly_gcd(g, h)
+    hc = poly_divexact(h, c)
+    return g * hc, hc, poly_divexact(g, c)
 
 
 def _radd(z, w):
-    """z + w for raw L values: both shifted to the larger exponents."""
-    (A0, A1, i, j), (B0, B1, k, m) = z, w
+    """z + w for raw values: both met at the larger exponents and at the
+    lcm of their g parts."""
+    (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
     I, J = max(i, k), max(j, m)
+    if g is not h:
+        g, cz, cw = _lcm(g, h)
+        A0, A1, B0, B1 = cz * A0, cz * A1, cw * B0, cw * B1
     return (A0.shift(I - i, J - j) + B0.shift(I - k, J - m),
-            A1.shift(I - i, J - j) + B1.shift(I - k, J - m), I, J)
-
-
-def _kadd(f, g):
-    """f + g for raw K values."""
-    (F, i, j), (G, k, m) = f, g
-    I, J = max(i, k), max(j, m)
-    return F.shift(I - i, J - j) + G.shift(I - k, J - m), I, J
-
-
-def _kmul(f, g):
-    return f[0] * g[0], f[1] + g[1], f[2] + g[2]
+            A1.shift(I - i, J - j) + B1.shift(I - k, J - m), I, J, g)
 
 
 def _rscale(f, z):
-    """f z for a raw K value f and a raw L value z."""
-    return f[0] * z[0], f[0] * z[1], f[1] + z[2], f[2] + z[3]
+    """f z for a raw K value f and a raw value z."""
+    F = f[0]
+    return F * z[0], F * z[1], f[2] + z[2], f[3] + z[3], _gmul(f[4], z[4])
 
 
 def _rconj(z):
-    return z[0] + z[1], z[1], z[2], z[3]
+    return z[0] + z[1], z[1], z[2], z[3], z[4]
 
 
 def _rk(z):
-    """The raw K value of a raw L value with e-numerator 0; else None."""
-    return None if z[1] else (z[0], z[2], z[3])
+    """z itself when its e-numerator is 0 (a raw K value); else None."""
+    return None if z[1] else z
 
 
+_P0 = Poly2.zero()
+_P1 = Poly2.one()
 K_ZERO = KElem(Poly2.zero())
 K_ONE = KElem(Poly2.one())
 K_S = KElem(Poly2.s())
@@ -411,10 +429,7 @@ L_E = LElem(K_ZERO, K_ONE)
 
 def kscale(k: KElem, z: LElem) -> LElem:
     """Multiply an L element by a K scalar."""
-    ks, zs = _kraw(k), _shared(z)
-    if ks and zs:
-        return _lover(_rscale(ks, zs))
-    return LElem(k * z.c0, k * z.c1)
+    return _lover(_rscale(_kraw(k), _shared(z)))
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +480,9 @@ class FieldInstance:
         self.alpha_inv = alpha.inv()
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
-        self._delta_over = _kraw(delta)
+        # delta = D / d with d = s^di t^dj dg; d is the shared one if 1
+        self._delta_raw = (delta.num, _P1 if delta.den.is_one() else delta.den,
+                           *_kraw(delta)[2:])
 
     # -- L arithmetic -------------------------------------------------------
 
@@ -477,19 +494,11 @@ class FieldInstance:
             return kscale(a0, w) if a0 else L_ZERO
         if b1.is_zero():
             return kscale(b0, z) if b0 else L_ZERO
-        zs, ws = _shared(z), _shared(w)
-        if zs and ws and self._delta_over:
-            return _lover(self._rmul(zs, ws))
-        a1b1 = a1 * b1
-        return LElem(a0 * b0 + a1b1 * self.delta,
-                     a0 * b1 + a1 * b0 + a1b1)
+        return _lover(self._rmul(_shared(z), _shared(w)))
 
     def lnorm(self, z: LElem) -> KElem:
         """z * conj(z) = c0^2 + c0 c1 + delta c1^2, an element of K."""
-        zs = _shared(z)
-        if zs and self._delta_over:
-            return _over(*self._rnorm(zs))
-        return z.c0.square() + z.c0 * z.c1 + self.delta * z.c1.square()
+        return _over(self._rnorm(_shared(z)))
 
     def linv(self, z: LElem) -> LElem:
         if z.is_zero():
@@ -500,38 +509,34 @@ class FieldInstance:
         return self.lmul(z, self.linv(w))
 
     def lsquare(self, z: LElem) -> LElem:
-        zs = _shared(z)
-        if zs and self._delta_over:
-            return _lover(self._rsquare(zs))
-        c1sq = z.c1.square()
-        return LElem(z.c0.square() + self.delta * c1sq, c1sq)
+        return _lover(self._rsquare(_shared(z)))
 
-    # raw L arithmetic (module docstring); with delta = D / (s^di t^dj)
-    # a product's denominator takes s^di t^dj
+    # raw L arithmetic (module docstring): a product's numerators take d,
+    # its denominator di, dj and dg
 
     def _rmul(self, z, w):
         """(A0 + A1 e)(B0 + B1 e) = A0 B0 + delta A1 B1
         + ((A0 + A1)(B0 + B1) + A0 B0) e."""
-        (A0, A1, i, j), (B0, B1, k, m) = z, w
-        D, di, dj = self._delta_over
+        (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
+        D, d, di, dj, dg = self._delta_raw
         p = A0 * B0
-        return (p.shift(di, dj) + D * (A1 * B1),
-                ((A0 + A1) * (B0 + B1) + p).shift(di, dj),
-                i + k + di, j + m + dj)
+        return (_gmul(d, p) + D * (A1 * B1),
+                _gmul(d, (A0 + A1) * (B0 + B1) + p),
+                i + k + di, j + m + dj, _gmul(_gmul(g, h), dg))
 
     def _rsquare(self, z):
-        A0, A1, i, j = z
-        D, di, dj = self._delta_over
+        A0, A1, i, j, g = z
+        D, d, di, dj, dg = self._delta_raw
         q = A1.square()
-        return (A0.square().shift(di, dj) + D * q, q.shift(di, dj),
-                2 * i + di, 2 * j + dj)
+        return (_gmul(d, A0.square()) + D * q, _gmul(d, q),
+                2 * i + di, 2 * j + dj, _gmul(_gmul(g, g), dg))
 
     def _rnorm(self, z):
         """The raw K value A0^2 + A0 A1 + delta A1^2."""
-        A0, A1, i, j = z
-        D, di, dj = self._delta_over
-        return ((A0 * (A0 + A1)).shift(di, dj) + D * A1.square(),
-                2 * i + di, 2 * j + dj)
+        A0, A1, i, j, g = z
+        D, d, di, dj, dg = self._delta_raw
+        return (_gmul(d, A0 * (A0 + A1)) + D * A1.square(), _P0,
+                2 * i + di, 2 * j + dj, _gmul(_gmul(g, g), dg))
 
     # -- the twist on L -------------------------------------------------------
 

@@ -14,9 +14,9 @@ inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 
 Relation (4) is written once, in `_relation4`, over operations and
 constants passed in; `UPlus.relation4` evaluates it unchecked, in one
-pass on raw numerators over one monomial denominator (`fields`, no gcd,
-one reduction per output coordinate) when every coordinate and constant
-is over 1 or s^i t^j, else in K.  The quadrangle's solvers evaluate it.
+pass on the raw values of `fields` (one reduction per output coordinate,
+no gcd when every denominator is 1 or s^i t^j), for any instance.  The
+quadrangle's solvers evaluate it.
 
 Membership checks (L' and K' slots, the K-valued trace terms of
 relation (4)) are always on and raise InternalConsistencyError;
@@ -36,13 +36,11 @@ demonstrably fails.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import (FieldInstance, KElem, LElem, _kadd, _kmul, _kraw, _lover,
-                     _over, _radd, _rconj, _rk, _rscale, _shared,
-                     kprime_member, kscale)
+from .fields import (FieldInstance, KElem, LElem, _kraw, _lover, _over,
+                     _radd, _rconj, _rk, _rscale, _shared, kprime_member)
 
 
 class InternalConsistencyError(AssertionError):
@@ -152,16 +150,11 @@ class UPlus:
         # per instance: a class-level cache would key on self and keep
         # every UPlus alive
         self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
-        # relation (4) in two arithmetics: _relation4's ops and constants
-        self._k_consts = (inst.alpha, inst.beta, inst.beta_sq, inst.beta_inv,
-                          inst.beta_sq_inv)
-        self._k_ops = (inst.lmul, inst.lsquare, inst.lnorm, operator.add,
-                       kscale, operator.add, operator.mul, LElem.conj,
-                       lambda z: None if z.trace() else z.c0)
-        raw = [_kraw(k) for k in (inst.delta, *self._k_consts)]
-        self._raw_consts = raw[1:] if all(raw) else None
+        # _relation4's raw ops and constants; a K sum is _radd, a K product _rscale
+        self._raw_consts = [_kraw(k) for k in (inst.alpha, inst.beta, inst.beta_sq,
+                                               inst.beta_inv, inst.beta_sq_inv)]
         self._raw_ops = (inst._rmul, inst._rsquare, inst._rnorm, _radd,
-                         _rscale, _kadd, _kmul, _rconj, _rk)
+                         _rscale, _radd, _rscale, _rconj, _rk)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -225,32 +218,19 @@ class UPlus:
         return self._comm14_cache(p, q)
 
     def relation4(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """Relation (4) at any p and q, unchecked: in one pass when every
-        coordinate and constant is over 1 or s^i t^j, else in K."""
-        raw = [_shared(z) for z in (p.x, p.y, q.u, q.v)] + [_kraw(p.b), _kraw(q.a)]
-        if self._raw_consts and all(raw):
-            return self._comm14_one_pass(*raw)
-        return self._comm14_k(p, q)
+        """Relation (4) at any p and q, unchecked: `_relation4` on the raw
+        values of `fields`, one _over per output coordinate."""
+        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
+            self._raw_ops, self._raw_consts, _shared(p.x), _shared(p.y),
+            _shared(q.u), _shared(q.v), _kraw(p.b), _kraw(q.a))
+        return (R2Coord(_lover(w_u), _lover(w_v), _over(w_a)),
+                R1Coord(_lover(z_x), _lover(z_y), _over(z_b)))
 
     def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """comm14 computed and checked, for p and q both nonzero."""
         w, z = self.relation4(p, q)
         return (self.check_r2(w, "(comm14 U2 part)"),
                 self.check_r1(z, "(comm14 U3 part)"))
-
-    def _comm14_one_pass(self, x, y, u, v, b, a):
-        """_relation4 on raw values (fields module docstring): no gcd, and
-        one _over per output coordinate."""
-        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
-            self._raw_ops, self._raw_consts, x, y, u, v, b, a)
-        return (R2Coord(_lover(w_u), _lover(w_v), _over(*w_a)),
-                R1Coord(_lover(z_x), _lover(z_y), _over(*z_b)))
-
-    def _comm14_k(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """_relation4 in K arithmetic, for any instance."""
-        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
-            self._k_ops, self._k_consts, p.x, p.y, q.u, q.v, p.b, q.a)
-        return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
 
     # -- group law -----------------------------------------------------------------
 

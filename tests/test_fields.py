@@ -272,8 +272,7 @@ def test_artin_schreier_root_detected():
 
 
 def test_kscale():
-    # sample_k reaches the shared-denominator branch, sample_k_general
-    # the K formula
+    # sample_k gives monomial denominators, sample_k_general others
     rng = Rng(13)
     for sample in (sample_k, sample_k_general):
         for _ in range(40):
@@ -356,7 +355,7 @@ def _l_values(rng):
 
 _INSTANCES = (
     default_instance(),
-    # delta over a monomial and over a non-monomial (the K-level fallback)
+    # delta over a monomial and over a non-monomial
     FieldInstance(delta=KElem(Poly2.s() + Poly2.t().square(), Poly2.s()),
                   phi_e=LElem(S, ONE), beta=S, alpha=T),
     FieldInstance(delta=KElem(Poly2.t(), Poly2.s() + Poly2.one()),
@@ -367,7 +366,7 @@ _INSTANCES = (
 @pytest.mark.parametrize("inst", _INSTANCES, ids=("default", "delta-over-s",
                                                   "delta-over-s+1"))
 def test_l_ops_match_k_formula(inst):
-    # the shared-denominator paths against the formulas in K, written out
+    # the raw arithmetic against the formulas in K, written out
     rng = Rng(29)
     d = inst.delta
     zs, ws = _l_values(rng), _l_values(rng)
@@ -403,7 +402,8 @@ def test_l_fast_path_takes_no_gcd(monkeypatch):
         inst.lsquare(w)
         kscale(w.c0, z)
     assert not calls
-    # a general denominator still takes the K-level path and its gcds
+    # a general denominator reaches the gcd through the lcm of two
+    # different g parts and through _over's _cancel
     g = LElem(_k_of_kind(rng, 3), _k_of_kind(rng, 3))
     inst.lmul(g, LElem(ONE, S))
     assert calls
@@ -420,3 +420,44 @@ def test_polar_is_trace_of_product_with_conjugate():
             z = LElem(_k_of_kind(rng, rng.below(4)), _k_of_kind(rng, rng.below(4)))
             w = LElem(_k_of_kind(rng, rng.below(4)), _k_of_kind(rng, rng.below(4)))
             assert z.polar(w) == inst.lmul(z, w.conj()).trace(), (z, w)
+
+
+def test_raw_sums_and_products_over_g():
+    # g parts with a repeated factor, (s + 1)^2 against (s + 1)(t + 1), and
+    # (t + 1)^3 against 1, each with monomial parts; numerators share
+    # factors with them, so _over has something to cancel
+    s1, t1 = Poly2.s() + Poly2.one(), Poly2.t() + Poly2.one()
+    rng = Rng(43)
+    inst = _INSTANCES[2]  # delta over s + 1
+
+    def raw(g, i, j, kval):
+        num = [sample_poly_nonzero(rng, 2, 3) * (s1, t1, Poly2.s())[rng.below(3)]
+               for _ in range(2)]
+        z = (num[0], Poly2.zero() if kval else num[1], i, j, g)
+        den = g.shift(i, j)
+        return z, LElem(KElem(z[0], den), KElem(z[1], den))
+
+    for G, H in ((s1.square(), s1 * t1), (t1 * t1 * t1, Poly2.one())):
+        for (g, i, j), (h, k, m) in (((G, 0, 0), (H, 0, 0)),
+                                     ((G, 2, 1), (H, 0, 3)),
+                                     ((H, 1, 0), (G, 1, 2))):
+            (f, fk), (f2, f2k) = raw(g, i, j, True), raw(h, k, m, True)
+            (z, zl), (w, wl) = raw(g, i, j, False), raw(h, k, m, False)
+            a0, a1, b0, b1 = zl.c0, zl.c1, wl.c0, wl.c1
+            d = inst.delta
+            got = [(fields._over(fields._radd(f, f2)), fk.c0 + f2k.c0),
+                   (fields._over(fields._rscale(f, f2)), fk.c0 * f2k.c0),
+                   (fields._lover(fields._radd(z, w)), zl + wl),
+                   (fields._lover(fields._rscale(f, w)),
+                    LElem(fk.c0 * b0, fk.c0 * b1)),
+                   (fields._lover(inst._rmul(z, w)),
+                    LElem(a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)),
+                   (fields._lover(inst._rsquare(w)),
+                    LElem(b0 * b0 + d * b1 * b1, b1 * b1)),
+                   (fields._over(inst._rnorm(z)),
+                    a0 * a0 + a0 * a1 + d * a1 * a1),
+                   (fields._lover(fields._shared(zl + wl)), zl + wl)]
+            for r, want in got:
+                assert r == want, (g, h, r, want)
+                for c in (r.c0, r.c1) if isinstance(r, LElem) else (r,):
+                    assert _prs_gcd(c.num, c.den).is_one(), (g, h, c)

@@ -1,5 +1,6 @@
 """Root group coordinates, commutator maps and the collected group law."""
 
+import operator
 import re
 import sys
 import threading
@@ -13,7 +14,7 @@ from f4quad.moufang import MoufangSet
 from f4quad.polynomials import Poly2
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
-                               R1Coord, R2Coord, UPlus, UPlusElem)
+                               R1Coord, R2Coord, UPlus, UPlusElem, _relation4)
 from f4quad.sampling import Rng
 
 ZERO = KElem.zero()
@@ -362,21 +363,33 @@ def _over_monomials(p, q):
                          q.u.c0, q.u.c1, q.v.c0, q.v.c1, q.a))
 
 
+def _k_relation4(inst, p, q):
+    """Relation (4) in K: `_relation4` on the L and K formulas written out,
+    with the constants computed here."""
+    d, alpha, beta = inst.delta, inst.alpha, inst.beta
+
+    def mul(z, w):
+        a0, a1, b0, b1 = z.c0, z.c1, w.c0, w.c1
+        return LElem(a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+
+    ops = (mul, lambda z: LElem(z.c0 * z.c0 + d * z.c1 * z.c1, z.c1 * z.c1),
+           lambda z: z.c0 * z.c0 + z.c0 * z.c1 + d * z.c1 * z.c1,
+           operator.add, lambda k, z: LElem(k * z.c0, k * z.c1),
+           operator.add, operator.mul, LElem.conj,
+           lambda z: None if z.c1 else z.c0)
+    consts = (alpha, beta, beta * beta, ONE / beta, ONE / (beta * beta))
+    w_u, w_v, w_a, z_x, z_y, z_b = _relation4(ops, consts, p.x, p.y, q.u,
+                                              q.v, p.b, q.a)
+    return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
+
+
 @pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
-def test_comm14_one_pass_matches_k_level(name, monkeypatch):
+def test_comm14_one_pass_matches_k_level(name):
     group = UPlus(_COMM14_INSTANCES[name])
-    k_level, taken = group._comm14_k, []
-    monkeypatch.setattr(group, "_comm14_k",
-                        lambda p, q: taken.append(p) or k_level(p, q))
     general = 0
     for monomial in (True, False):
         for p, q in _comm14_inputs(group, 50 + monomial, monomial):
-            taken.clear()
-            assert group._comm14(p, q) == k_level(p, q), (p, q)
-            # the one-pass path needs every coordinate and every constant
-            # over 1 or s^i t^j; beta^-1 on the candidate is not
-            one_pass = name != "candidate" and _over_monomials(p, q)
-            assert len(taken) == (not one_pass), (p, q)
+            assert group._comm14(p, q) == _k_relation4(group.inst, p, q), (p, q)
             general += not _over_monomials(p, q)
     assert general  # inputs over s + 1 or t + 1 were among them
 
@@ -392,15 +405,28 @@ def test_comm14_one_pass_takes_no_gcd(monkeypatch):
     pairs = _comm14_inputs(group, 52, True)
     monkeypatch.setattr(fields, "poly_gcd", counted)
     monkeypatch.setattr(FieldInstance, "lmul", lambda *a: forbidden.append(a))
-    monkeypatch.setattr(group, "_comm14_k", lambda *a: forbidden.append(a))
     for p, q in pairs:
-        raw = [fields._shared(z) for z in (p.x, p.y, q.u, q.v)]
-        group._comm14_one_pass(*raw, fields._kraw(p.b), fields._kraw(q.a))
+        group.relation4(p, q)
     assert not gcds and not forbidden
     # comm14 takes that path; only the L' check of its result adds in K
     for p, q in pairs:
         group.comm14(p, q)
     assert not forbidden
+
+
+def test_relation4_on_candidate_takes_no_lmul(monkeypatch):
+    # beta^-1 = 1 / (s (s + 1)) on the candidate: relation (4) still runs
+    # on raw values, not on L products
+    inst, calls = _COMM14_INSTANCES["candidate"], []
+    pairs = (_comm14_inputs(UPlus(inst), 54, True)
+             + _comm14_inputs(UPlus(inst), 55, False))
+    lmul = FieldInstance.lmul
+    monkeypatch.setattr(FieldInstance, "lmul",
+                        lambda *a: calls.append(a) or lmul(*a))
+    group = UPlus(inst)
+    for p, q in pairs:
+        group.relation4(p, q)
+    assert not calls
 
 
 @pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
