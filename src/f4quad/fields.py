@@ -285,9 +285,10 @@ def _rconj(z):
     return z[0] + z[1], z[1], z[2], z[3], z[4]
 
 
-def _rk(z):
-    """z itself when its e-numerator is 0 (a raw K value); else None."""
-    return None if z[1] else z
+def _rpolar(z, w):
+    """The raw K value tr(z conj(w)) = A0 B1 + A1 B0 (the polar form)."""
+    (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
+    return A0 * B1 + A1 * B0, _P0, i + k, j + m, _gmul(g, h)
 
 
 _P0 = Poly2.zero()
@@ -396,10 +397,6 @@ class LElem:
     def trace(self) -> KElem:
         """z + conj(z), always in K."""
         return self.c1
-
-    def polar(self, w: "LElem") -> KElem:
-        """tr(z conj(w)) = z0 w1 + z1 w0, the polar form of the norm."""
-        return self.c0 * w.c1 + self.c1 * w.c0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LElem)

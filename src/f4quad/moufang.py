@@ -111,13 +111,9 @@ class MoufangSet:
         quad = self.quad
         g4 = quad.rho_r1(r1)
         p2, p3 = g.comm14(r1, g4)
-        r3 = g.comm24(p2, g4)
-        su = r2.u + p2.u
-        sv = r2.v + p2.v
-        g3x = inst.phi_l(kscale(inst.beta_inv, su))
-        g3y = inst.phi_l(kscale(inst.beta_inv, sv))
-        c24 = g.comm24(R2Coord(su, sv, KElem.zero()), g4)
-        g3b = theta_k(r2.a) + c24.b + p3.b + r3.b
+        g3x = inst.phi_l(kscale(inst.beta_inv, r2.u + p2.u))
+        g3y = inst.phi_l(kscale(inst.beta_inv, r2.v + p2.v))
+        g3b = theta_k(r2.a) + g.comm24(r2, g4).b + p3.b
         g3 = R1Coord(g3x, g3y, g3b)
         elt = UPlusElem(r1, r2, g.check_r1(g3, "(derived U3 part)"), g4)
         # the remaining fixed-point slot must close automatically

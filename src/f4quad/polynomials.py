@@ -11,8 +11,9 @@ The stride is W = 64 unless the s-degree is 64 or more; then it is the
 least W * 2^k above the s-degree.  So (_v, _w) is canonical, and `==`
 and `hash` compare ints.  On this layout:
 
-* a sum is one xor (operands of different strides meet at the wider;
-  a wide sum that cancels to a narrow one is brought back to W);
+* a sum with a zero operand is the other operand, any other sum is one
+  xor (operands of different strides meet at the wider; a wide sum that
+  cancels to a narrow one is brought back to W);
 * a product with the factor 1 is the other operand (a Poly2 is never
   mutated), a product with s^i t^j is one shift of the other operand,
   and exact division by s^i t^j is one shift back;
@@ -361,6 +362,10 @@ class Poly2:
     def __add__(self, other: "Poly2") -> "Poly2":
         if not isinstance(other, Poly2):
             return NotImplemented
+        if not other._v:
+            return self
+        if not self._v:
+            return other
         w = self._w
         if w == other._w:
             if w != W:

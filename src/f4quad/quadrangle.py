@@ -241,9 +241,8 @@ class Quadrangle:
             k, kb = a.coords
             pa, pl, pa2 = b.coords
             p2, p3 = g.comm14(pa, k)
-            k2 = pl + g.comm13(pa, pa2) + p2
-            if p3 + g.comm24(p2, k) == pa2 + kb + g.comm24(k2, k):
-                return self.ln3(k, kb, k2)
+            if p3 == pa2 + kb + g.comm24(pl, k):
+                return self.ln3(k, kb, pl + g.comm13(pa, pa2) + p2)
             return None
         # both maximal: reduce the first to the zero point
         w = self.point_transversal(a)
@@ -257,15 +256,9 @@ class Quadrangle:
         c = self._solve_comm14_u2(qa, target)
         if c is None:
             return None
-        if self._cond2(qa, c) != qa2:
+        if g.comm14(qa, c)[1] != qa2:
             return None
         return self.act_line(self.ln3(c, g.r1_zero, g.r2_zero), w)
-
-    def _cond2(self, a: R1Coord, k: R2Coord) -> R1Coord:
-        """comm14(a,k) U3 part plus the second-order comm24 correction."""
-        g = self.group
-        p2, p3 = g.comm14(a, k)
-        return p3 + g.comm24(p2, k)
 
     # -- projection -------------------------------------------------------------------
 
@@ -312,7 +305,7 @@ class Quadrangle:
             k = self._solve_comm14_u2(pa, pl + g.comm13(pa, pa2))
             if k is None:
                 raise InternalConsistencyError("projection solve failed on [0,0]")
-            return self.pt3(z1, z2, pa2 + self._cond2(pa, k))
+            return self.pt3(z1, z2, pa2 + g.comm14(pa, k)[1])
         # base == "L000": the line [0,0,0]
         if p.kind == "INF":
             return self.pt2(z2, z1)

@@ -6,32 +6,35 @@ the README's relation table) say consecutive root groups commute,
 [U1,U3] lands in U2, [U2,U4] lands in U3, and [U1,U4] spreads over
 U2 U3.  Every element then has a unique normal form g1 g2 g3 g4, and
 multiplication is collection: pull the right factor's components
-leftward, emitting commutator corrections as they cross.
+leftward, emitting commutator corrections as they cross.  The U2 part
+of the [U1,U4] correction of p and q commutes with q (comm24's traces
+cancel in pairs: tr(zbar) = tr(z), and tr vanishes on K), so a product
+makes one [U2,U4] correction, for h2 past g4.
 
 Commutator bookkeeping is pleasantly degenerate in characteristic 2:
 each root group is elementary abelian, so every root element is its own
 inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 
-Relation (4) is written once, in `_relation4`, over operations and
-constants passed in; `UPlus.relation4` evaluates it unchecked, in one
-pass on the raw values of `fields` (one reduction per output coordinate,
-no gcd when every denominator is 1 or s^i t^j), for any instance.  The
-quadrangle's solvers evaluate it.
+Relations (2)-(4) are written once, over operations and constants passed
+in: `_trace_form` is the K slot of (2) and (3) and the trace terms of
+(4), `_relation4` is (4).  UPlus evaluates them on the raw values of
+`fields` (one reduction per output coordinate, no gcd when every
+denominator is 1 or s^i t^j), for any instance; `UPlus.relation4` is (4)
+unchecked, and the quadrangle's solvers evaluate it.
 
-Membership checks (L' and K' slots, the K-valued trace terms of
-relation (4)) are always on and raise InternalConsistencyError;
-`comm14` is `relation4` followed by check_r1/r2.  Each UPlus keeps the
-COMM14_MEMO_SIZE most recently used non-trivial [U1,U4] corrections in
-a `functools.lru_cache`, keyed by the input pair: a commutator and the
-Moufang set's multiplication ask for the same pair again and again,
-and coordinate equality is exact canonical equality, so a hit returns
-exactly what recomputation would.  The cache is thread-safe and stores
-no exception.
+Membership checks (L' and K' slots) are always on and raise
+InternalConsistencyError; `comm14` is `relation4` followed by
+check_r1/r2.  Each UPlus keeps the COMM14_MEMO_SIZE most recently used
+non-trivial [U1,U4] corrections in a `functools.lru_cache`, keyed by
+the input pair: a commutator and the Moufang set's multiplication ask
+for the same pair again and again, and coordinate equality is exact
+canonical equality, so a hit returns exactly what recomputation would.
+The cache is thread-safe and stores no exception.
 
-A debug switch reroutes the [U2,U4] correction into U2 instead of U3
-(the untenable reading of relation (3)); under it no consistent
-collection exists, so a one-level truncation is used and associativity
-demonstrably fails.
+A debug switch (eq3_slot 2) puts that [U2,U4] correction into U2's K'
+slot instead of U3 (the untenable reading of relation (3)); under it no
+consistent collection exists, so a one-level truncation is used and
+associativity demonstrably fails.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import (FieldInstance, KElem, LElem, _kraw, _lover, _over,
-                     _radd, _rconj, _rk, _rscale, _shared, kprime_member)
+                     _radd, _rconj, _rpolar, _rscale, _shared, kprime_member)
 
 
 class InternalConsistencyError(AssertionError):
@@ -100,37 +103,40 @@ class UPlusElem:
 COMM14_MEMO_SIZE = 32
 
 
+def _trace_form(ops, c, d, z, w, z2, w2):
+    """c (tr(z conj(z2)) + d tr(w conj(w2))), in K for any L inputs: the K
+    slot of relation (2) with (c, d) = (alpha, beta^2), of relation (3)
+    with (c, d) = (beta^-1, alpha), and the trace terms of relation (4).
+    `ops` as for `_relation4`."""
+    *_, kadd, kmul, polar = ops
+    return kmul(c, kadd(polar(z, z2), kmul(d, polar(w, w2))))
+
+
 def _relation4(ops, consts, x, y, u, v, b, a):
     """Relation (4): the [U1,U4] correction of p = (x, y, b), q = (u, v, a)
     is (w_u, w_v, w_a) in U2 and (z_x, z_y, z_b) in U3.  `ops`: L product,
-    square, norm and sum, K-by-L scale, K sum and product, conjugation,
-    and the K value of an L value of trace 0 (else None); `consts`:
-    alpha, beta, beta^2, beta^-1, beta^-2.  cross and mix are traces, so
-    they lie in K for any L inputs."""
-    mul, sq, norm, add, sc, kadd, kmul, conj, tok = ops
+    square, norm and sum, K-by-L scale, conjugation, K sum and product,
+    and the polar form tr(z conj(w)); `consts`: alpha, beta, beta^2,
+    beta^-1, beta^-2.  The trace terms
+    alpha (u^2 x ybar + ubar^2 xbar y + alpha (vbar^2 x y + v^2 xbar ybar))
+    and alpha (beta^-1 (x u vbar + xbar ubar v) + y ubar vbar + ybar u v)
+    are `_trace_form`s."""
+    mul, sq, norm, add, sc, conj, kadd, kmul, _ = ops
     alpha, beta, beta_sq, beta_inv, beta_sq_inv = consts
     xbar, ybar, ubar, vbar = conj(x), conj(y), conj(u), conj(v)
-    usq, vsq, ubarsq, vbarsq = sq(u), sq(v), sq(ubar), sq(vbar)
-    xy = mul(x, y)
+    usq, vsq = sq(u), sq(v)
+    ux, vx = mul(usq, x), mul(vsq, xbar)
 
     w_u = add(sc(b, u), sc(alpha, add(mul(xbar, v), sc(beta, mul(y, vbar)))))
     w_v = add(add(sc(b, v), mul(x, u)), sc(beta, mul(y, ubar)))
-    cross = tok(add(add(mul(usq, mul(x, ybar)), mul(ubarsq, mul(xbar, y))),
-                    sc(alpha, add(mul(vbarsq, xy), mul(vsq, conj(xy))))))
-    if cross is None:
-        raise InternalConsistencyError("comm14 U2 cross term left K")
     d2 = kadd(kmul(b, b), kmul(alpha, kadd(norm(x), kmul(beta_sq, norm(y)))))
-    w_a = kadd(kmul(a, d2), kmul(alpha, cross))
+    w_a = kadd(kmul(a, d2), _trace_form(ops, alpha, alpha, ux, vx, y, y))
 
-    z_x = add(add(sc(a, x), mul(ubarsq, y)), sc(alpha, mul(vsq, ybar)))
-    z_y = add(sc(a, y), sc(beta_sq_inv, add(mul(usq, x), sc(alpha, mul(vsq, xbar)))))
-    mix = tok(add(add(sc(beta_inv, add(mul(x, mul(u, vbar)),
-                                       mul(xbar, mul(ubar, v)))),
-                      mul(y, mul(ubar, vbar))), mul(ybar, mul(u, v))))
-    if mix is None:
-        raise InternalConsistencyError("comm14 U3 mix term left K")
+    z_x = add(add(sc(a, x), mul(conj(usq), y)), sc(alpha, mul(vsq, ybar)))
+    z_y = add(sc(a, y), sc(beta_sq_inv, add(ux, sc(alpha, vx))))
     d3 = kadd(a, kmul(beta_inv, kadd(norm(u), kmul(alpha, norm(v)))))
-    z_b = kadd(kmul(b, d3), kmul(alpha, mix))
+    z_b = kadd(kmul(b, d3), _trace_form(ops, alpha, beta_inv, y, x,
+                                        mul(u, v), mul(ubar, v)))
     return w_u, w_v, w_a, z_x, z_y, z_b
 
 
@@ -154,7 +160,7 @@ class UPlus:
         self._raw_consts = [_kraw(k) for k in (inst.alpha, inst.beta, inst.beta_sq,
                                                inst.beta_inv, inst.beta_sq_inv)]
         self._raw_ops = (inst._rmul, inst._rsquare, inst._rnorm, _radd,
-                         _rscale, _radd, _rscale, _rconj, _rk)
+                         _rscale, _rconj, _radd, _rscale, _rpolar)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -192,20 +198,23 @@ class UPlus:
         The K'-slot is alpha * (tr(x xbar') + beta^2 tr(y ybar')); the
         symmetric trace form keeps it inside K'.
         """
-        inst = self.inst
         if (p.x.is_zero() and p.y.is_zero()) or (q.x.is_zero() and q.y.is_zero()):
             return self.r2_zero
-        val = inst.alpha * (p.x.polar(q.x) + inst.beta_sq * p.y.polar(q.y))
+        alpha, _, beta_sq, _, _ = self._raw_consts
+        val = _over(_trace_form(self._raw_ops, alpha, beta_sq, _shared(p.x),
+                                _shared(p.y), _shared(q.x), _shared(q.y)))
         if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
         return R2Coord(LElem.zero(), LElem.zero(), val)
 
     def comm24(self, p: R2Coord, q: R2Coord) -> R1Coord:
-        """[U2, U4] correction, placed in U3 (relation (3); see eq3_slot)."""
-        inst = self.inst
+        """[U2, U4] correction into U3 (relation (3); see eq3_slot): additive
+        in p, whose K' slot it never reads."""
         if (p.u.is_zero() and p.v.is_zero()) or (q.u.is_zero() and q.v.is_zero()):
             return self.r1_zero
-        val = inst.beta_inv * (p.u.polar(q.u) + inst.alpha * p.v.polar(q.v))
+        alpha, _, _, beta_inv, _ = self._raw_consts
+        val = _over(_trace_form(self._raw_ops, beta_inv, alpha, _shared(p.u),
+                                _shared(p.v), _shared(q.u), _shared(q.v)))
         return R1Coord(LElem.zero(), LElem.zero(), val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
@@ -238,26 +247,20 @@ class UPlus:
         """Collected product: move h's components left past g's.
 
         Corrections: h1 past g3 emits comm13 into U2; h1 past g4 emits
-        the comm14 pair; the U2 part of that pair crossing g4 emits a
-        second-order comm24; h2 past g4 emits comm24.  Everything else
-        commutes, and nilpotency class 3 stops the cascade.
+        the comm14 pair (p2, p3), and p2 commutes with g4 (module
+        docstring); h2 past g4 emits comm24, into U3, or into U2's K'
+        slot under eq3_slot 2.  Everything else commutes, and nilpotency
+        class 3 stops the cascade.
         """
-        q2 = self.comm13(h.g1, g.g3)
         p2, p3 = self.comm14(h.g1, g.g4)
-        r3 = self.comm24(p2, g.g4)
-        s3 = self.comm24(h.g2, g.g4)
-        c1 = g.g1 + h.g1
-        c4 = g.g4 + h.g4
-        if self.eq3_slot == 3:
-            c2 = g.g2 + q2 + p2 + h.g2
-            c3 = g.g3 + r3 + p3 + s3 + h.g3
-        else:
-            # untenable reading: [U2,U4] corrections dumped into U2,
+        c24 = self.comm24(h.g2, g.g4)
+        c2 = g.g2 + self.comm13(h.g1, g.g3) + p2 + h.g2
+        if self.eq3_slot == 2:
+            # untenable reading: the [U2,U4] correction moved into U2,
             # truncated after one level (no consistent collection exists)
-            as_r2 = lambda c: R2Coord(c.x, c.y, c.b)
-            c2 = g.g2 + q2 + p2 + h.g2 + as_r2(r3) + as_r2(s3)
-            c3 = g.g3 + p3 + h.g3
-        return UPlusElem(c1, c2, c3, c4)
+            c2 = c2 + R2Coord(c24.x, c24.y, c24.b)
+            c24 = self.r1_zero
+        return UPlusElem(g.g1 + h.g1, c2, g.g3 + p3 + c24 + h.g3, g.g4 + h.g4)
 
     def inv(self, g: UPlusElem) -> UPlusElem:
         """g4 g3 g2 g1 collected; root elements are their own inverses."""

@@ -4,6 +4,11 @@ The expected values below were produced once from the seeded samplers
 and pin both the serialisation format and the underlying arithmetic.
 """
 
+from pathlib import Path
+
+import pytest
+
+from f4quad import verifier
 from f4quad.fields import KElem, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
@@ -61,3 +66,15 @@ def test_flag_golden_string():
         "((s*t + s + 1)/t^2 + ((t + 1)/t^2)*e, "
         "(s^3*t + s^2)/t^2 + (s^2/t)*e, 0))")
     assert str(flag.line).startswith("[(t, s + t, 0), ")
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_verify_all_bodies_match_recorded(seed):
+    # the benchmark's verify-all configuration; the recorded bodies are read,
+    # never written, so a changed report body fails here and in the benchmark
+    recorded = (Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+                / f"verify-all.seed{seed}.jsonl").read_text(encoding="utf-8")
+    report = verifier.run(verifier.SuiteConfig(seed=seed, samples=20,
+                                               max_degree=3))
+    body = verifier.report_body(verifier.emit_jsonl(report), "jsonl")
+    assert body == recorded.rstrip("\n")

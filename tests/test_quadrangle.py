@@ -120,16 +120,21 @@ def test_projection_lands_and_joins(quad, ms):
     rng = Rng(46)
     for _ in range(5):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
-        m = f.line
-        for p in (quad.pt_inf, quad.pt1(ms.sample_r1(rng, 1)),
-                  quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1))):
-            if quad.incident(p, m):
-                continue
-            foot = quad.project(p, m)
-            assert quad.incident(foot, m)
-            join = quad.collinear(p, foot)
-            assert join is not None
-            assert quad.incident(p, join) and quad.incident(foot, join)
+        pts = (quad.pt_inf, quad.pt1(ms.sample_r1(rng, 1)),
+               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)))
+        # a maximal point projects onto a line [a,l] too (the U3 part of
+        # comm14 lands in the foot's last slot)
+        line2 = quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1))
+        maximal = ms.flag_of_label(ms.sample_label(rng, 1)).point
+        for m, ps in ((f.line, pts), (line2, pts + (maximal,))):
+            for p in ps:
+                if quad.incident(p, m):
+                    continue
+                foot = quad.project(p, m)
+                assert quad.incident(foot, m)
+                join = quad.collinear(p, foot)
+                assert join is not None
+                assert quad.incident(p, join) and quad.incident(foot, join)
 
 
 def test_projection_uniqueness_scan(quad, ms):

@@ -1,6 +1,5 @@
 """Root group coordinates, commutator maps and the collected group law."""
 
-import operator
 import re
 import sys
 import threading
@@ -14,7 +13,7 @@ from f4quad.moufang import MoufangSet
 from f4quad.polynomials import Poly2
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
-                               R1Coord, R2Coord, UPlus, UPlusElem, _relation4)
+                               R1Coord, R2Coord, UPlus, UPlusElem)
 from f4quad.sampling import Rng
 
 ZERO = KElem.zero()
@@ -363,23 +362,54 @@ def _over_monomials(p, q):
                          q.u.c0, q.u.c1, q.v.c0, q.v.c1, q.a))
 
 
+def _k_mul(inst, *zs):
+    """The product of L values by the formula of `test_l_ops_match_k_formula`,
+    in K."""
+    d, out = inst.delta, LO
+    for w in zs:
+        a0, a1, b0, b1 = out.c0, out.c1, w.c0, w.c1
+        out = LElem(a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+    return out
+
+
+def _k_sc(k, z):
+    return LElem(k * z.c0, k * z.c1)
+
+
+def _k_norm(inst, z):
+    return z.c0 * z.c0 + z.c0 * z.c1 + inst.delta * z.c1 * z.c1
+
+
+def _k_polar(z, w):
+    return z.c0 * w.c1 + z.c1 * w.c0
+
+
+def _k_trace0(z):
+    assert z.c1 == ZERO, z  # a trace term lies in K
+    return z.c0
+
+
 def _k_relation4(inst, p, q):
-    """Relation (4) in K: `_relation4` on the L and K formulas written out,
-    with the constants computed here."""
-    d, alpha, beta = inst.delta, inst.alpha, inst.beta
-
-    def mul(z, w):
-        a0, a1, b0, b1 = z.c0, z.c1, w.c0, w.c1
-        return LElem(a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
-
-    ops = (mul, lambda z: LElem(z.c0 * z.c0 + d * z.c1 * z.c1, z.c1 * z.c1),
-           lambda z: z.c0 * z.c0 + z.c0 * z.c1 + d * z.c1 * z.c1,
-           operator.add, lambda k, z: LElem(k * z.c0, k * z.c1),
-           operator.add, operator.mul, LElem.conj,
-           lambda z: None if z.c1 else z.c0)
-    consts = (alpha, beta, beta * beta, ONE / beta, ONE / (beta * beta))
-    w_u, w_v, w_a, z_x, z_y, z_b = _relation4(ops, consts, p.x, p.y, q.u,
-                                              q.v, p.b, q.a)
+    """Relation (4) as printed in the README's relation table, term by term
+    in K, with the constants computed here."""
+    alpha, beta = inst.alpha, inst.beta
+    binv = ONE / beta
+    x, y, b, u, v, a = p.x, p.y, p.b, q.u, q.v, q.a
+    xb, yb, ub, vb = x.conj(), y.conj(), u.conj(), v.conj()
+    mul = lambda *zs: _k_mul(inst, *zs)
+    norm = lambda z: _k_norm(inst, z)
+    w_u = _k_sc(b, u) + _k_sc(alpha, mul(xb, v) + _k_sc(beta, mul(y, vb)))
+    w_v = _k_sc(b, v) + mul(x, u) + _k_sc(beta, mul(y, ub))
+    w_a = (b * b * a + a * alpha * (norm(x) + beta * beta * norm(y))
+           + alpha * _k_trace0(mul(u, u, x, yb) + mul(ub, ub, xb, y)
+                               + _k_sc(alpha, mul(vb, vb, x, y)
+                                       + mul(v, v, xb, yb))))
+    z_x = _k_sc(a, x) + mul(ub, ub, y) + _k_sc(alpha, mul(v, v, yb))
+    z_y = _k_sc(a, y) + _k_sc(binv * binv,
+                              mul(u, u, x) + _k_sc(alpha, mul(v, v, xb)))
+    z_b = (a * b + b * binv * (norm(u) + alpha * norm(v))
+           + alpha * _k_trace0(_k_sc(binv, mul(x, u, vb) + mul(xb, ub, v))
+                               + mul(y, ub, vb) + mul(yb, u, v)))
     return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
 
 
@@ -392,6 +422,119 @@ def test_comm14_one_pass_matches_k_level(name):
             assert group._comm14(p, q) == _k_relation4(group.inst, p, q), (p, q)
             general += not _over_monomials(p, q)
     assert general  # inputs over s + 1 or t + 1 were among them
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_comm13_comm24_match_k_formula(name):
+    # relations (2) and (3): alpha (tr(x x2bar) + beta^2 tr(y y2bar)) in
+    # U2's K' slot and beta^-1 (tr(u u2bar) + alpha tr(v v2bar)) in U3's K slot
+    group = UPlus(_COMM14_INSTANCES[name])
+    alpha, beta = group.inst.alpha, group.inst.beta
+    for monomial in (True, False):
+        pairs = _comm14_inputs(group, 50 + monomial, monomial)
+        for (p, q), (p2, q2) in zip(pairs, pairs[1:] + pairs[:1]):
+            a = alpha * (_k_polar(p.x, p2.x) + beta * beta * _k_polar(p.y, p2.y))
+            assert group.comm13(p, p2) == R2Coord(LZ, LZ, a), (p, p2)
+            b = (_k_polar(q.u, q2.u) + alpha * _k_polar(q.v, q2.v)) / beta
+            assert group.comm24(q, q2) == R1Coord(LZ, LZ, b), (q, q2)
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_comm14_u2_part_commutes_with_its_u4_argument(name):
+    # why a product, embed_derived and the quadrangle make no second-order
+    # [U2,U4] correction: comm24(relation4(p, q)[0], q) is 0 for any L inputs
+    group = UPlus(_COMM14_INSTANCES[name])
+    ls = LElem.from_k(KElem.s())  # outside L'
+    for monomial in (True, False):
+        for p, q in _comm14_inputs(group, 70 + monomial, monomial):
+            for p1 in (p, R1Coord(LE, ls, p.b)):
+                w = group.relation4(p1, q)[0]
+                assert not (w.u.is_zero() and w.v.is_zero())
+                assert group.comm24(w, q) == group.r1_zero, (p1, q)
+
+
+def _elements(group, seed, monomial):
+    """Products' factors with every slot nonzero, from `_comm14_inputs`."""
+    pairs = _comm14_inputs(group, seed, monomial)
+    return [UPlusElem(p, q, p2, q2)
+            for (p, q), (p2, q2) in zip(pairs[::2], pairs[1::2])]
+
+
+def _mul_two_corrections(group, g, h):
+    """The product with the second-order comm24(p2, g4) and comm24(h2, g4)
+    collected apart."""
+    q2 = group.comm13(h.g1, g.g3)
+    p2, p3 = group.comm14(h.g1, g.g4)
+    r3, s3 = group.comm24(p2, g.g4), group.comm24(h.g2, g.g4)
+    if group.eq3_slot == 3:
+        return UPlusElem(g.g1 + h.g1, g.g2 + q2 + p2 + h.g2,
+                         g.g3 + r3 + p3 + s3 + h.g3, g.g4 + h.g4)
+    as_r2 = lambda c: R2Coord(c.x, c.y, c.b)
+    return UPlusElem(g.g1 + h.g1, g.g2 + q2 + p2 + h.g2 + as_r2(r3) + as_r2(s3),
+                     g.g3 + p3 + h.g3, g.g4 + h.g4)
+
+
+def _count_comm24(monkeypatch):
+    calls, comm24 = [], UPlus.comm24
+    monkeypatch.setattr(UPlus, "comm24", lambda *a: calls.append(a) or comm24(*a))
+    return calls
+
+
+@pytest.mark.parametrize("slot", (3, 2))
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_mul_one_comm24_matches_two(name, slot, monkeypatch):
+    group = UPlus(_COMM14_INSTANCES[name], eq3_slot=slot)
+    calls = _count_comm24(monkeypatch)
+    for monomial in (True, False):
+        elts = _elements(group, 64 + monomial, monomial)
+        for g, h in zip(elts, elts[1:] + elts[:1]):
+            want = _mul_two_corrections(group, g, h)
+            calls.clear()
+            assert group.mul(g, h) == want, (g, h)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_embed_derived_u3_k_slot_matches_two_corrections(name, monkeypatch):
+    group = UPlus(_COMM14_INSTANCES[name])
+    ms = MoufangSet(Quadrangle(group))
+    calls = _count_comm24(monkeypatch)
+    for monomial in (True, False):
+        for r1, r2 in _comm14_inputs(group, 66 + monomial, monomial)[:6]:
+            g4 = ms.quad.rho_r1(r1)
+            p2, p3 = group.comm14(r1, g4)
+            r3 = group.comm24(p2, g4)
+            c24 = group.comm24(R2Coord(r2.u + p2.u, r2.v + p2.v, ZERO), g4)
+            want = fields.theta_k(r2.a) + p3.b + r3.b + c24.b
+            calls.clear()
+            assert ms.embed_derived(r1, r2).g3.b == want, (r1, r2)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_collinear_p2_p3_matches_two_corrections(name, monkeypatch):
+    group = UPlus(_COMM14_INSTANCES[name])
+    quad = Quadrangle(group)
+    ms = MoufangSet(quad)
+    calls = _count_comm24(monkeypatch)
+    rng = Rng(68)
+    for monomial in (True, False):
+        pairs = _comm14_inputs(group, 68 + monomial, monomial)
+        for (kb, k), (_, k2) in zip(pairs[:6], pairs[6:]):
+            on_line = quad.point_on_line(quad.ln3(k, kb, k2), ms.sample_r1(rng, 1))
+            sampled = quad.pt3(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1),
+                               ms.sample_r1(rng, 1))
+            for b, collinear in ((on_line, True), (sampled, False)):
+                pa, pl, pa2 = b.coords
+                p2, p3 = group.comm14(pa, k)
+                kk = pl + group.comm13(pa, pa2) + p2
+                joined = (p3 + group.comm24(p2, k)
+                          == pa2 + kb + group.comm24(kk, k))
+                assert joined == collinear, (k, kb, b)
+                want = quad.ln3(k, kb, kk) if joined else None
+                calls.clear()
+                assert quad.collinear(quad.pt2(k, kb), b) == want, (k, kb, b)
+                assert len(calls) == 1
 
 
 def test_comm14_one_pass_takes_no_gcd(monkeypatch):
@@ -458,7 +601,7 @@ def test_relation4_slots_the_solvers_read(name):
                 == c.square() * u2(q.u, q.v))
         assert u3(p.x + p2.x, p.y + p2.y) == u3(p.x, p.y) + u3(p2.x, p2.y)
         assert u3(fields.kscale(c, p.x), fields.kscale(c, p.y)) == c * u3(p.x, p.y)
-    # cross and mix are traces, in K for any L inputs, also outside L'
+    # the trace terms lie in K for any L inputs, also outside L'
     ls = LElem.from_k(KElem.s())
     assert not group.inst.lprime_member(ls)
     for p, q in pairs:
