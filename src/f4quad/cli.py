@@ -4,8 +4,9 @@
     f4quad verify-fields --instance my_instance.txt --format jsonl
 
 Exit codes: 0 all selected checks pass, 1 at least one non-survey check
-failed, 2 configuration error (bad flags, --samples above MAX_SAMPLES,
---max-degree above MAX_DEGREE, or an unparseable instance file).
+failed or crashed (status error), 2 configuration error (bad flags,
+--samples above MAX_SAMPLES, --max-degree above MAX_DEGREE, or an
+unparseable instance file).
 """
 
 from __future__ import annotations

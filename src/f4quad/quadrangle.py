@@ -24,9 +24,11 @@ re-collecting u4(c) u1(d) from the candidate's extreme components.
 
 Collinearity and projection invert relation (4) in one argument.  The
 solvers hold no copy of it: they evaluate `UPlus.relation4` at the
-basis (1,0), (e,0), (0,1), (0,e) of L x L, solve the 4x4 system over K
-exactly (`solve_linear_k`), and read the last slot off its additive
-(U2: c scales it by c^2) or linear (U3) dependence on the first two.
+basis (1,0), (e,0), (0,1), (0,e) of L x L, solve the 4x4 system by
+Gauss-Jordan elimination in K (`solve_linear_k`; this module works on
+K and L values only, never on their polynomials), and read the last
+slot off its additive (U2: c scales it by c^2) or linear (U3)
+dependence on the first two.
 
 Projections use the generalized-quadrangle axiom; the one family of
 configurations that would need the opposite root groups (both elements
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 
 from .fields import (K_ONE, K_ZERO, L_E, L_ONE, L_ZERO, KElem, LElem,
                      kprime_member, kscale, phi_k, theta_k)
-from .polynomials import Poly2, poly_divexact
 from .rootgroups import (InternalConsistencyError, R1Coord, R2Coord, UPlus,
                          UPlusElem)
 
@@ -124,11 +125,9 @@ class Quadrangle:
         return g.mul(w, g.pure1(a))
 
     def line_transversal(self, m: QLine) -> UPlusElem:
-        """u2(k') u3(b) u4(k) collected; the U1 coset representative of m."""
-        g = self.group
+        """u2(k') u3(b) u4(k), in normal order: m's U1 coset representative."""
         k, b, k2 = m.coords
-        w = g.mul(g.pure2(k2), g.pure3(b))
-        return g.mul(w, g.pure4(k))
+        return UPlusElem(self.group.r1_zero, k2, b, k)
 
     # -- group action ------------------------------------------------------------
 
@@ -458,52 +457,20 @@ def _solve_columns(cols, rhs):
 
 
 def solve_linear_k(matrix: list[list[KElem]], rhs: list[KElem]):
-    """Solve a square system over K; None when singular.
-
-    Rows are cleared to polynomials, then Cramer's rule is evaluated
-    with fraction-free Bareiss determinants: only exact polynomial
-    divisions occur until the final n fraction reductions.
-    """
+    """Solve a square system over K by Gauss-Jordan elimination on the
+    augmented matrix; None when singular.  KElem fractions are canonical,
+    so the solution is exact and unique."""
     n = len(matrix)
-    rows = []
-    for i in range(n):
-        es = matrix[i] + [rhs[i]]
-        scale = Poly2.one()
-        for e in es:
-            if not e.den.is_one():
-                scale = scale * e.den
-        rows.append([e.num * poly_divexact(scale, e.den) if not e.den.is_one()
-                     else (e.num * scale if not scale.is_one() else e.num)
-                     for e in es])
-    base = [[rows[i][j] for j in range(n)] for i in range(n)]
-    det = _bareiss_det(base)
-    if det.is_zero():
-        return None
-    sol = []
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
     for col in range(n):
-        m = [[rows[i][j] if j != col else rows[i][n] for j in range(n)]
-             for i in range(n)]
-        sol.append(KElem(_bareiss_det(m), det))
-    return sol
-
-
-def _bareiss_det(m: list[list[Poly2]]) -> Poly2:
-    """Fraction-free determinant (char 2: signs are trivial)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    prev = Poly2.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    break
-            else:
-                return Poly2.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] + m[i][k] * m[k][j]
-                m[i][j] = num if prev.is_one() else poly_divexact(num, prev)
-            m[i][k] = Poly2.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1]
+        piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = rows[col][col].inv()
+        rows[col] = pivot = [e * inv for e in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero():
+                rows[r] = [e - f * pe for e, pe in zip(rows[r], pivot)]
+    return [row[n] for row in rows]

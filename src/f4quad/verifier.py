@@ -11,7 +11,9 @@ body is every field except "millis".
 from __future__ import annotations
 
 import json
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .fields import (CheckList, FieldInstance, KElem, LElem, default_instance,
@@ -43,9 +45,13 @@ class CheckResult:
     suite: str
     name: str
     anchor: str
-    status: str  # pass | fail | skip
+    status: str  # pass | fail | error (the check crashed) | skip
     counterexample: str | None = None
     millis: float = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return self.status in ("fail", "error")
 
 
 @dataclass
@@ -54,11 +60,12 @@ class Report:
 
     @property
     def failed(self) -> bool:
-        return any(r.status == "fail" for r in self.results)
+        return any(r.failed for r in self.results)
 
     def counts(self) -> tuple[int, int, int]:
+        """(passed, failed, skipped); a crash counts as failed."""
         p = sum(1 for r in self.results if r.status == "pass")
-        f = sum(1 for r in self.results if r.status == "fail")
+        f = sum(1 for r in self.results if r.failed)
         s = sum(1 for r in self.results if r.status == "skip")
         return p, f, s
 
@@ -840,14 +847,17 @@ def run(cfg: SuiteConfig) -> Report:
             t0 = time.perf_counter()
             try:
                 ok, extra = fn(ctx)
-            except Exception as exc:
-                ok, extra = False, f"{type(exc).__name__}: {exc}"
+                status = "pass" if ok else "fail"
+            except Exception as exc:  # a crash: type, where and message
+                at = traceback.extract_tb(exc.__traceback__)[-1]
+                status = "error"
+                extra = (f"{type(exc).__name__} at {os.path.basename(at.filename)}"
+                         f":{at.lineno}: {exc}")
             ms = (time.perf_counter() - t0) * 1000.0
-            status = "pass" if ok else "fail"
             report.results.append(CheckResult(suite, name, anchor, status,
-                                              extra if not ok else
+                                              extra if status != "pass" else
                                               (extra or None), ms))
-        if any(r.status == "fail" and r.suite == suite for r in report.results):
+        if any(r.failed and r.suite == suite for r in report.results):
             prerequisites_ok = False
     return report
 

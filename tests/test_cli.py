@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import f4quad
+from f4quad import verifier
 from f4quad.cli import MAX_DEGREE, MAX_SAMPLES, build_arg_parser, main
 from f4quad.verifier import report_body
 
@@ -50,6 +51,32 @@ def test_jsonl_schema(capsys):
         assert set(rec) == {"suite", "name", "anchor", "status",
                             "counterexample", "millis"}
         assert rec["status"] in ("pass", "fail", "skip")
+
+
+def _crash(ctx):
+    raise ZeroDivisionError("planted")
+
+
+def test_crash_reads_error_not_fail(capsys, monkeypatch):
+    checks = list(verifier.REGISTRY["fields"])
+    name, anchor, _ = checks[1]
+    checks[1] = (name, anchor, _crash)
+    monkeypatch.setitem(verifier.REGISTRY, "fields", checks)
+    code, out = run_cli(["verify-all", "--format", "jsonl"] + FAST, capsys)
+    assert code == 1
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    crashed = [r for r in recs if r["name"] == name]
+    assert [r["status"] for r in crashed] == ["error"]
+    line = _crash.__code__.co_firstlineno + 1
+    assert crashed[0]["counterexample"] == (
+        f"ZeroDivisionError at test_cli.py:{line}: planted")
+    # the rest of its suite runs; the suites after it are skipped
+    assert all(r["status"] == "pass" for r in recs
+               if r["suite"] == "fields" and r["name"] != name)
+    later = [r["status"] for r in recs if r["suite"] != "fields"]
+    assert later and set(later) == {"skip"}
+    crash = verifier.Report([verifier.CheckResult("s", name, anchor, "error")])
+    assert crash.failed and crash.counts() == (0, 1, 0)
 
 
 def test_anchor_completeness(capsys):

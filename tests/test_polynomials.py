@@ -519,6 +519,15 @@ def test_representation_stays_private():
     assert not hits, hits
 
 
+def test_only_the_field_layer_imports_polynomials():
+    # Poly2 -> KElem -> ...: above fields, code sees K and L values only
+    importer = re.compile(r"^\s*(from|import)\b.*\bpolynomials\b", re.M)
+    src = Path(polynomials.__file__).parent
+    importers = {path.name for path in src.glob("*.py")
+                 if importer.search(path.read_text())}
+    assert importers <= {"__init__.py", "fields.py", "sampling.py"}, importers
+
+
 @pytest.mark.parametrize("i, j", [(0, 0), (3, 0), (0, 2), (2, 5), (70, 1)])
 def test_cancel_monomial_by_exponents(i, j):
     m = Poly2.monomial(i, j)

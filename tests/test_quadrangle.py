@@ -4,9 +4,9 @@ import pytest
 
 from f4quad.fields import KElem, LElem, default_instance
 from f4quad.moufang import MoufangSet
-from f4quad.quadrangle import ProjectionUnsupported, Quadrangle
+from f4quad.quadrangle import ProjectionUnsupported, Quadrangle, solve_linear_k
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
-from f4quad.sampling import Rng
+from f4quad.sampling import Rng, sample_k_general
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +307,52 @@ def test_suzuki_tits_membership(quad, ms):
                    R2Coord(lz, lz, sample_kprime(rng, 1)))
     img = quad.act_point(quad.zero_point, st)
     assert quad.suzuki_tits_member(img)
+
+
+def _apply(matrix, x):
+    return [sum((a * c for a, c in zip(row, x)), KElem.zero()) for row in matrix]
+
+
+def _entry(rng):
+    while True:
+        a = sample_k_general(rng, 2)
+        if not a.is_zero():
+            return a
+
+
+def _system(rng, n):
+    return [[_entry(rng) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_linear_k_by_substitution(n):
+    rng = Rng(70 + n)
+    for _ in range(6):
+        matrix = _system(rng, n)
+        x = [sample_k_general(rng, 2) for _ in range(n)]
+        rhs = _apply(matrix, x)
+        sol = solve_linear_k(matrix, rhs)
+        assert sol is not None, matrix
+        assert _apply(matrix, sol) == rhs
+        assert sol == x  # a nonsingular system has one solution
+
+
+def test_solve_linear_k_swaps_rows_past_a_zero_pivot():
+    rng = Rng(75)
+    matrix = _system(rng, 4)
+    matrix[0][0] = KElem.zero()
+    rhs = [sample_k_general(rng, 2) for _ in range(4)]
+    sol = solve_linear_k(matrix, rhs)
+    assert sol is not None and _apply(matrix, sol) == rhs
+
+
+def test_solve_linear_k_singular_is_none():
+    rng = Rng(76)
+    rhs = [sample_k_general(rng, 2) for _ in range(4)]
+    summed = _system(rng, 4)
+    summed[3] = [a + b for a, b in zip(summed[0], summed[1])]
+    assert solve_linear_k(summed, rhs) is None
+    zero_col = _system(rng, 4)
+    for row in zero_col:
+        row[2] = KElem.zero()
+    assert solve_linear_k(zero_col, rhs) is None

@@ -537,6 +537,20 @@ def test_collinear_p2_p3_matches_two_corrections(name, monkeypatch):
                 assert len(calls) == 1
 
 
+@pytest.mark.parametrize("slot", (3, 2))
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
+def test_line_transversal_is_the_collected_product(name, slot):
+    # u2(k') u3(b) u4(k) is in normal order, so collecting it changes nothing
+    group = UPlus(_COMM14_INSTANCES[name], eq3_slot=slot)
+    quad = Quadrangle(group)
+    for monomial in (True, False):
+        pairs = _comm14_inputs(group, 69 + monomial, monomial)
+        for (b, k), (_, k2) in zip(pairs[:6], pairs[6:]):
+            want = group.mul(group.mul(group.pure2(k2), group.pure3(b)),
+                             group.pure4(k))
+            assert quad.line_transversal(quad.ln3(k, b, k2)) == want, (k, b, k2)
+
+
 def test_comm14_one_pass_takes_no_gcd(monkeypatch):
     gcds, forbidden = [], []
 
