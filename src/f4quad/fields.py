@@ -104,16 +104,12 @@ class KElem:
             if num.is_zero():
                 return K_ZERO
             return _trusted_k(*_cancel(num, d1))
+        # canonical operands with d1 != d2 differ, and a + b = 0 only if a = b
         g = poly_gcd(d1, d2)
         if g.is_one():
-            num = n1 * d2 + n2 * d1
-            if num.is_zero():
-                return K_ZERO
-            return _trusted_k(num, d1 * d2)
+            return _trusted_k(n1 * d2 + n2 * d1, d1 * d2)
         d2r = poly_divexact(d2, g)
         num = n1 * d2r + n2 * poly_divexact(d1, g)
-        if num.is_zero():
-            return K_ZERO
         h = poly_gcd(num, g)
         if h.is_one():
             return _trusted_k(num, d1 * d2r)

@@ -27,16 +27,15 @@ and `hash` compare ints.  On this layout:
   (a wide one, a row past s^31 or past t^255) are first relaid at the
   stride the product needs.  A shift by s^i, a square, and a product
   with a GF(2)[s] coefficient (in the gcd) are relaid the same way;
-* t-valuation, t-degree, total degree, term count, leading
-  t-coefficient, the even s-exponent test and the split into even and
-  odd s-exponents are int operations; the s-valuation ORs the rows
-  together by halving, and the total degree does the same with row j
-  raised j bits.
+* t-valuation, t-degree, term count, leading t-coefficient, the even
+  s-exponent test and the split into even and odd s-exponents are int
+  operations; the s-valuation ORs the rows together by halving.
 
 Rows are unpacked (`_rows`, through the bytes of `_v`, in time linear
 in its size) only by exact division by a non-monomial, the content and
 pseudo-remainder sequence of the gcd, the GF(256) certificate, the
-square-root test and `terms()`/`str`.
+square-root test, the total degree (no verdict asks it) and
+`terms()`/`str`.
 
 The layout is dense in t: a polynomial of t-degree d takes d + 1 rows
 of at least 64 bits whatever its number of terms, and a general product
@@ -48,22 +47,21 @@ Every reduced fraction costs gcds.  `poly_gcd` answers a zero, one or
 monomial input at once (gcd(s^i t^j, q) = s^min(i, val_s q)
 t^min(j, val_t q)), and an equal pair by gcd(p, p) = p, which the
 certificate below cannot prove and the PRS would take the long way to;
-`fields` does not even ask it for a denominator 1 or s^i t^j.  Other
-pairs go through three steps:
+`fields` does not even ask it for a denominator 1 or s^i t^j.  For
+other pairs the common monomial factor comes out, then:
 
-* a `functools.lru_cache` of the GCD_MEMO_SIZE most recently used
-  results, keyed by the input pair (thread-safe; it stores no
-  exception).  Only these pairs pay for the hashing: at program seed 9
-  group-law makes no lookup, verify-all 5,229 (2,874 hits) and
-  field-kernel 10,489 (204 hits);
-* on a miss, after the common monomial factor comes out, a coprimality
-  certificate (most pairs are coprime): `_coprime_at_alpha` substitutes
-  s -> alpha and t -> alpha, alpha a root of x^8 + x^4 + x^3 + x + 1,
-  and runs Euclid in GF(256)[y].  It is a proof, not a probabilistic
-  test; the argument is in its docstring;
+* a coprimality certificate (most pairs are coprime): `_coprime_at_alpha`
+  substitutes s -> alpha and t -> alpha, alpha a root of
+  x^8 + x^4 + x^3 + x + 1, and runs Euclid in GF(256)[y].  It is a
+  proof, not a probabilistic test; the argument is in its docstring;
 * otherwise the exact algorithm, content/primitive-part-wise: contents
   are univariate GCDs of the coefficient rows (bitmask Euclid), the
   primitive parts go through a primitive pseudo-remainder sequence in t.
+
+No result is remembered, because few pairs recur.  At program seed 9
+group-law sends no pair this far, and field-kernel sends 10,489 pairs,
+9,908 of them distinct; a 256-entry memo answered 204 of them, and 197
+of 984 and 94 of 827 at verify-all's seeds 3 and 10.
 
 Over GF(2) the only unit is 1, so reduced objects are canonical with no
 further normalisation.
@@ -72,7 +70,6 @@ further normalisation.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
 
 # ----------------------------------------------------------------------
@@ -315,23 +312,10 @@ class Poly2:
         return (self._v.bit_length() - 1) // self._w
 
     def total_degree(self) -> int:
-        v, w = self._v, self._w
-        if not v >> w:  # zero, or a single row
-            return v.bit_length() - 1
-        # fold the rows onto row 0, row j raised j bits: its top bit is
-        # then at the largest i + j.  Row j keeps i + j below the stride
-        # when every row clears _HI and j < 33, else relay wider first
-        n = (v.bit_length() - 1) // w + 1
-        if not (n <= 33 and w == W and not v & _HI):  # _clears_hi
-            w2 = _stride(_fold(v, w).bit_length() + n - 1)
-            if w2 != w:
-                v, w = _restride(v, w, w2), w2
-        while n > 1:
-            h = (n + 1) >> 1
-            cut = h * w
-            v = (v >> cut) << h | (v & ((1 << cut) - 1))
-            n = h
-        return v.bit_length() - 1
+        """Largest i + j of a monomial s^i t^j; -1 for zero."""
+        return max((m.bit_length() - 1 + j
+                    for j, m in enumerate(_rows(self._v, self._w)) if m),
+                   default=-1)
 
     def val_s(self) -> int:
         """Largest power of s dividing the polynomial (0 for zero)."""
@@ -633,10 +617,8 @@ def _pseudo_rem(a: Poly2, b: Poly2) -> Poly2:
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """GCD in GF(2)[s,t]; gcd(0, q) = q, canonical (units are trivial).
-
-    Zero, one and monomial inputs and equal pairs are answered here;
-    other pairs go through the memo of `_gcd_general` (see the module
-    docstring)."""
+    The path (exits, monomial part, certificate, PRS) is in the module
+    docstring."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -647,19 +629,11 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return _monomial_gcd(p, q)
     if q.is_monomial():
         return _monomial_gcd(q, p)
-    if p == q:  # a * a.inv() asks this; the memo would run the PRS
+    # a * a.inv() asks this: the certificate cannot prove it, and the
+    # PRS would take the long way to p
+    if p == q:
         return p
-    return _gcd_general(p, q)
-
-
-GCD_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=GCD_MEMO_SIZE)
-def _gcd_general(p: Poly2, q: Poly2) -> Poly2:
-    """GCD of two non-monomial nonzero polynomials: certificate, then
-    the exact algorithm."""
-    # common monomial part comes out first; it keeps the PRS sparse
+    # the common monomial part comes out first; it keeps the PRS sparse
     vs = min(p.val_s(), q.val_s())
     vt = min(p.val_t(), q.val_t())
     if vs or vt:

@@ -21,7 +21,8 @@ from .fields import (CheckList, FieldInstance, KElem, LElem, default_instance,
 from .moufang import (MoufangPoint, MoufangSet, derived_net_report,
                       reconstruct_report)
 from .quadrangle import Quadrangle
-from .rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
+from .rootgroups import (InternalConsistencyError, R1Coord, R2Coord, UPlus,
+                         UPlusElem)
 from .sampling import (Rng, sample_k, sample_k_general, sample_kprime,
                        sample_l, sample_lprime)
 
@@ -527,9 +528,10 @@ def _chk_eq9_closure(ctx: RunContext):
     for _ in range(n):
         p = ms.sample_label(rng, 1)
         q = ms.sample_label(rng, 1)
+        # a ClosureError localises the failure; any other crash reads error
         try:
             ms.mul(p, q)
-        except Exception as exc:  # ClosureError carries the localisation
+        except InternalConsistencyError as exc:
             return False, str(exc)
     return True, None
 

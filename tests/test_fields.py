@@ -138,6 +138,25 @@ def test_cancel_matches_prs_reduction():
                 assert (f.num, f.den) == want, (n, d)
 
 
+def test_sum_over_unequal_denominators_is_nonzero_and_reduced():
+    # KElem.__add__ makes no zero test once d1 != d2: canonical operands
+    # with unequal denominators differ, and only a + a is 0 in char 2
+    rng = Rng(31)
+    samplers = (sample_k, sample_k_general)
+    checked = 0
+    for k in range(120):
+        a = samplers[k % 2](rng, 3)
+        b = samplers[k // 2 % 2](rng, 3)
+        if a.den == b.den:
+            continue
+        r = a + b
+        assert not r.is_zero(), (a, b)
+        assert _prs_gcd(r.num, r.den).is_one(), (a, b)
+        assert r == KElem(a.num * b.den + b.num * a.den, a.den * b.den)
+        checked += 1
+    assert checked > 60
+
+
 _polys = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                   min_size=1, max_size=5).map(Poly2.from_terms)
 _monomials = st.builds(Poly2.monomial, st.integers(0, 4), st.integers(0, 4))

@@ -68,13 +68,26 @@ def test_flag_golden_string():
     assert str(flag.line).startswith("[(t, s + t, 0), ")
 
 
+def _recorded_body(name: str) -> str:
+    # the benchmark's recorded bodies are read, never written, so a changed
+    # report body fails here and in the benchmark
+    return (Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+            / name).read_text(encoding="utf-8").rstrip("\n")
+
+
 @pytest.mark.parametrize("seed", (0, 1))
 def test_verify_all_bodies_match_recorded(seed):
-    # the benchmark's verify-all configuration; the recorded bodies are read,
-    # never written, so a changed report body fails here and in the benchmark
-    recorded = (Path(__file__).resolve().parents[1] / "perfbench" / "expected"
-                / f"verify-all.seed{seed}.jsonl").read_text(encoding="utf-8")
+    # the benchmark's verify-all configuration
     report = verifier.run(verifier.SuiteConfig(seed=seed, samples=20,
                                                max_degree=3))
     body = verifier.report_body(verifier.emit_jsonl(report), "jsonl")
-    assert body == recorded.rstrip("\n")
+    assert body == _recorded_body(f"verify-all.seed{seed}.jsonl")
+
+
+def test_group_law_body_matches_recorded():
+    # the benchmark's group-law configuration: the moufang suite at
+    # samples 100, which no other tier-1 test runs
+    report = verifier.run(verifier.SuiteConfig(
+        seed=0, samples=100, max_degree=3, suites=("root-groups", "moufang")))
+    body = verifier.report_body(verifier.emit_jsonl(report), "jsonl")
+    assert body == _recorded_body("group-law.seed0.jsonl")

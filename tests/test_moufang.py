@@ -141,6 +141,21 @@ def test_survey_run_fails_a_broken_closure(monkeypatch):
     assert "closure violation" in res.counterexample
 
 
+def test_survey_run_reports_a_crashed_closure_as_error(monkeypatch):
+    # only an InternalConsistencyError is a closure failure; any other
+    # exception from the group law is a crash, reported with its location
+    def crash(self, p, q):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(MoufangSet, "mul", crash)
+    report = run(SuiteConfig(survey=True, suites=("moufang",), samples=8))
+    res = {r.name: r for r in report.results}["generator-closure-derived"]
+    assert res.status == "error"
+    line = crash.__code__.co_firstlineno + 1
+    assert res.counterexample == (
+        f"ZeroDivisionError at test_moufang.py:{line}: planted")
+
+
 def test_derived_subgroup_label_shapes(ms):
     rng = Rng(67)
     for _ in range(8):
