@@ -16,14 +16,14 @@ from .quadrangle import (Flag, ProjectionUnsupported, QLine, QPoint,
 from .rootgroups import (InternalConsistencyError, R1Coord, R2Coord, UPlus,
                          UPlusElem)
 from .sampling import Rng
-from .verifier import Report, SuiteConfig, emit_jsonl, emit_text, run
+from .verifier import SuiteConfig, emit_jsonl, emit_text, run
 
 __all__ = [
     "Block", "Check", "CheckList", "ClosureError", "FieldError",
     "FieldInstance", "Flag", "InternalConsistencyError", "KElem", "LElem",
     "MoufangPoint", "MoufangSet", "ParseError", "Poly2",
     "ProjectionUnsupported", "QLine", "QPoint", "Quadrangle", "R1Coord",
-    "R2Coord", "ReconstructedQuadrangle", "Report", "Rng", "SuiteConfig",
+    "R2Coord", "ReconstructedQuadrangle", "Rng", "SuiteConfig",
     "UPlus", "UPlusElem", "UnsupportedBlock", "default_instance",
     "derived_net_report", "emit_jsonl", "emit_text", "kprime_decompose",
     "kprime_member", "kscale", "parse_instance_file", "parse_instance_text",

@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             print(f"instance file error: {exc}", file=sys.stderr)
             return 2
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read instance file: {exc}", file=sys.stderr)
             return 2
         if not rep.ok:
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     report = run(cfg)
     text = emit_text(report) if args.format == "text" else emit_jsonl(report)
     sys.stdout.write(text)
-    if report.failed and not args.survey:
+    if not report.ok and not args.survey:
         return 1
     return 0
 

@@ -426,26 +426,48 @@ def kscale(k: KElem, z: LElem) -> LElem:
 
 
 # ----------------------------------------------------------------------
-# sub-check records, shared by instance validation and the Moufang layer
+# the one verdict record, for sub-checks and for a verifier run's checks
 # ----------------------------------------------------------------------
 
 @dataclass
 class Check:
     name: str
-    passed: bool
-    detail: str = ""
+    status: str  # pass | fail | error (the check crashed) | skip
+    note: str | None = None
+    suite: str = ""
+    anchor: str = ""
+    millis: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+    @property
+    def failed(self) -> bool:
+        return self.status in ("fail", "error")
 
 
 @dataclass
 class CheckList:
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, passed, detail))
+    @property
+    def results(self) -> list[Check]:
+        """`checks`, for perfbench/worker.py, the one reader of this name."""
+        return self.checks
+
+    def add(self, name: str, passed: bool, note: str = "") -> None:
+        self.checks.append(Check(name, "pass" if passed else "fail", note))
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not any(c.failed for c in self.checks)
+
+    def counts(self) -> tuple[int, int, int]:
+        """(passed, failed, skipped); a crash counts as failed."""
+        return (sum(c.passed for c in self.checks),
+                sum(c.failed for c in self.checks),
+                sum(c.status == "skip" for c in self.checks))
 
 
 # ----------------------------------------------------------------------

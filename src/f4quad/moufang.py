@@ -359,7 +359,7 @@ class MoufangSet:
                                     max_degree: int) -> CheckList:
         """Map the first explicit circle through tau' and test each image
         point against the second explicit circle: one sub-check per
-        sample point, detailed as 'point -> image' when it misses."""
+        sample point, noted as 'point -> image' when it misses."""
         c2 = self.special_circle_second()
         rep = CheckList()
         for pt in self.special_circle_first().sample(rng, n, max_degree):
@@ -403,7 +403,7 @@ class Block:
     def sample(self, rng: Rng, n: int, max_degree: int) -> list[MoufangPoint]:
         """n points at sampled parameters, skipping those without a point."""
         if self.sampler is None:
-            raise UnsupportedBlock(f"no sampler for the {self.descriptor()}; "
+            raise UnsupportedBlock(f"no sampler for the {self}; "
                                    "general spheres enumerate through the "
                                    "coordinate tables")
         out = []
@@ -413,11 +413,8 @@ class Block:
                 out.append(pt)
         return out
 
-    def descriptor(self) -> str:
-        return f"{self.kind} gnarl={self.gnarl} base={self.base}"
-
     def __str__(self) -> str:
-        return self.descriptor()
+        return f"{self.kind} gnarl={self.gnarl} base={self.base}"
 
 
 # ----------------------------------------------------------------------
@@ -592,7 +589,7 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
     centre.  All three incidence rules must agree with the coordinate
     quadrangle's incidence through this map, and swapping the two sorts
     must agree with the polarity.  Every mismatch is a failed sub-check
-    whose detail names it.
+    whose note names it.
     """
     quad = ms.quad
     rq = reconstruct_quadrangle(ms, rng, n_points, n_spheres, max_degree)
@@ -630,7 +627,7 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
             f"{rule3} mutual-containment incidences" if rule3 else
             "sample too small to exercise the mutual-containment incidence rule")
 
-    # only a pass has a detail, so a failure adds nothing to the note
+    # only a pass has a note; a failure adds nothing to the verifier's note
     centres = [rq.embed_point(b) for b in blocks]
     injective = (len(set(map(str, centres))) == len(centres)
                  and len(set(map(str, points))) == len(points))

@@ -3,9 +3,10 @@
 Every check carries an anchor string naming the defining relation or
 coordinate table it exercises (the README's relation table numbers the
 defining data (1)-(9); purely structural checks are anchored
-"plumbing").  Reports are deterministic for a fixed configuration: the
-text body is everything except lines starting with '#', and the jsonl
-body is every field except "millis".
+"plumbing").  `run` returns a `fields.CheckList` of `fields.Check`, the
+record sub-checks use too.  Reports are deterministic for a fixed
+configuration: the text body is everything except lines starting with
+'#', and the jsonl body is every field except "millis".
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .fields import (CheckList, FieldInstance, KElem, LElem, default_instance,
-                     kprime_decompose, kprime_member, phi_k, theta_k)
+from .fields import (Check, CheckList, FieldInstance, KElem, LElem,
+                     default_instance, kprime_decompose, kprime_member,
+                     phi_k, theta_k)
 from .moufang import (MoufangPoint, MoufangSet, derived_net_report,
                       reconstruct_report)
 from .quadrangle import Quadrangle
@@ -41,36 +43,6 @@ class SuiteConfig:
     instance: FieldInstance | None = None
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    anchor: str
-    status: str  # pass | fail | error (the check crashed) | skip
-    counterexample: str | None = None
-    millis: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return self.status in ("fail", "error")
-
-
-@dataclass
-class Report:
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return any(r.failed for r in self.results)
-
-    def counts(self) -> tuple[int, int, int]:
-        """(passed, failed, skipped); a crash counts as failed."""
-        p = sum(1 for r in self.results if r.status == "pass")
-        f = sum(1 for r in self.results if r.failed)
-        s = sum(1 for r in self.results if r.status == "skip")
-        return p, f, s
-
-
 class RunContext:
     """The objects a run shares, built once when the run starts."""
 
@@ -89,7 +61,7 @@ class RunContext:
 # individual checks: return (ok, counterexample-or-None)
 # ----------------------------------------------------------------------
 
-def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.detail}",
+def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.note}",
              limit: int | None = None):
     """(ok, note) of a sub-check record: the note joins line(c) of the
     first `limit` failed sub-checks with '; ', skipping empty lines."""
@@ -757,7 +729,7 @@ def _chk_tau_prime(ctx: RunContext):
     # the experiment is reported, not asserted; only degenerate totals fail
     if not rep.checks:
         return False, "experiment produced no sample points"
-    missed = [c.detail for c in rep.checks if not c.passed]
+    missed = [c.note for c in rep.checks if not c.passed]
     return True, (f"tau' image vs second explicit circle: "
                   f"{len(rep.checks) - len(missed)} matched, {len(missed)} "
                   f"unmatched of {len(rep.checks)}"
@@ -773,7 +745,7 @@ def _chk_reconstruction(ctx: RunContext):
     rng = ctx.rng(37)
     n = max(12, ctx.cfg.samples // 5)
     return _outcome(reconstruct_report(ctx.ms, rng, n, n, 1),
-                    line=lambda c: c.detail, limit=3)
+                    line=lambda c: c.note, limit=3)
 
 
 # ----------------------------------------------------------------------
@@ -834,9 +806,9 @@ REGISTRY: dict[str, list[tuple[str, str, object]]] = {
 }
 
 
-def run(cfg: SuiteConfig) -> Report:
+def run(cfg: SuiteConfig) -> CheckList:
     """Execute the selected suites in dependency order."""
-    report = Report()
+    report = CheckList()
     ctx = RunContext(cfg)
     prerequisites_ok = True
     for suite in SUITES:
@@ -844,7 +816,7 @@ def run(cfg: SuiteConfig) -> Report:
             continue
         for name, anchor, fn in REGISTRY[suite]:
             if not prerequisites_ok and not cfg.survey:
-                report.results.append(CheckResult(suite, name, anchor, "skip"))
+                report.checks.append(Check(name, "skip", None, suite, anchor))
                 continue
             t0 = time.perf_counter()
             try:
@@ -856,26 +828,25 @@ def run(cfg: SuiteConfig) -> Report:
                 extra = (f"{type(exc).__name__} at {os.path.basename(at.filename)}"
                          f":{at.lineno}: {exc}")
             ms = (time.perf_counter() - t0) * 1000.0
-            report.results.append(CheckResult(suite, name, anchor, status,
-                                              extra if status != "pass" else
-                                              (extra or None), ms))
-        if any(r.failed and r.suite == suite for r in report.results):
+            report.checks.append(Check(name, status, extra if status != "pass"
+                                       else (extra or None), suite, anchor, ms))
+        if any(r.failed and r.suite == suite for r in report.checks):
             prerequisites_ok = False
     return report
 
 
-def emit_text(report: Report) -> str:
+def emit_text(report: CheckList) -> str:
     """Table per suite; '#' lines carry timing and are not part of the body."""
     lines = []
     current = None
     total_ms = 0.0
-    for r in report.results:
+    for r in report.checks:
         if r.suite != current:
             current = r.suite
             lines.append(f"== {current} ==")
         line = f"{r.status:<5} {r.name}  anchor={r.anchor}"
-        if r.counterexample:
-            line += f"  note={r.counterexample}"
+        if r.note:
+            line += f"  note={r.note}"
         lines.append(line)
         total_ms += r.millis
     p, f, s = report.counts()
@@ -884,15 +855,15 @@ def emit_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_jsonl(report: Report) -> str:
+def emit_jsonl(report: CheckList) -> str:
     out = []
-    for r in report.results:
+    for r in report.checks:
         out.append(json.dumps({
             "suite": r.suite,
             "name": r.name,
             "anchor": r.anchor,
             "status": r.status,
-            "counterexample": r.counterexample,
+            "counterexample": r.note,
             "millis": round(r.millis, 3),
         }, sort_keys=True))
     return "\n".join(out) + "\n"

@@ -238,7 +238,7 @@ def test_criterion_10_net_axioms(world):
     inst, group, quad, ms = world
     t0 = time.time()
     rep = derived_net_report(ms, Rng(0), 50, 1)
-    assert rep.ok, [c.detail for c in rep.checks if not c.passed]
+    assert rep.ok, [c.note for c in rep.checks if not c.passed]
     budget("10 (net axioms of the derived geometry)", t0, 60)
 
 
@@ -246,11 +246,11 @@ def test_criterion_11_reconstruction(world):
     inst, group, quad, ms = world
     t0 = time.time()
     rep = reconstruct_report(ms, Rng(0), 200, 200, 1)
-    assert rep.ok, [c.detail for c in rep.checks if not c.passed]
+    assert rep.ok, [c.note for c in rep.checks if not c.passed]
     checks = {c.name: c for c in rep.checks}
     # 200 distinct points and spheres, embedded injectively
     assert checks["injective"].passed
-    assert checks["injective"].detail == "200 points, 200 spheres"
+    assert checks["injective"].note == "200 points, 200 spheres"
     assert checks["rule3-exercised"].passed
     assert checks["polarity-consistent-points"].passed
     assert checks["polarity-consistent-spheres"].passed

@@ -9,6 +9,7 @@ import pytest
 
 import f4quad
 from f4quad import verifier
+from f4quad.fields import Check, CheckList
 from f4quad.cli import MAX_DEGREE, MAX_SAMPLES, build_arg_parser, main
 from f4quad.verifier import report_body
 
@@ -75,8 +76,8 @@ def test_crash_reads_error_not_fail(capsys, monkeypatch):
                if r["suite"] == "fields" and r["name"] != name)
     later = [r["status"] for r in recs if r["suite"] != "fields"]
     assert later and set(later) == {"skip"}
-    crash = verifier.Report([verifier.CheckResult("s", name, anchor, "error")])
-    assert crash.failed and crash.counts() == (0, 1, 0)
+    crash = CheckList([Check(name, "error", suite="s", anchor=anchor)])
+    assert not crash.ok and crash.counts() == (0, 1, 0)
 
 
 def test_anchor_completeness(capsys):
@@ -197,3 +198,11 @@ def test_deep_nesting_is_config_error(tmp_path, capsys):
                     f"alpha = {'(' * 400}t{')' * 400}\n")
     assert main(["verify-fields", "--instance", str(path)]) == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def test_non_utf8_instance_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"delta = s + t\nphiE = e + s\nbeta = s\n"
+                     b"alpha = t \xff\n")
+    assert main(["verify-fields", "--instance", str(path)]) == 2
+    assert "cannot read instance file: " in capsys.readouterr().err

@@ -1,15 +1,18 @@
 """Edge behaviour: domain errors, empty reports, projections with lines."""
 
+import json
+
 import pytest
 
-from f4quad.fields import FieldError, KElem, LElem, default_instance, theta_k
+from f4quad.fields import (Check, CheckList, FieldError, KElem, LElem,
+                           default_instance, theta_k)
 from f4quad.moufang import MoufangSet, UnsupportedBlock
 from f4quad.parser import load_instance
 from f4quad.polynomials import Poly2
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import UPlus
 from f4quad.sampling import Rng
-from f4quad.verifier import Report, emit_jsonl, emit_text
+from f4quad.verifier import emit_jsonl, emit_text, report_body
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +64,29 @@ def test_unsupported_circle_message(ms):
 
 
 def test_empty_report_emission():
-    rep = Report()
+    rep = CheckList()
     text = emit_text(rep)
     assert "summary: 0 passed, 0 failed, 0 skipped" in text
     assert emit_jsonl(rep) == "\n"
+    # one record per status: the note is printed only where it is set
+    crash = "ZeroDivisionError at f.py:1: planted"
+    rep = CheckList([Check("a", "pass", None, "s", "Eq. (1)"),
+                     Check("b", "fail", "x=s", "s", "Eq. (2)"),
+                     Check("c", "error", crash, "s", "Eq. (3)"),
+                     Check("d", "skip", None, "u", "Eq. (4)")])
+    assert report_body(emit_text(rep), "text").splitlines() == [
+        "== s ==",
+        "pass  a  anchor=Eq. (1)",
+        "fail  b  anchor=Eq. (2)  note=x=s",
+        f"error c  anchor=Eq. (3)  note={crash}",
+        "== u ==",
+        "skip  d  anchor=Eq. (4)",
+        "summary: 1 passed, 2 failed, 1 skipped",
+    ]
+    recs = [json.loads(line) for line in emit_jsonl(rep).splitlines()]
+    assert [r["counterexample"] for r in recs] == [None, "x=s", crash, None]
+    assert [r["status"] for r in recs] == ["pass", "fail", "error", "skip"]
+    assert not rep.ok
 
 
 def test_load_instance_attaches_report(tmp_path):

@@ -42,7 +42,7 @@ def test_block_member_golden_strings():
         "(s^8 + s^4*t^2 + s^4 + s^2*t^2)/t)]",
     ]
 
-    assert sphere.descriptor() == (
+    assert str(sphere) == (
         "sphere gnarl=inf base=[(s^2/t, (s^2 + t)/t, 0),"
         "(1/s + ((s + 1)/s)*e, t/s + (t)*e, 0)]")
 

@@ -136,9 +136,9 @@ def test_survey_run_fails_a_broken_closure(monkeypatch):
     monkeypatch.setattr(MoufangSet, "embed",
                         lambda self, p: self.embed_verbatim(p.r1, p.r2))
     report = run(SuiteConfig(survey=True, suites=("moufang",), samples=8))
-    res = {r.name: r for r in report.results}["generator-closure-derived"]
+    res = {r.name: r for r in report.checks}["generator-closure-derived"]
     assert res.status == "fail"
-    assert "closure violation" in res.counterexample
+    assert "closure violation" in res.note
 
 
 def test_survey_run_reports_a_crashed_closure_as_error(monkeypatch):
@@ -149,10 +149,10 @@ def test_survey_run_reports_a_crashed_closure_as_error(monkeypatch):
 
     monkeypatch.setattr(MoufangSet, "mul", crash)
     report = run(SuiteConfig(survey=True, suites=("moufang",), samples=8))
-    res = {r.name: r for r in report.results}["generator-closure-derived"]
+    res = {r.name: r for r in report.checks}["generator-closure-derived"]
     assert res.status == "error"
     line = crash.__code__.co_firstlineno + 1
-    assert res.counterexample == (
+    assert res.note == (
         f"ZeroDivisionError at test_moufang.py:{line}: planted")
 
 
@@ -331,18 +331,18 @@ def test_tau_prime_examples(ms):
 def test_tau_prime_experiment_reports(ms):
     rep = ms.tau_prime_circle_experiment(Rng(77), 12, 2)
     assert len(rep.checks) == 12  # one sub-check per sample point
-    assert all(c.passed or " -> " in c.detail for c in rep.checks)
+    assert all(c.passed or " -> " in c.note for c in rep.checks)
 
 
 def test_block_descriptors(ms):
     rng = Rng(78)
     through = ms.sample_label(rng, 1)
     sphere = ms.sphere_at_infinity(through)
-    desc = sphere.descriptor()
+    desc = str(sphere)
     assert desc.startswith("sphere gnarl=inf")
     circle = ms.circle_general(through, ms.infinity)
-    assert "circle" in circle.descriptor()
-    assert str(through) in circle.descriptor()
+    assert "circle" in str(circle)
+    assert str(through) in str(circle)
 
 
 def test_net_report(ms):
@@ -355,7 +355,7 @@ def test_net_report(ms):
 
 def test_reconstruction_report(ms):
     rep = reconstruct_report(ms, Rng(80), 14, 14, 1)
-    assert rep.ok, [c.detail for c in rep.checks if not c.passed]
+    assert rep.ok, [c.note for c in rep.checks if not c.passed]
     assert {c.name for c in rep.checks if c.passed} >= {
         "rule3-exercised", "injective", "polarity-consistent-points",
         "polarity-consistent-spheres"}

@@ -1,8 +1,13 @@
 """The traced benchmark binds library functions by name; they must exist."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from types import FunctionType
+
+import pytest
 
 import f4quad.sampling
 from f4quad.fields import default_instance
@@ -10,8 +15,8 @@ from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import UPlus
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                     "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
 def test_traced_names_resolve():
@@ -41,3 +46,17 @@ def test_embeddings_go_through_the_class_binding(monkeypatch):
     rng = f4quad.sampling.Rng(3)
     ms.mul(ms.sample_label(rng, 1), ms.sample_label(rng, 1))
     assert len(calls) == 3  # both factors, then the product re-embedded
+
+
+@pytest.mark.parametrize("workload", ["field-kernel", "group-law"])
+def test_benchmark_worker_reads_the_records(workload):
+    # the worker reads load_instance's list (field-kernel) and the run's
+    # records by attribute name; a renamed attribute crashes it here
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "--workload",
+         workload, "--program-seed", "0", "--samples", "4"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {"counts", "failed_checks", "suite_s", "sha256"} <= set(out)
