@@ -382,6 +382,10 @@ class LElem:
     def __add__(self, other: "LElem") -> "LElem":
         if not isinstance(other, LElem):
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return LElem(self.c0 + other.c0, self.c1 + other.c1)
 
     __sub__ = __add__

@@ -14,6 +14,17 @@ to a named slot; products are always formed through the solver, which
 closes by construction (the fixed subgroup is a subgroup), and a product
 whose parts fail to re-embed raises ClosureError.
 
+The group law and the flag tables ask for the same few labels again and
+again (an operand, then its product, then that product as the next
+operand), so each MoufangSet keeps its last LABEL_CACHE_SIZE generator
+elements (`embed`, around the solver `embed_derived`) and absolute flags
+(`flag_of_label`) in a `functools.lru_cache` keyed by the label.  Labels
+compare by exact canonical coordinates, so a hit returns what the solver
+would; the re-embed of a product's label still compares the product with
+the derived completion, cached or not.  Labels and the other coordinate
+records are slotted dataclasses, immutable by convention like Poly2 and
+KElem: a cached element or flag is shared by every caller.
+
 Blocks are never materialised: a sphere or circle is a descriptor with
 an exact membership predicate and, if parametrised, a map `point_at`
 and a parameter sampler behind the one method `Block.sample`.
@@ -22,12 +33,16 @@ and a parameter sampler behind the one method `Block.sample`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import (CheckList, KElem, LElem, kprime_member, kscale, phi_k,
                      theta_k)
 from .quadrangle import Flag, Quadrangle
 from .rootgroups import InternalConsistencyError, R1Coord, R2Coord, UPlusElem
 from .sampling import Rng, sample_k, sample_kprime, sample_l
+
+
+LABEL_CACHE_SIZE = 8
 
 
 class ClosureError(InternalConsistencyError):
@@ -38,7 +53,7 @@ class UnsupportedBlock(NotImplementedError):
     """Circle with a gnarl/through combination outside the known recipes."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MoufangPoint:
     """Either infinity or the label [(x,y,a),(u,v,b)]."""
     r1: R1Coord | None
@@ -64,6 +79,12 @@ class MoufangSet:
         g = self.group
         self.infinity = MoufangPoint(None, None)
         self.zero = MoufangPoint(g.r1_zero, g.r2_zero)
+        # per instance, as UPlus's comm14 memo; each entry looks the traced
+        # embed_derived up on the class when it computes
+        self._embeds = lru_cache(maxsize=LABEL_CACHE_SIZE)(
+            lambda r1, r2: self.embed_derived(r1, r2))
+        self._flags = lru_cache(maxsize=LABEL_CACHE_SIZE)(
+            lambda p: self.quad.act(self.quad.zero_flag, self.embed(p)))
 
     # -- the generator form ------------------------------------------------------
 
@@ -124,10 +145,11 @@ class MoufangSet:
         return elt
 
     def embed(self, p: MoufangPoint) -> UPlusElem:
-        """The generator element of a finite label (the derived form)."""
+        """The generator element of a finite label (the derived form),
+        through the label cache (module docstring)."""
         if p.is_inf:
             raise ValueError("infinity has no generator element")
-        return self.embed_derived(p.r1, p.r2)
+        return self._embeds(p.r1, p.r2)
 
     def compare_embeddings(self, r1: R1Coord, r2: R2Coord) -> list[str]:
         """Slot-by-slot differences of the printed and the derived forms."""
@@ -182,9 +204,11 @@ class MoufangSet:
     # -- flags ------------------------------------------------------------------------
 
     def flag_of_label(self, p: MoufangPoint) -> Flag:
+        """The absolute flag of a label: the zero flag moved by its
+        generator element, through the flag cache (module docstring)."""
         if p.is_inf:
             return self.quad.inf_flag
-        return self.quad.act(self.quad.zero_flag, self.embed(p))
+        return self._flags(p)
 
     def label_of_flag(self, f: Flag) -> MoufangPoint:
         """Inverse of the labeling: a-slot of the point, k'-slot of the line."""

@@ -11,9 +11,10 @@ coefficients live in GF(2).  Errors carry line and column.
 
 delta is parsed first, inside K ('e' is rejected: L is not yet
 defined); the other three are parsed in L = K[e]/(e^2 + e + delta).
-beta and alpha must be nonzero and free of e, phiE must involve e, a
-power may not raise an expression above total degree MAX_DEGREE, and
-parentheses may not nest deeper than MAX_NESTING.
+beta and alpha must be nonzero and free of e, phiE must involve e, no
+power, product or quotient may have a numerator or denominator of total
+degree above MAX_DEGREE, and parentheses may not nest deeper than
+MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -124,11 +125,15 @@ class _Parser:
                 rhs = self.factor()
                 if text == "*":
                     val = self.inst.lmul(val, rhs)
-                    continue
-                try:
-                    val = self.inst.ldiv(val, rhs)
-                except FieldError:  # a zero divisor (zero norm)
-                    raise ParseError("division by zero", self.tz.line, col) from None
+                else:
+                    try:
+                        val = self.inst.ldiv(val, rhs)
+                    except FieldError:  # a zero divisor (zero norm)
+                        raise ParseError("division by zero", self.tz.line,
+                                         col) from None
+                if _degree(val) > MAX_DEGREE:
+                    raise ParseError("product or quotient of total degree "
+                                     f"above {MAX_DEGREE}", self.tz.line, col)
             else:
                 return val
 

@@ -276,12 +276,6 @@ class Poly2:
             v ^= 1 << w * j + i
         return _shrink(v, w)
 
-    @classmethod
-    def from_packed(cls, v: int, w: int) -> "Poly2":
-        """The polynomial whose s^i t^j is bit w*j + i of v >= 0, for a
-        stride w = _stride(n) with every i < n."""
-        return _shrink(v, w)
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -50,7 +50,7 @@ class ProjectionUnsupported(NotImplementedError):
     """Projection configuration outside the implemented (closed) cases."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class QPoint:
     kind: str  # INF | P1 | P2 | P3
     coords: tuple
@@ -61,7 +61,7 @@ class QPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class QLine:
     kind: str  # LINF | L1 | L2 | L3
     coords: tuple
@@ -72,7 +72,7 @@ class QLine:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Flag:
     point: QPoint
     line: QLine

@@ -31,6 +31,12 @@ for the same pair again and again, and coordinate equality is exact
 canonical equality, so a hit returns exactly what recomputation would.
 The cache is thread-safe and stores no exception.
 
+The coordinate records R1Coord, R2Coord and UPlusElem are slotted
+dataclasses, immutable by convention like Poly2 and KElem (no frozen
+`__setattr__`, so a record costs a third of the time to build).  A sum
+of coordinates with a zero operand returns the other operand, as KElem
+and LElem sums do: most sums of a collection add a zero correction.
+
 A debug switch (eq3_slot 2) puts that [U2,U4] correction into U2's K'
 slot instead of U3 (the untenable reading of relation (3)); under it no
 consistent collection exists, so a one-level truncation is used and
@@ -50,7 +56,7 @@ class InternalConsistencyError(AssertionError):
     """A structural invariant of the coordinate algebra failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class R1Coord:
     """Coordinates of U1/U3: (x, y, b) in L' x L' x K."""
     x: LElem
@@ -61,13 +67,17 @@ class R1Coord:
         return self.x.is_zero() and self.y.is_zero() and self.b.is_zero()
 
     def __add__(self, other: "R1Coord") -> "R1Coord":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return R1Coord(self.x + other.x, self.y + other.y, self.b + other.b)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y}, {self.b})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class R2Coord:
     """Coordinates of U2/U4: (u, v, a) in L x L x K'."""
     u: LElem
@@ -78,13 +88,17 @@ class R2Coord:
         return self.u.is_zero() and self.v.is_zero() and self.a.is_zero()
 
     def __add__(self, other: "R2Coord") -> "R2Coord":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return R2Coord(self.u + other.u, self.v + other.v, self.a + other.a)
 
     def __str__(self) -> str:
         return f"({self.u}, {self.v}, {self.a})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class UPlusElem:
     """Normal form g1 g2 g3 g4; equality is component-wise."""
     g1: R1Coord

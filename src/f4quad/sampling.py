@@ -8,14 +8,16 @@ while still exercising genuine quotients.
 
 `sample_poly`, which every sampler draws through, runs the generator
 step inline on a local state and sets each term's bit of the packed
-`Poly2` directly; `tests/test_sampling.py` pins its draws and the final
-state against a loop over `Rng.below`, that is over `Rng.next64`.
+`Poly2` directly; `sample_k` draws its denominator the same way and
+builds the reduced fraction without `KElem.__init__`.
+`tests/test_sampling.py` pins both samplers' draws and the final state
+against a loop over `Rng.below`, that is over `Rng.next64`.
 """
 
 from __future__ import annotations
 
-from .fields import FieldInstance, KElem, LElem, phi_k
-from .polynomials import Poly2, _stride
+from .fields import K_ZERO, FieldInstance, KElem, LElem, _trusted_k, phi_k
+from .polynomials import Poly2, _shrink, _stride
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -71,7 +73,7 @@ def sample_poly(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:
         x ^= x >> 27
         v ^= 1 << w * (((x * _MULT) & _MASK64) % (n - i)) + i
     rng.state = x
-    return Poly2.from_packed(v, w)
+    return _shrink(v, w)
 
 
 def sample_poly_nonzero(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:
@@ -82,14 +84,29 @@ def sample_poly_nonzero(rng: Rng, max_degree: int, max_terms: int = 4) -> Poly2:
 
 
 def sample_k(rng: Rng, max_degree: int) -> KElem:
-    """Random K element; denominator a monomial of small degree."""
+    """Random K element over the denominator 1, or else s^i t^j with
+    i + j <= 1: after the numerator, the draws of `rng.chance(1, 2)`,
+    then `rng.below(2)` and `rng.below(2 - i)`, stepped inline.  A
+    monomial cancel reduces the fraction (no gcd)."""
     num = sample_poly(rng, max_degree)
-    if rng.chance(1, 2):
-        return KElem(num)
-    i = rng.below(2)
-    j = rng.below(2 - i)
-    den = Poly2.monomial(i, j)
-    return KElem(num, den)
+    x = rng.state
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK64
+    x ^= x >> 27
+    i = j = 0
+    if (x * _MULT) & 1:  # not chance(1, 2): draw the denominator
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        i = (x * _MULT) & 1
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        j = ((x * _MULT) & _MASK64) % (2 - i)
+    rng.state = x
+    if num.is_zero():
+        return K_ZERO
+    return _trusted_k(*num.cancel_monomial(i, j))
 
 
 def sample_k_general(rng: Rng, max_degree: int) -> KElem:

@@ -3,11 +3,11 @@
 import pytest
 
 from f4quad.fields import KElem, LElem, default_instance, kscale, phi_k
-from f4quad.moufang import (ClosureError, MoufangPoint, MoufangSet,
-                            UnsupportedBlock, derived_net_report,
+from f4quad.moufang import (LABEL_CACHE_SIZE, ClosureError, MoufangPoint,
+                            MoufangSet, UnsupportedBlock, derived_net_report,
                             reconstruct_report)
 from f4quad.quadrangle import Quadrangle
-from f4quad.rootgroups import R1Coord, R2Coord, UPlus
+from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import Rng
 from f4quad.verifier import SuiteConfig, run
 
@@ -373,3 +373,44 @@ def test_reconstructed_structure_object(ms):
     assert all(p == blk.gnarl for p in hits)
     # sort swap is symmetric by construction
     assert rq.incident(blk, rq.spheres[1]) == rq.incident(rq.spheres[1], blk)
+
+
+def test_label_caches_agree_with_fresh_computation():
+    ms = MoufangSet(Quadrangle(UPlus(default_instance())))
+    quad = ms.quad
+    rng = Rng(72)
+    labels = [ms.sample_label(rng, 1) for _ in range(LABEL_CACHE_SIZE + 4)]
+    assert len(set(labels)) == len(labels)
+    rebuilt = [MoufangPoint(R1Coord(p.r1.x, p.r1.y, p.r1.b),
+                            R2Coord(p.r2.u, p.r2.v, p.r2.a)) for p in labels]
+    # the first pass cycles both caches; the repeats, newest first, hit
+    # the labels still held and recompute the evicted ones
+    for lab in labels + labels[::-1] + rebuilt:
+        derived = ms.embed_derived(lab.r1, lab.r2)
+        assert ms.embed(lab) == derived
+        assert ms.flag_of_label(lab) == quad.act(quad.zero_flag, derived)
+    assert ms._embeds.cache_info().hits >= LABEL_CACHE_SIZE
+    assert ms._flags.cache_info().hits >= LABEL_CACHE_SIZE
+    assert ms._flags.cache_info().currsize == LABEL_CACHE_SIZE
+
+
+def test_cached_label_still_checks_the_product(monkeypatch):
+    # the re-embed of a product compares it with the derived completion
+    # even when that completion comes from the cache
+    ms = MoufangSet(Quadrangle(UPlus(default_instance())))
+    rng = Rng(73)
+    p, q = ms.sample_label(rng, 1), ms.sample_label(rng, 1)
+    ms.mul(p, q)  # caches the product's label
+    original = UPlus.mul
+
+    def tampered(self, g, h):
+        out = original(self, g, h)
+        return UPlusElem(out.g1, out.g2,
+                         out.g3 + R1Coord(LZ, LZ, ONE), out.g4)
+
+    monkeypatch.setattr(UPlus, "mul", tampered)
+    hits = ms._embeds.cache_info().hits
+    with pytest.raises(ClosureError) as err:
+        ms.mul(p, q)
+    assert ms._embeds.cache_info().hits == hits + 3  # p, q and the product
+    assert "U3 delta x=0, y=0, K=1" in str(err.value)

@@ -145,6 +145,31 @@ def test_power_is_bounded():
         assert (err.value.line, err.value.col) == (4, power.rindex("^") + 14)
 
 
+def test_product_is_bounded():
+    # the cap of ^ holds for * as well: 300 factors stop at the 65th
+    beta = "*".join(["s"] * 300)
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = {beta}\n"
+                            "alpha = t")
+    # the '*' before the 65th factor, counted from the line start "beta = "
+    assert (err.value.line, err.value.col) == (3, 8 + 2 * MAX_DEGREE - 1)
+    assert "product or quotient" in str(err.value)
+    at_cap = "*".join(["s"] * MAX_DEGREE)
+    assert parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = {at_cap}\n"
+                               "alpha = t").beta == KElem.s() ** MAX_DEGREE
+
+
+def test_quotient_is_bounded():
+    # each quotient has degree 40 in numerator and denominator; the second
+    # division puts t^80 in the denominator
+    text = "delta = s + t\nphiE = e + s\nbeta = s\nalpha = s^40 / t^40 / t^40"
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    line = text.splitlines()[3]
+    assert (err.value.line, err.value.col) == (4, line.rindex("/") + 1)
+    assert "product or quotient" in str(err.value)
+
+
 def test_power_at_the_limit_is_exact():
     # s^64 is the largest power admitted, and the first s-degree that
     # needs a stride wider than W in the packed layout

@@ -1,5 +1,6 @@
 """Root group coordinates, commutator maps and the collected group law."""
 
+import dataclasses
 import re
 import sys
 import threading
@@ -14,7 +15,7 @@ from f4quad.polynomials import Poly2
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
-from f4quad.sampling import Rng
+from f4quad.sampling import Rng, sample_l_nonzero
 
 ZERO = KElem.zero()
 ONE = KElem.one()
@@ -631,3 +632,38 @@ def test_quadrangle_does_not_transcribe_relation4():
                                      .splitlines(), 1)
             if re.search(r"\bl(mul|square|norm)\b", line)]
     assert not hits, hits
+
+
+def _records(ms, seed):
+    """One of each of the seven coordinate records, built from a label."""
+    lab = ms.sample_label(Rng(seed), 1)
+    flag = ms.flag_of_label(lab)
+    return [lab.r1, lab.r2, ms.embed(lab), lab, flag.point, flag.line, flag]
+
+
+def test_records_rebuilt_from_their_fields_are_the_same_key(ms):
+    for rec in _records(ms, 80):
+        assert not hasattr(rec, "__dict__"), type(rec).__name__  # slotted
+        again = type(rec)(*(getattr(rec, f.name)
+                            for f in dataclasses.fields(rec)))
+        assert again is not rec
+        assert again == rec and hash(again) == hash(rec)
+        assert {rec: 1}[again] == 1
+        assert str(again) == str(rec)
+    assert str(R1Coord(LZ, LE, ONE)) == "(0, e, 1)"
+    assert str(ms.infinity) == "inf"
+
+
+def test_zero_operand_sums_give_the_other_operand(ms):
+    rng = Rng(81)
+    for _ in range(5):
+        r1, r2 = ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)
+        z = sample_l_nonzero(rng, 1)
+        for a, zero in ((r1, ms.group.r1_zero), (r2, ms.group.r2_zero),
+                        (z, LZ)):
+            assert a + zero == a and zero + a == a
+            assert (a + a).is_zero()
+    # a zero built afresh, not the shared one, is a zero operand too
+    fresh = R1Coord(LElem(ZERO, ZERO), LElem(ZERO), KElem(Poly2.zero()))
+    assert fresh + r1 is r1 and r1 + fresh is r1
+    assert LElem(ZERO, ZERO) + z is z and z + LElem(ZERO, ZERO) is z

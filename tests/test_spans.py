@@ -48,15 +48,31 @@ def test_embeddings_go_through_the_class_binding(monkeypatch):
     assert len(calls) == 3  # both factors, then the product re-embedded
 
 
+def _worker(workload, *args):
+    """The last JSON line of one benchmark worker at program seed 0."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "--workload",
+         workload, "--program-seed", "0", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("workload", ["field-kernel", "group-law"])
 def test_benchmark_worker_reads_the_records(workload):
     # the worker reads load_instance's list (field-kernel) and the run's
     # records by attribute name; a renamed attribute crashes it here
-    proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "--workload",
-         workload, "--program-seed", "0", "--samples", "4"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = _worker(workload, "--samples", "4")
     assert {"counts", "failed_checks", "suite_s", "sha256"} <= set(out)
+
+
+@pytest.mark.parametrize("workload", ["verify-all", "group-law"])
+def test_benchmark_keeps_its_marks(workload):
+    # the worker marks a verdict every 128 poly_gcd calls and corrects each
+    # segment for the host's speed; skipped gcd work thins the marks, and
+    # too few leave the verdict uncorrected
+    marks = len(_worker(workload)["marks"])
+    assert marks >= 100, (
+        f"{workload} makes {marks} marks per verdict at program seed 0, "
+        "below 100: mark on work that no change removes (ROADMAP item 3)")
