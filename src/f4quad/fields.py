@@ -11,12 +11,14 @@ delta, the image phi(e), and the pair (beta, alpha = phi(beta)) that
 parametrises the anisotropic forms.  L' is the subfield generated by
 the squares of L together with K', equivalently the image phi(L).
 L arithmetic runs on raw values (A0, A1, i, j, g) = (A0 + A1 e) /
-(s^i t^j g), g free of s and t and the shared Poly2 one for a monomial
-denominator (`_shared`; a K value has A1 = 0, `_kraw`).  A sum meets at
-the larger exponents and at lcm(g, h), a gcd only when g != h; a product
-adds exponents and multiplies g parts (in L: three products and one by
-delta).  `_over` reduces once per coordinate, by a monomial cancel when
-g is one.  `lmul`, `lnorm`, `lsquare`, `kscale`: a raw op, then `_over`.
+(s^i t^j g), g free of s and t and `polynomials.P_ONE` itself for a
+monomial denominator (`_shared`; a K value has A1 = 0, `_kraw`).  A sum
+meets at the larger exponents and at lcm(g, h), a gcd only when g != h;
+a product adds exponents and multiplies g parts (in L: three products
+and one by delta).  `_over` reduces once per coordinate, by a monomial
+cancel when g is P_ONE, an identity test: a second Poly2 equal to 1
+would send every reduction through `_cancel`.  `lmul`, `lnorm`,
+`lsquare`, `kscale`: a raw op, then `_over`.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -25,13 +27,19 @@ element of K lies in K' exactly when the canonical numerator and
 denominator both have only even powers of s.  phi, theta, inversion and
 squaring map reduced fractions to reduced ones, and a factor 1 gives
 the other operand back, so none of these reduce again.
+
+The library names each constant of the tower one way: K_ZERO, K_ONE,
+K_S and K_T in K, L_ZERO, L_ONE and L_E in L.  An element c of K is
+LElem(c) in L.  Subtraction is addition in characteristic 2, and the
+classes define only `+`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polynomials import Poly2, poly_divexact, poly_gcd
+from .polynomials import (P_ONE, P_S, P_T, P_ZERO, Poly2, poly_divexact,
+                          poly_gcd)
 
 
 class FieldError(ArithmeticError):
@@ -49,17 +57,19 @@ class KElem:
 
     def __init__(self, num: Poly2, den: Poly2 | None = None):
         if den is None:
-            den = Poly2.one()
+            den = P_ONE
         if den.is_zero():
             raise FieldError("zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly2.zero(), Poly2.one()
+            self.num, self.den = P_ZERO, P_ONE
         else:
             self.num, self.den = _cancel(num, den)
         self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
+    # perfbench/selftest.py spells 0 and 1 of K so; the library uses
+    # K_ZERO and K_ONE
     @classmethod
     def zero(cls) -> "KElem":
         return K_ZERO
@@ -67,14 +77,6 @@ class KElem:
     @classmethod
     def one(cls) -> "KElem":
         return K_ONE
-
-    @classmethod
-    def s(cls) -> "KElem":
-        return K_S
-
-    @classmethod
-    def t(cls) -> "KElem":
-        return K_T
 
     # -- predicates --------------------------------------------------------
 
@@ -115,8 +117,6 @@ class KElem:
             return _trusted_k(num, d1 * d2r)
         return _trusted_k(poly_divexact(num, h),
                           poly_divexact(d1, h) * d2r)
-
-    __sub__ = __add__
 
     def __mul__(self, other: "KElem") -> "KElem":
         if not isinstance(other, KElem):
@@ -214,7 +214,7 @@ def _over(z, k: int = 0) -> KElem:
     num, g = z[k], z[4]
     if not num:
         return K_ZERO
-    if g is _P1:
+    if g is P_ONE:
         return _trusted_k(*num.cancel_monomial(z[2], z[3]))
     return _trusted_k(*_cancel(num, g.shift(z[2], z[3])))
 
@@ -228,9 +228,9 @@ def _kraw(k: KElem):
     is the shared one when k's denominator is 1 or a monomial."""
     d = k.den
     if d.is_monomial():
-        return k.num, _P0, *d.exponents(), _P1
+        return k.num, P_ZERO, *d.exponents(), P_ONE
     i, j = d.val_s(), d.val_t()
-    return k.num, _P0, i, j, poly_divexact(d, Poly2.monomial(i, j))
+    return k.num, P_ZERO, i, j, poly_divexact(d, Poly2.monomial(i, j))
 
 
 def _shared(z: "LElem"):
@@ -238,22 +238,22 @@ def _shared(z: "LElem"):
     (n0, d0), (n1, d1) = (z.c0.num, z.c0.den), (z.c1.num, z.c1.den)
     if not (d0.is_monomial() and d1.is_monomial()):
         (n0, _, i, j, g), (n1, _, k, m, h) = _kraw(z.c0), _kraw(z.c1)
-        return _radd((n0, _P0, i, j, g), (_P0, n1, k, m, h))
+        return _radd((n0, P_ZERO, i, j, g), (P_ZERO, n1, k, m, h))
     if d0 == d1:
-        return n0, n1, *d0.exponents(), _P1
+        return n0, n1, *d0.exponents(), P_ONE
     (i, j), (k, m) = d0.exponents(), d1.exponents()
     I, J = max(i, k), max(j, m)
-    return n0.shift(I - i, J - j), n1.shift(I - k, J - m), I, J, _P1
+    return n0.shift(I - i, J - j), n1.shift(I - k, J - m), I, J, P_ONE
 
 
 def _gmul(g: Poly2, h: Poly2) -> Poly2:
-    return h if g is _P1 else g if h is _P1 else g * h
+    return h if g is P_ONE else g if h is P_ONE else g * h
 
 
 def _lcm(g: Poly2, h: Poly2):
     """(l, l / g, l / h) for l = lcm(g, h)."""
     if g == h:
-        return g, _P1, _P1
+        return g, P_ONE, P_ONE
     c = poly_gcd(g, h)
     hc = poly_divexact(h, c)
     return g * hc, hc, poly_divexact(g, c)
@@ -284,15 +284,13 @@ def _rconj(z):
 def _rpolar(z, w):
     """The raw K value tr(z conj(w)) = A0 B1 + A1 B0 (the polar form)."""
     (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
-    return A0 * B1 + A1 * B0, _P0, i + k, j + m, _gmul(g, h)
+    return A0 * B1 + A1 * B0, P_ZERO, i + k, j + m, _gmul(g, h)
 
 
-_P0 = Poly2.zero()
-_P1 = Poly2.one()
-K_ZERO = KElem(Poly2.zero())
-K_ONE = KElem(Poly2.one())
-K_S = KElem(Poly2.s())
-K_T = KElem(Poly2.t())
+K_ZERO = KElem(P_ZERO)
+K_ONE = KElem(P_ONE)
+K_S = KElem(P_S)
+K_T = KElem(P_T)
 
 
 # ----------------------------------------------------------------------
@@ -357,21 +355,10 @@ class LElem:
         self.c1 = c1 if c1 is not None else K_ZERO
         self._hash: int | None = None
 
-    @classmethod
-    def zero(cls) -> "LElem":
-        return L_ZERO
-
+    # perfbench/selftest.py spells 1 of L so; the library uses L_ONE
     @classmethod
     def one(cls) -> "LElem":
         return L_ONE
-
-    @classmethod
-    def e(cls) -> "LElem":
-        return L_E
-
-    @classmethod
-    def from_k(cls, c: KElem) -> "LElem":
-        return cls(c, K_ZERO)
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
@@ -387,8 +374,6 @@ class LElem:
         if self.is_zero():
             return other
         return LElem(self.c0 + other.c0, self.c1 + other.c1)
-
-    __sub__ = __add__
 
     def conj(self) -> "LElem":
         """The involution fixing K: e -> e + 1."""
@@ -500,7 +485,7 @@ class FieldInstance:
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
         # delta = D / d with d = s^di t^dj dg; d is the shared one if 1
-        self._delta_raw = (delta.num, _P1 if delta.den.is_one() else delta.den,
+        self._delta_raw = (delta.num, P_ONE if delta.den.is_one() else delta.den,
                            *_kraw(delta)[2:])
 
     # -- L arithmetic -------------------------------------------------------
@@ -523,9 +508,6 @@ class FieldInstance:
         if z.is_zero():
             raise FieldError("inversion of zero in L")
         return kscale(self.lnorm(z).inv(), z.conj())
-
-    def ldiv(self, z: LElem, w: LElem) -> LElem:
-        return self.lmul(z, self.linv(w))
 
     def lsquare(self, z: LElem) -> LElem:
         return _lover(self._rsquare(_shared(z)))
@@ -554,7 +536,7 @@ class FieldInstance:
         """The raw K value A0^2 + A0 A1 + delta A1^2."""
         A0, A1, i, j, g = z
         D, d, di, dj, dg = self._delta_raw
-        return (_gmul(d, A0 * (A0 + A1)) + D * A1.square(), _P0,
+        return (_gmul(d, A0 * (A0 + A1)) + D * A1.square(), P_ZERO,
                 2 * i + di, 2 * j + dj, _gmul(_gmul(g, g), dg))
 
     # -- the twist on L -------------------------------------------------------
@@ -603,7 +585,7 @@ class FieldInstance:
         # (ii) phi(e) satisfies the image of e's minimal polynomial, making
         # phi a ring endomorphism of L, and phi o phi squares samples.
         pe = self.phi_e
-        min_poly = self.lmul(pe, pe) + pe + LElem.from_k(phi_k(self.delta))
+        min_poly = self.lmul(pe, pe) + pe + LElem(phi_k(self.delta))
         rep.add("phiE-satisfies-image-minimal-polynomial", min_poly.is_zero(),
                 "" if min_poly.is_zero() else f"residue: {min_poly}")
         tits_ok = True
@@ -697,7 +679,7 @@ class FieldInstance:
         """
         n, d = self.delta.num, self.delta.den
         if d.is_one():
-            q = Poly2.one()
+            q = P_ONE
         else:
             if not d.all_exponents_even():
                 return None  # no square denominator, no root at all
@@ -706,7 +688,7 @@ class FieldInstance:
                  for j in range(max_degree + 1 - i)]
         for bits in range(1 << len(monos)):
             p = Poly2.from_terms(m for k, m in enumerate(monos) if bits >> k & 1)
-            if p.square() + p * q + n == Poly2.zero():
+            if p.square() + p * q + n == P_ZERO:
                 return KElem(p, q)
         return None
 

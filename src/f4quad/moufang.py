@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import (CheckList, KElem, LElem, kprime_member, kscale, phi_k,
-                     theta_k)
+from .fields import (K_ONE, L_ZERO, CheckList, KElem, LElem, kprime_member,
+                     kscale, phi_k, theta_k)
 from .quadrangle import Flag, Quadrangle
 from .rootgroups import InternalConsistencyError, R1Coord, R2Coord, UPlusElem
 from .sampling import Rng, sample_k, sample_kprime, sample_l
@@ -106,7 +106,7 @@ class MoufangSet:
                + kscale(alpha * inst.beta_sq, mul(phl(y), ybar)))
         g3y = (kscale(inst.alpha_inv, phl(v)) + kscale(phi_k(a), y)
                + mul(phl(x), x) + kscale(alpha, mul(phl(y), xbar)))
-        acc = LElem.from_k(theta_k(b) + a * phi_k(a))
+        acc = LElem(theta_k(b) + a * phi_k(a))
         ab = alpha * beta
         acc = acc + kscale(ab, mul(xth, xbarth) + kscale(alpha, mul(yth, ybarth)))
         acc = acc + kscale(ab * beta,
@@ -305,17 +305,17 @@ class MoufangSet:
         """The circle with gnarl [0,0] through [(0,0,1),(0,0,0)]; its points
         are parametrised over K and the through point is a parameter limit."""
         gnarl = self.zero
-        through = MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), KElem.one()),
+        through = MoufangPoint(R1Coord(L_ZERO, L_ZERO, K_ONE),
                                self.group.r2_zero)
 
         def point_at(xx: KElem):
-            den = KElem.one() + xx + phi_k(xx)
+            den = K_ONE + xx + phi_k(xx)
             if den.is_zero():
                 return None
             aa = xx / den
-            bb = (KElem.one() + phi_k(xx) + xx.square()).inv()
-            return MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), aa),
-                                R2Coord(LElem.zero(), LElem.zero(), bb))
+            bb = (K_ONE + phi_k(xx) + xx.square()).inv()
+            return MoufangPoint(R1Coord(L_ZERO, L_ZERO, aa),
+                                R2Coord(L_ZERO, L_ZERO, bb))
 
         def contains(p: MoufangPoint) -> bool:
             if p.is_inf:
@@ -330,25 +330,25 @@ class MoufangSet:
                 return False
             dd = theta_k(bb).inv()  # bb = phi(1/den)
             xx = aa * dd
-            return dd == KElem.one() + xx + phi_k(xx)
+            return dd == K_ONE + xx + phi_k(xx)
 
         return Block("circle", gnarl, through, contains, point_at, sample_k)
 
     def special_circle_second(self) -> "Block":
         """The circle through [(0,0,1),(0,0,0)] with gnarl [(0,0,0),(0,0,1)]."""
         gnarl = MoufangPoint(self.group.r1_zero,
-                             R2Coord(LElem.zero(), LElem.zero(), KElem.one()))
-        through = MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), KElem.one()),
+                             R2Coord(L_ZERO, L_ZERO, K_ONE))
+        through = MoufangPoint(R1Coord(L_ZERO, L_ZERO, K_ONE),
                                self.group.r2_zero)
 
         def point_at(xx: KElem):
-            den = KElem.one() + xx + xx.square() * phi_k(xx)
+            den = K_ONE + xx + xx.square() * phi_k(xx)
             if den.is_zero():
                 return None
             aa = den.inv()
             bb = phi_k(xx) / phi_k(den)
-            return MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), aa),
-                                R2Coord(LElem.zero(), LElem.zero(), bb))
+            return MoufangPoint(R1Coord(L_ZERO, L_ZERO, aa),
+                                R2Coord(L_ZERO, L_ZERO, bb))
 
         def contains(p: MoufangPoint) -> bool:
             if p.is_inf:
@@ -362,7 +362,7 @@ class MoufangSet:
             if aa.is_zero() or not kprime_member(bb):
                 return False
             xx = theta_k(bb) / aa  # bb = phi(x/den), aa = 1/den
-            return (aa * (KElem.one() + xx + xx.square() * phi_k(xx))).is_one()
+            return (aa * (K_ONE + xx + xx.square() * phi_k(xx))).is_one()
 
         return Block("circle", gnarl, through, contains, point_at, sample_k)
 

@@ -19,7 +19,8 @@ MAX_NESTING.
 
 from __future__ import annotations
 
-from .fields import FieldError, FieldInstance, KElem, LElem
+from .fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO, FieldError,
+                     FieldInstance, LElem)
 
 MAX_DEGREE = 64
 MAX_NESTING = 64
@@ -96,8 +97,7 @@ class _Parser:
         self.tz = tz
         self.depth = 0  # open parentheses around the current atom
         self.in_k = inst is None
-        self.inst = inst or FieldInstance(KElem.zero(), LElem.e(),
-                                          KElem.one(), KElem.one())
+        self.inst = inst or FieldInstance(K_ZERO, L_E, K_ONE, K_ONE)
 
     def parse(self) -> LElem:
         val = self.expr()
@@ -127,7 +127,7 @@ class _Parser:
                     val = self.inst.lmul(val, rhs)
                 else:
                     try:
-                        val = self.inst.ldiv(val, rhs)
+                        val = self.inst.lmul(val, self.inst.linv(rhs))
                     except FieldError:  # a zero divisor (zero norm)
                         raise ParseError("division by zero", self.tz.line,
                                          col) from None
@@ -151,7 +151,7 @@ class _Parser:
                         or int(text2) * max(1, _degree(val)) > MAX_DEGREE):
                     raise ParseError("power too large (exponent times degree "
                                      f"above {MAX_DEGREE})", self.tz.line, col2)
-                acc = LElem.one()
+                acc = L_ONE
                 for _ in range(int(text2)):
                     acc = self.inst.lmul(acc, val)
                 val = acc
@@ -162,14 +162,14 @@ class _Parser:
         kind, text, col = self.tz.take()
         if kind == "var":
             if text == "s":
-                return LElem(KElem.s())
+                return LElem(K_S)
             if text == "t":
-                return LElem(KElem.t())
+                return LElem(K_T)
             if self.in_k:
                 raise ParseError("delta must not involve e", self.tz.line, col)
-            return LElem.e()
+            return L_E
         if kind == "int":
-            return LElem.one() if int(text[-1]) % 2 else LElem.zero()
+            return L_ONE if int(text[-1]) % 2 else L_ZERO
         if kind == "punct" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
@@ -235,7 +235,7 @@ def parse_instance_text(text: str) -> FieldInstance:
         return val.c0
 
     delta = value("delta", None)
-    inst = FieldInstance(delta, LElem.e(), KElem.one(), KElem.one())
+    inst = FieldInstance(delta, L_E, K_ONE, K_ONE)
     beta, alpha, phi_e = (value(n, inst) for n in ("beta", "alpha", "phiE"))
     return FieldInstance(delta=delta, phi_e=phi_e, beta=beta, alpha=alpha)
 

@@ -65,6 +65,12 @@ of 984 and 94 of 827 at verify-all's seeds 3 and 10.
 
 Over GF(2) the only unit is 1, so reduced objects are canonical with no
 further normalisation.
+
+0, 1, s and t are the module constants P_ZERO, P_ONE, P_S and P_T, and
+have no other name.  P_ONE is the shared one: a factor 1 gives the
+other operand back, so P_ONE * P_ONE is P_ONE, and the raw L arithmetic
+of `fields` takes its monomial path on `g is P_ONE`, a test of identity,
+not of equality.
 """
 
 from __future__ import annotations
@@ -241,22 +247,6 @@ class Poly2:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "Poly2":
-        return _ONE
-
-    @classmethod
-    def s(cls) -> "Poly2":
-        return _S
-
-    @classmethod
-    def t(cls) -> "Poly2":
-        return _T
-
-    @classmethod
     def monomial(cls, i: int, j: int) -> "Poly2":
         """The monomial s^i t^j."""
         if i < 0 or j < 0:
@@ -357,14 +347,12 @@ class Poly2:
         a, b = (self, other) if w > other._w else (other, self)
         return _new(a._v ^ _restride(b._v, b._w, a._w), a._w)
 
-    __sub__ = __add__  # characteristic 2
-
     def __mul__(self, other: "Poly2") -> "Poly2":
         if not isinstance(other, Poly2):
             return NotImplemented
         a, b = self._v, other._v
         if not a or not b:
-            return _ZERO
+            return P_ZERO
         # a factor 1 gives the other operand back (Poly2 is immutable);
         # a monomial factor s^i t^j shifts the other operand
         if not a & (a - 1):
@@ -463,7 +451,7 @@ class Poly2:
     def scale_u(self, mask: int) -> "Poly2":
         """Multiply by a GF(2)[s] coefficient."""
         if mask == 0:
-            return _ZERO
+            return P_ZERO
         if mask == 1 or not self._v:
             return self
         # every row times mask, packed: the s-degree grows by deg mask,
@@ -556,10 +544,10 @@ def _shift_down(p: Poly2, i: int, j: int) -> Poly2:
     return _shrink(p._v >> i + w * j, w)
 
 
-_ZERO = _new(0, W)
-_ONE = _new(1, W)
-_S = _new(2, W)
-_T = _new(1 << W, W)
+P_ZERO = _new(0, W)
+P_ONE = _new(1, W)
+P_S = _new(2, W)
+P_T = _new(1 << W, W)
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +559,7 @@ def poly_divexact(p: Poly2, g: Poly2) -> Poly2:
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
-        return _ZERO
+        return P_ZERO
     if g.is_one():
         return p
     if g.is_monomial():
@@ -618,7 +606,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     if q.is_zero():
         return p
     if p.is_one() or q.is_one():
-        return _ONE
+        return P_ONE
     if p.is_monomial():
         return _monomial_gcd(p, q)
     if q.is_monomial():
@@ -633,7 +621,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     if vs or vt:
         p = _shift_down(p, vs, vt)
         q = _shift_down(q, vs, vt)
-    g = _ONE if _coprime_at_alpha(p, q) else _prs_gcd(p, q)
+    g = P_ONE if _coprime_at_alpha(p, q) else _prs_gcd(p, q)
     return g.shift(vs, vt) if vs or vt else g
 
 

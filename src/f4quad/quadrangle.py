@@ -331,7 +331,7 @@ class Quadrangle:
                 "projection of a maximal point onto a maximal line in general "
                 "position needs the opposite root groups, which are out of scope")
         bd = pl.a / pa2.b
-        d = R1Coord(LElem.zero(), LElem.zero(), bd)
+        d = R1Coord(L_ZERO, L_ZERO, bd)
         ans = self.pt3(d + pa, z2, z1)
         return ans
 
@@ -472,5 +472,6 @@ def solve_linear_k(matrix: list[list[KElem]], rhs: list[KElem]):
         for r in range(n):
             f = rows[r][col]
             if r != col and not f.is_zero():
-                rows[r] = [e - f * pe for e, pe in zip(rows[r], pivot)]
+                # in characteristic 2, subtracting f * pivot is adding it
+                rows[r] = [e + f * pe for e, pe in zip(rows[r], pivot)]
     return [row[n] for row in rows]

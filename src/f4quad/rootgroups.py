@@ -48,8 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import (FieldInstance, KElem, LElem, _kraw, _lover, _over,
-                     _radd, _rconj, _rpolar, _rscale, _shared, kprime_member)
+from .fields import (K_ZERO, L_ZERO, FieldInstance, KElem, LElem, _kraw,
+                     _lover, _over, _radd, _rconj, _rpolar, _rscale, _shared,
+                     kprime_member)
 
 
 class InternalConsistencyError(AssertionError):
@@ -162,8 +163,8 @@ class UPlus:
             raise ValueError("eq3_slot must be 2 or 3")
         self.inst = inst
         self.eq3_slot = eq3_slot
-        zr1 = R1Coord(LElem.zero(), LElem.zero(), KElem.zero())
-        zr2 = R2Coord(LElem.zero(), LElem.zero(), KElem.zero())
+        zr1 = R1Coord(L_ZERO, L_ZERO, K_ZERO)
+        zr2 = R2Coord(L_ZERO, L_ZERO, K_ZERO)
         self.r1_zero = zr1
         self.r2_zero = zr2
         self.identity = UPlusElem(zr1, zr2, zr1, zr2)
@@ -219,7 +220,7 @@ class UPlus:
                                 _shared(p.y), _shared(q.x), _shared(q.y)))
         if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
-        return R2Coord(LElem.zero(), LElem.zero(), val)
+        return R2Coord(L_ZERO, L_ZERO, val)
 
     def comm24(self, p: R2Coord, q: R2Coord) -> R1Coord:
         """[U2, U4] correction into U3 (relation (3); see eq3_slot): additive
@@ -229,7 +230,7 @@ class UPlus:
         alpha, _, _, beta_inv, _ = self._raw_consts
         val = _over(_trace_form(self._raw_ops, beta_inv, alpha, _shared(p.u),
                                 _shared(p.v), _shared(q.u), _shared(q.v)))
-        return R1Coord(LElem.zero(), LElem.zero(), val)
+        return R1Coord(L_ZERO, L_ZERO, val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """[U1, U4] correction pair (U2 part, U3 part), relation (4).

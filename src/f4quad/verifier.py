@@ -17,9 +17,9 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from .fields import (Check, CheckList, FieldInstance, KElem, LElem,
-                     default_instance, kprime_decompose, kprime_member,
-                     phi_k, theta_k)
+from .fields import (K_ONE, K_S, K_ZERO, L_ZERO, Check, CheckList,
+                     FieldInstance, LElem, default_instance, kprime_decompose,
+                     kprime_member, phi_k, theta_k)
 from .moufang import (MoufangPoint, MoufangSet, derived_net_report,
                       reconstruct_report)
 from .quadrangle import Quadrangle
@@ -156,11 +156,10 @@ def _chk_theta_roundtrip(ctx: RunContext):
 
 def _chk_decompose(ctx: RunContext):
     rng = ctx.rng(6)
-    s = KElem.s()
     for _ in range(ctx.cfg.samples):
         f = sample_k_general(rng, ctx.cfg.max_degree)
         g, h = kprime_decompose(f)
-        if g + s * h != f:
+        if g + K_S * h != f:
             return False, f"f={f}"
         if (h.is_zero()) != kprime_member(f):
             return False, f"f={f}"
@@ -196,7 +195,7 @@ def _chk_tower(ctx: RunContext):
         if not inst.lprime_member(inst.lsquare(z)):
             return False, f"square of {z} outside L'"
         ap = sample_kprime(rng, ctx.cfg.max_degree)
-        if not inst.lprime_member(LElem.from_k(ap)):
+        if not inst.lprime_member(LElem(ap)):
             return False, f"K' element {ap} outside L'"
     return True, None
 
@@ -245,7 +244,8 @@ def _chk_group_identity(ctx: RunContext):
     return True, None
 
 
-def _sample_uplus(ms: MoufangSet, rng: Rng, deg: int = 2):
+def _sample_uplus(ms: MoufangSet, rng: Rng):
+    deg = 2
     return UPlusElem(ms.sample_r1(rng, deg), ms.sample_r2(rng, deg),
                      ms.sample_r1(rng, deg), ms.sample_r2(rng, deg))
 
@@ -323,14 +323,13 @@ def _chk_nilpotency(ctx: RunContext):
 def _chk_st_subgroup(ctx: RunContext):
     rng = ctx.rng(15)
     g = ctx.group
-    z = LElem.zero()
     for _ in range(ctx.cfg.samples // 2):
         es = []
         for _ in range(2):
-            r1 = R1Coord(z, z, sample_k(rng, 2))
-            r2 = R2Coord(z, z, sample_kprime(rng, 2))
-            r1b = R1Coord(z, z, sample_k(rng, 2))
-            r2b = R2Coord(z, z, sample_kprime(rng, 2))
+            r1 = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
+            r2 = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
+            r1b = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
+            r2b = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
             es.append(UPlusElem(r1, r2, r1b, r2b))
         prod = g.mul(es[0], es[1])
         if not g.suzuki_tits_member(prod):
@@ -593,12 +592,11 @@ def _chk_block_transport(ctx: RunContext):
 def _chk_st_moufang(ctx: RunContext):
     rng = ctx.rng(29)
     ms = ctx.ms
-    z = LElem.zero()
     for _ in range(ctx.cfg.samples // 4):
-        p = MoufangPoint(R1Coord(z, z, sample_k(rng, 2)),
-                         R2Coord(z, z, sample_kprime(rng, 2)))
-        g = MoufangPoint(R1Coord(z, z, sample_k(rng, 2)),
-                         R2Coord(z, z, sample_kprime(rng, 2)))
+        p = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
+                         R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
+        g = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
+                         R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
         img = ms.act(p, g)
         if not (img.r1.x.is_zero() and img.r1.y.is_zero()
                 and img.r2.u.is_zero() and img.r2.v.is_zero()):
@@ -630,8 +628,7 @@ def _chk_appendix_a(ctx: RunContext):
     rng = ctx.rng(31)
     ms = ctx.ms
     g = ms.group
-    one = KElem.one()
-    e1 = R1Coord(LElem.zero(), LElem.zero(), one)
+    e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
     for _ in range(max(2, ctx.cfg.samples // 20)):
         uvb = ms.sample_r2(rng, 1)
         blk0 = ms.sphere_general(MoufangPoint(g.r1_zero, uvb), ms.infinity)
@@ -643,14 +640,14 @@ def _chk_appendix_a(ctx: RunContext):
             if not blk0.contains(MoufangPoint(klm, uvb)):
                 return False, f"first table member rejected: {klm}"
             shift = ctx.quad.rho_r1(klm)
-            member = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + one),
+            member = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
                                   uvb + shift)
             if not blk1.contains(member):
                 return False, f"second table member rejected: {member}"
-            off = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + one),
-                               uvb + shift + R2Coord(LElem.zero(), LElem.zero(),
-                                                     phi_k(one)))
-            if blk1.contains(off) and not phi_k(one).is_zero():
+            off = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
+                               uvb + shift + R2Coord(L_ZERO, L_ZERO,
+                                                     phi_k(K_ONE)))
+            if blk1.contains(off) and not phi_k(K_ONE).is_zero():
                 return False, f"perturbed point accepted: {off}"
     return True, None
 
@@ -659,7 +656,7 @@ def _chk_appendix_a_translate(ctx: RunContext):
     rng = ctx.rng(32)
     ms = ctx.ms
     g = ms.group
-    e1 = R1Coord(LElem.zero(), LElem.zero(), KElem.one())
+    e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
     mover = MoufangPoint(e1, g.r2_zero)
     for _ in range(max(2, ctx.cfg.samples // 20)):
         uvb0 = ms.sample_r2(rng, 1)
@@ -687,7 +684,7 @@ def _chk_appendix_b_circles(ctx: RunContext):
             if not blk.contains(pt):
                 return False, f"generated circle point rejected: {pt}"
         probe = MoufangPoint(pt.r1, R2Coord(pt.r2.u, pt.r2.v,
-                                            pt.r2.a + phi_k(KElem.one())))
+                                            pt.r2.a + phi_k(K_ONE)))
         if blk.contains(probe):
             return False, f"perturbed circle point accepted: {probe}"
     return True, None
@@ -695,15 +692,14 @@ def _chk_appendix_b_circles(ctx: RunContext):
 
 def _chk_special_circles(ctx: RunContext):
     ms = ctx.ms
-    one = KElem.one()
     c1 = ms.special_circle_first()
-    p_at_1 = c1.point_at(one)
-    want1 = MoufangPoint(R1Coord(LElem.zero(), LElem.zero(), one),
-                         R2Coord(LElem.zero(), LElem.zero(), one))
+    p_at_1 = c1.point_at(K_ONE)
+    want1 = MoufangPoint(R1Coord(L_ZERO, L_ZERO, K_ONE),
+                         R2Coord(L_ZERO, L_ZERO, K_ONE))
     if p_at_1 != want1:
         return False, f"first circle at parameter 1: {p_at_1}"
-    p_at_0 = c1.point_at(KElem.zero())
-    if p_at_0.r1.b != KElem.zero() or p_at_0.r2.a != one:
+    p_at_0 = c1.point_at(K_ZERO)
+    if p_at_0.r1.b != K_ZERO or p_at_0.r2.a != K_ONE:
         return False, f"first circle at parameter 0: {p_at_0}"
     if not c1.contains(p_at_1) or not c1.contains(p_at_0):
         return False, "membership test rejects generated points"

@@ -9,8 +9,8 @@ import time
 import pytest
 
 from f4quad.cli import main
-from f4quad.fields import (KElem, LElem, default_instance, kscale, phi_k,
-                           theta_k)
+from f4quad.fields import (K_ONE, K_ZERO, L_ZERO, default_instance, kscale,
+                           phi_k, theta_k)
 from f4quad.moufang import (MoufangPoint, MoufangSet, derived_net_report,
                             reconstruct_report)
 from f4quad.quadrangle import Quadrangle
@@ -19,8 +19,8 @@ from f4quad.sampling import (Rng, sample_k, sample_kprime, sample_l,
                              sample_lprime)
 from f4quad.verifier import report_body
 
-LZ = LElem.zero()
-ONE = KElem.one()
+LZ = L_ZERO
+ONE = K_ONE
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +225,8 @@ def test_criterion_09_circle_tables(world):
     c1 = ms.special_circle_first()
     assert c1.point_at(ONE) == MoufangPoint(R1Coord(LZ, LZ, ONE),
                                             R2Coord(LZ, LZ, ONE))
-    assert c1.point_at(KElem.zero()) == MoufangPoint(
-        R1Coord(LZ, LZ, KElem.zero()), R2Coord(LZ, LZ, ONE))
+    assert c1.point_at(K_ZERO) == MoufangPoint(
+        R1Coord(LZ, LZ, K_ZERO), R2Coord(LZ, LZ, ONE))
     rep = ms.tau_prime_circle_experiment(Rng(0), 25, 2)
     assert len(rep.checks) == 25  # one sub-check per sample point
     matched = sum(c.passed for c in rep.checks)

@@ -185,6 +185,13 @@ def test_module_entry_point():
     assert "summary:" in proc.stdout
 
 
+def test_package_surface_resolves():
+    star: dict = {}
+    exec("from f4quad import *", star)
+    for name in f4quad.__all__:
+        assert star[name] is getattr(f4quad, name), name
+
+
 def test_unusable_field_value_is_config_error(tmp_path, capsys):
     path = tmp_path / "zero_beta.txt"
     path.write_text("delta = s + t\nphiE = e + s\nbeta = 0\nalpha = t\n")

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from f4quad.fields import (Check, CheckList, FieldError, KElem, LElem,
-                           default_instance, theta_k)
+from f4quad.fields import (K_ONE, K_S, L_E, L_ZERO, Check, CheckList,
+                           FieldError, default_instance, theta_k)
 from f4quad.moufang import MoufangSet, UnsupportedBlock
 from f4quad.parser import load_instance
-from f4quad.polynomials import Poly2
+from f4quad.polynomials import P_S, P_T
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import UPlus
 from f4quad.sampling import Rng
@@ -22,28 +22,28 @@ def ms():
 
 def test_l_inverse_of_zero(ms):
     with pytest.raises(FieldError):
-        ms.inst.linv(LElem.zero())
+        ms.inst.linv(L_ZERO)
 
 
 def test_theta_l_domain_error(ms):
     with pytest.raises(FieldError):
-        ms.inst.theta_l(LElem.e())  # e is not in the image of the twist
+        ms.inst.theta_l(L_E)  # e is not in the image of the twist
 
 
 def test_theta_k_domain_error():
     with pytest.raises(FieldError):
-        theta_k(KElem.s())
+        theta_k(K_S)
 
 
 def test_sqrt_of_nonsquare():
     with pytest.raises(ArithmeticError):
-        (Poly2.s() + Poly2.t()).sqrt()
+        (P_S + P_T).sqrt()
 
 
 def test_negative_power():
-    s = KElem.s()
+    s = K_S
     assert s ** -2 == (s * s).inv()
-    assert s ** 0 == KElem.one()
+    assert s ** 0 == K_ONE
 
 
 def test_project_with_line(ms):
@@ -94,4 +94,4 @@ def test_load_instance_attaches_report(tmp_path):
     path.write_text("delta = s + t\nphiE = e + s\nbeta = s\nalpha = t\n")
     inst, report = load_instance(str(path))
     assert report.ok
-    assert inst.beta == KElem.s()
+    assert inst.beta == K_S

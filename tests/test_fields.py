@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f4quad import fields
-from f4quad.fields import (FieldError, FieldInstance, KElem, LElem, _cancel,
+from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO,
+                           FieldError, FieldInstance, KElem, LElem, _cancel,
                            default_instance, kprime_decompose, kprime_member,
                            kscale, phi_k, theta_k)
-from f4quad.polynomials import Poly2, _prs_gcd, poly_divexact, poly_gcd
+from f4quad.polynomials import (P_ONE, P_S, P_T, P_ZERO, Poly2, _prs_gcd,
+                                poly_divexact, poly_gcd)
 from f4quad.sampling import (Rng, sample_k, sample_k_general, sample_l,
                              sample_lprime, sample_poly_nonzero)
 
-S = KElem.s()
-T = KElem.t()
-ONE = KElem.one()
-ZERO = KElem.zero()
+S = K_S
+T = K_T
+ONE = K_ONE
+ZERO = K_ZERO
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +26,11 @@ def inst():
 
 
 def test_fraction_normalisation():
-    ps, pt = Poly2.s(), Poly2.t()
+    ps, pt = P_S, P_T
     assert KElem(ps * ps + pt * pt, ps + pt) == S + T
     f = sample_k_general(Rng(0), 3)
     assert f + f == ZERO
-    assert KElem(Poly2.one(), ps) * KElem(ps, pt) == KElem(Poly2.one(), pt)
+    assert KElem(P_ONE, ps) * KElem(ps, pt) == KElem(P_ONE, pt)
 
 
 def test_canonical_representation_is_unique():
@@ -129,7 +131,7 @@ def test_cancel_matches_prs_reduction():
         num = sample_poly_nonzero(rng, 1 + k % 5, 5)
         mono = Poly2.monomial(rng.below(5), rng.below(5))
         common = sample_poly_nonzero(rng, 2, 3)
-        for den in (Poly2.one(), mono, mono * sample_poly_nonzero(rng, 3, 4)):
+        for den in (P_ONE, mono, mono * sample_poly_nonzero(rng, 3, 4)):
             for n, d in ((num, den), (num * mono, den),
                          (num * common, den * common)):
                 want = _reduced_by_prs(n, d)
@@ -175,12 +177,12 @@ def test_monomial_denominators_stay_canonical(a, b):
 
 
 def test_l_examples(inst):
-    e = LElem.e()
+    e = L_E
     assert inst.lnorm(e) == S + T  # e(e+1) = e^2 + e = delta
-    assert (e + LElem.from_k(S)).trace() == ONE
+    assert (e + LElem(S)).trace() == ONE
     inv_e = inst.linv(e)
     assert inv_e == LElem(ONE / (S + T), ONE / (S + T))  # conj(e)/delta
-    assert inst.lmul(e, inv_e) == LElem.one()
+    assert inst.lmul(e, inv_e) == L_ONE
 
 
 def test_conjugation_properties(inst):
@@ -191,11 +193,11 @@ def test_conjugation_properties(inst):
         assert inst.lnorm(inst.lmul(z, w)) == inst.lnorm(z) * inst.lnorm(w)
         prod = inst.lmul(z, z.conj())
         assert prod.c1.is_zero()  # norm lands in K
-        assert z + z.conj() == LElem.from_k(z.trace())
+        assert z + z.conj() == LElem(z.trace())
 
 
 def test_phi_l_examples(inst):
-    e = LElem.e()
+    e = L_E
     assert inst.phi_l(e) == LElem(S, ONE)  # e + s
     twice = inst.phi_l(inst.phi_l(e))
     assert twice == LElem(S + T, ONE)  # e + s + t = e^2
@@ -203,9 +205,9 @@ def test_phi_l_examples(inst):
 
 
 def test_lprime_membership_examples(inst):
-    e = LElem.e()
+    e = L_E
     assert not inst.lprime_member(e)
-    assert inst.lprime_member(e + LElem.from_k(S))
+    assert inst.lprime_member(e + LElem(S))
 
 
 def test_theta_l_roundtrips(inst):
@@ -224,13 +226,13 @@ def test_tower_inclusions(inst):
         assert kprime_member(a.square())
         z = sample_l(rng, 3)
         assert inst.lprime_member(inst.lsquare(z))
-        assert inst.lprime_member(LElem.from_k(phi_k(a)))
+        assert inst.lprime_member(LElem(phi_k(a)))
 
 
 def test_pow2theta_examples(inst):
     # x^(2 theta) = theta(x^2) is the twist phi, on K and on L
     assert theta_k(S.square()) == phi_k(S) == T
-    assert inst.phi_l(LElem.e()) == LElem(S, ONE)
+    assert inst.phi_l(L_E) == LElem(S, ONE)
     # the image of beta under the twist is alpha
     assert phi_k(inst.beta) == inst.alpha == T
 
@@ -253,8 +255,8 @@ def test_anisotropy_counterexample_transfer():
     # zeros of either form map through the twist onto zeros of the other
     degenerate = FieldInstance(delta=S + T, phi_e=LElem(S, ONE),
                                beta=ONE, alpha=ONE)
-    assert degenerate.form1(LElem.one(), LElem.zero(), ONE).is_zero()
-    assert degenerate.form2(LElem.one(), LElem.zero(), ONE).is_zero()
+    assert degenerate.form1(L_ONE, L_ZERO, ONE).is_zero()
+    assert degenerate.form2(L_ONE, L_ZERO, ONE).is_zero()
     rep = degenerate.validate(seed=0, samples=400, max_degree=1)
     probes = {c.name: c.passed for c in rep.checks}
     assert probes["anisotropy-form1-probe"] is False
@@ -307,7 +309,7 @@ def test_square_is_reduced():
         f = sample_k_general(rng, 3)
         assert f.square() == KElem(f.num.square(), f.den.square()), f
         g = KElem(sample_poly_nonzero(rng, 3, 4),
-                  Poly2.s() + Poly2.t() * sample_poly_nonzero(rng, 2, 3))
+                  P_S + P_T * sample_poly_nonzero(rng, 2, 3))
         sq = g.square()
         assert (sq.num, sq.den) == _reduced_by_prs(g.num.square(),
                                                    g.den.square()), g
@@ -330,8 +332,7 @@ def _trusted_results(f):
 def _shared_factor_inputs(rng):
     """Fractions whose numerator and denominator both carry powers of s
     and t (and s + 1, t + 1) before reduction."""
-    base = (Poly2.s(), Poly2.t(), Poly2.s() + Poly2.one(),
-            Poly2.t() + Poly2.one())
+    base = (P_S, P_T, P_S + P_ONE, P_T + P_ONE)
     for _ in range(60):
         num = sample_poly_nonzero(rng, 3, 4)
         den = sample_poly_nonzero(rng, 3, 4)
@@ -350,7 +351,7 @@ def test_trusted_images_are_canonical():
             assert poly_gcd(r.num, r.den).is_one(), (f, r)
             assert _prs_gcd(r.num, r.den).is_one(), (f, r)
             # the same canonical pair as reducing the unreduced fraction
-            want = _cancel(num, den) if num else (Poly2.zero(), Poly2.one())
+            want = _cancel(num, den) if num else (P_ZERO, P_ONE)
             assert (r.num, r.den) == want, (f, r)
             assert KElem(num, den) == r, (f, r)
     assert ONE * inputs[0] is inputs[0] and inputs[0] * ONE is inputs[0]
@@ -361,8 +362,8 @@ def _k_of_kind(rng, kind):
     (kind 2) or a non-monomial (kind 3) before reduction."""
     if kind == 0:
         return ZERO
-    den = (Poly2.one(), Poly2.monomial(rng.below(4), rng.below(4)),
-           Poly2.s() + Poly2.t() * sample_poly_nonzero(rng, 2, 3))[kind - 1]
+    den = (P_ONE, Poly2.monomial(rng.below(4), rng.below(4)),
+           P_S + P_T * sample_poly_nonzero(rng, 2, 3))[kind - 1]
     return KElem(sample_poly_nonzero(rng, 3, 4), den)
 
 
@@ -375,9 +376,9 @@ def _l_values(rng):
 _INSTANCES = (
     default_instance(),
     # delta over a monomial and over a non-monomial
-    FieldInstance(delta=KElem(Poly2.s() + Poly2.t().square(), Poly2.s()),
+    FieldInstance(delta=KElem(P_S + P_T.square(), P_S),
                   phi_e=LElem(S, ONE), beta=S, alpha=T),
-    FieldInstance(delta=KElem(Poly2.t(), Poly2.s() + Poly2.one()),
+    FieldInstance(delta=KElem(P_T, P_S + P_ONE),
                   phi_e=LElem(S, ONE), beta=S, alpha=T),
 )
 
@@ -431,6 +432,26 @@ def test_l_fast_path_takes_no_gcd(monkeypatch):
     assert calls
 
 
+def test_monomial_denominators_share_the_one():
+    # _over and _gmul take the monomial path on `g is P_ONE`; a second
+    # Poly2 equal to 1 would send every reduction through _cancel, which
+    # makes no gcd call for a monomial, so no gcd count would show it
+    num = P_S + P_T + P_ONE
+    dens = (P_ONE, P_S, P_T, Poly2.monomial(2, 1))
+    for d in dens:
+        assert fields._kraw(KElem(num, d))[4] is P_ONE, d
+        for d1 in dens:
+            z = LElem(KElem(num, d), KElem(num * num, d1))
+            assert fields._shared(z)[4] is P_ONE, (d, d1)
+    assert default_instance()._delta_raw[1] is P_ONE
+    # a factor 1 gives the other operand back, unless that operand is a
+    # monomial other than 1: then the product is a shift
+    rng = Rng(47)
+    polys = [sample_poly_nonzero(rng, 3, 4) for _ in range(20)]
+    for p in [P_ONE] + [p for p in polys if not p.is_monomial()]:
+        assert P_ONE * p is p and p * P_ONE is p, p
+
+
 def test_polar_is_trace_of_product_with_conjugate():
     # tr(z conj(w)) = z0 w1 + z1 w0 on fractional coordinates of every kind
     rng = Rng(37)
@@ -448,18 +469,18 @@ def test_raw_sums_and_products_over_g():
     # g parts with a repeated factor, (s + 1)^2 against (s + 1)(t + 1), and
     # (t + 1)^3 against 1, each with monomial parts; numerators share
     # factors with them, so _over has something to cancel
-    s1, t1 = Poly2.s() + Poly2.one(), Poly2.t() + Poly2.one()
+    s1, t1 = P_S + P_ONE, P_T + P_ONE
     rng = Rng(43)
     inst = _INSTANCES[2]  # delta over s + 1
 
     def raw(g, i, j, kval):
-        num = [sample_poly_nonzero(rng, 2, 3) * (s1, t1, Poly2.s())[rng.below(3)]
+        num = [sample_poly_nonzero(rng, 2, 3) * (s1, t1, P_S)[rng.below(3)]
                for _ in range(2)]
-        z = (num[0], Poly2.zero() if kval else num[1], i, j, g)
+        z = (num[0], P_ZERO if kval else num[1], i, j, g)
         den = g.shift(i, j)
         return z, LElem(KElem(z[0], den), KElem(z[1], den))
 
-    for G, H in ((s1.square(), s1 * t1), (t1 * t1 * t1, Poly2.one())):
+    for G, H in ((s1.square(), s1 * t1), (t1 * t1 * t1, P_ONE)):
         for (g, i, j), (h, k, m) in (((G, 0, 0), (H, 0, 0)),
                                      ((G, 2, 1), (H, 0, 3)),
                                      ((H, 1, 0), (G, 1, 2))):

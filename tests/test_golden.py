@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from f4quad import verifier
-from f4quad.fields import KElem, default_instance
+from f4quad.fields import K_S, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import UPlus
@@ -50,7 +50,7 @@ def test_block_member_golden_strings():
 def test_explicit_circle_golden_string():
     ms = MoufangSet(Quadrangle(UPlus(default_instance())))
     c1 = ms.special_circle_first()
-    assert str(c1.point_at(KElem.s())) == (
+    assert str(c1.point_at(K_S)) == (
         "[(0, 0, s/(s + t + 1)),(0, 0, 1/(s^2 + t + 1))]")
 
 

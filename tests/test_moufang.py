@@ -2,7 +2,8 @@
 
 import pytest
 
-from f4quad.fields import KElem, LElem, default_instance, kscale, phi_k
+from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_ONE, L_ZERO,
+                           default_instance, kscale, phi_k)
 from f4quad.moufang import (LABEL_CACHE_SIZE, ClosureError, MoufangPoint,
                             MoufangSet, UnsupportedBlock, derived_net_report,
                             reconstruct_report)
@@ -11,9 +12,9 @@ from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import Rng
 from f4quad.verifier import SuiteConfig, run
 
-LZ = LElem.zero()
-ONE = KElem.one()
-ZERO = KElem.zero()
+LZ = L_ZERO
+ONE = K_ONE
+ZERO = K_ZERO
 
 
 @pytest.fixture(scope="module")
@@ -27,17 +28,17 @@ def test_embed_identity(ms):
 
 
 def test_embed_pure_a_lands_in_suzuki_tits(ms):
-    lab = MoufangPoint(R1Coord(LZ, LZ, KElem.s()), ms.group.r2_zero)
+    lab = MoufangPoint(R1Coord(LZ, LZ, K_S), ms.group.r2_zero)
     elt = ms.embed(lab)
     assert ms.group.suzuki_tits_member(elt)
     # U4 part is (0, 0, phi(a)); U3 K-slot is a * phi(a)
-    assert elt.g4 == R2Coord(LZ, LZ, phi_k(KElem.s()))
-    assert elt.g3 == R1Coord(LZ, LZ, KElem.s() * phi_k(KElem.s()))
+    assert elt.g4 == R2Coord(LZ, LZ, phi_k(K_S))
+    assert elt.g3 == R1Coord(LZ, LZ, K_S * phi_k(K_S))
 
 
 def test_embed_central_elements(ms):
     from f4quad.fields import theta_k
-    m = phi_k(KElem.s() + KElem.t())
+    m = phi_k(K_S + K_T)
     lab = MoufangPoint(ms.group.r1_zero, R2Coord(LZ, LZ, m))
     elt = ms.embed(lab)
     assert elt.g1.is_zero() and elt.g4.is_zero()
@@ -221,7 +222,7 @@ def test_circle_at_infinity_matches_central_orbit(ms):
         central = MoufangPoint(ms.group.r1_zero, R2Coord(LZ, LZ, m))
         assert circle.contains(ms.act(through, central))
     moved = MoufangPoint(through.r1,
-                         R2Coord(through.r2.u + LElem.one(), through.r2.v,
+                         R2Coord(through.r2.u + L_ONE, through.r2.v,
                                  through.r2.a))
     assert not circle.contains(moved)
 
@@ -304,7 +305,7 @@ def test_first_explicit_circle_values(ms):
         assert c1.contains(pt)
     # a point off the parametrised set is rejected
     assert not c1.contains(MoufangPoint(R1Coord(LZ, LZ, ONE),
-                                        R2Coord(LZ, LZ, phi_k(KElem.s()))))
+                                        R2Coord(LZ, LZ, phi_k(K_S))))
 
 
 def test_second_explicit_circle_membership(ms):

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f4quad.fields import KElem, default_instance
+from f4quad.fields import K_ONE, K_S, K_T, default_instance
 from f4quad.parser import (MAX_DEGREE, MAX_NESTING, ParseError,
                            parse_instance_text)
 
@@ -48,8 +48,8 @@ phiE = e + s
 beta = s + s*t + s   # = s*t in GF(2)
 alpha = (t + t) + t^2 + t*(1 + t)  # = t
 """.replace("   # = s*t in GF(2)", "").replace("  # = t", ""))
-    assert inst.beta == KElem.s() * KElem.t()
-    assert inst.alpha == KElem.t()
+    assert inst.beta == K_S * K_T
+    assert inst.alpha == K_T
 
 
 def test_coefficients_reduce_mod_2():
@@ -59,8 +59,8 @@ phiE = e + s
 beta = 3*s
 alpha = 2 + t + 1""" + "0" * 5000 + """
 """)
-    assert inst.beta == KElem.s()
-    assert inst.alpha == KElem.t()
+    assert inst.beta == K_S
+    assert inst.alpha == K_T
 
 
 def test_wrong_alpha_fails_validation():
@@ -120,6 +120,13 @@ def test_division_by_zero_rejected():
             "delta = s + t\nphiE = e + s\nbeta = s/(t+t)\nalpha = t")
 
 
+def test_division_by_zero_points_at_the_slash():
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_instance_text(
+            "delta = s + t\nphiE = e + s\nbeta = s / (t + t)\nalpha = t")
+    assert (err.value.line, err.value.col) == (3, 10)
+
+
 @pytest.mark.parametrize("text, line, message", [
     ("delta = s + t\nphiE = e + s\nbeta = 0\nalpha = t", 3, "beta must be nonzero"),
     ("delta = s + t\nphiE = s\nbeta = s\nalpha = t", 2, "phiE must involve e"),
@@ -135,7 +142,7 @@ def test_field_constraint_is_parse_error(text, line, message):
 def test_power_is_bounded():
     inst = parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = s\n"
                                f"alpha = (s + t)^{MAX_DEGREE} + t")
-    assert inst.alpha == (KElem.s() + KElem.t()) ** MAX_DEGREE + KElem.t()
+    assert inst.alpha == (K_S + K_T) ** MAX_DEGREE + K_T
     for power in (f"(s+t)^{MAX_DEGREE + 1}", "(s^8)^9", "1^16000",
                   "s^" + "9" * 5000):
         with pytest.raises(ParseError) as err:
@@ -156,7 +163,7 @@ def test_product_is_bounded():
     assert "product or quotient" in str(err.value)
     at_cap = "*".join(["s"] * MAX_DEGREE)
     assert parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = {at_cap}\n"
-                               "alpha = t").beta == KElem.s() ** MAX_DEGREE
+                               "alpha = t").beta == K_S ** MAX_DEGREE
 
 
 def test_quotient_is_bounded():
@@ -179,8 +186,8 @@ def test_power_at_the_limit_is_exact():
     assert MAX_DEGREE == 64
     assert str(inst.beta) == "s^64 + s^32 + t"
     assert str(inst.alpha) == "t^64 + t^32 + s^2"
-    assert inst.beta * KElem.s() / KElem.s() ** 65 == KElem.one() + (
-        KElem.s() ** 32 + KElem.t()) / KElem.s() ** 64
+    assert inst.beta * K_S / K_S ** 65 == K_ONE + (
+        K_S ** 32 + K_T) / K_S ** 64
     assert inst.validate(samples=5, max_degree=2).ok
 
 
@@ -189,7 +196,7 @@ def test_nesting_is_bounded(depth):
     text = ("delta = s + t\nphiE = e + s\nbeta = s\n"
             f"alpha = {'(' * depth}t{')' * depth}")
     if depth <= MAX_NESTING:
-        assert parse_instance_text(text).alpha == KElem.t()
+        assert parse_instance_text(text).alpha == K_T
         return
     with pytest.raises(ParseError) as err:
         parse_instance_text(text)

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f4quad import polynomials
-from f4quad.polynomials import (Poly2, _coprime_at_alpha, _prs_gcd,
-                                poly_divexact, poly_gcd)
+from f4quad.polynomials import (P_ONE, P_S, P_T, P_ZERO, Poly2,
+                                _coprime_at_alpha, _prs_gcd, poly_divexact,
+                                poly_gcd)
 from f4quad.sampling import Rng, sample_poly, sample_poly_nonzero
 
-S = Poly2.s()
-T = Poly2.t()
-ONE = Poly2.one()
-ZERO = Poly2.zero()
+S = P_S
+T = P_T
+ONE = P_ONE
+ZERO = P_ZERO
 # the modulus of GF(256), x^8 + x^4 + x^3 + x + 1, in s and in t
 F_S = Poly2({0: 0x11B})
 F_T = Poly2.from_terms((0, j) for j in (8, 4, 3, 1, 0))

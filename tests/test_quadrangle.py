@@ -2,7 +2,7 @@
 
 import pytest
 
-from f4quad.fields import KElem, LElem, default_instance
+from f4quad.fields import K_ONE, K_S, K_T, K_ZERO, L_ZERO, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import ProjectionUnsupported, Quadrangle, solve_linear_k
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
@@ -174,10 +174,10 @@ def test_projection_gap_is_reported(quad, ms):
 def test_suzuki_tits_projection_closed(quad):
     # inside the Suzuki-Tits restriction the same configuration solves
     g = quad.group
-    lz = LElem.zero()
-    p = quad.pt3(R1Coord(lz, lz, KElem.one()),
-                 R2Coord(lz, lz, KElem.t()),
-                 R1Coord(lz, lz, KElem.s()))
+    lz = L_ZERO
+    p = quad.pt3(R1Coord(lz, lz, K_ONE),
+                 R2Coord(lz, lz, K_T),
+                 R1Coord(lz, lz, K_S))
     foot = quad.project(p, quad.zero_line)
     assert quad.incident(foot, quad.zero_line)
     assert quad.collinear(p, foot) is not None
@@ -300,7 +300,7 @@ def test_suzuki_tits_membership(quad, ms):
         assert not quad.suzuki_tits_member(ms.flag_of_label(lab).point)
     # action by a Suzuki-Tits element preserves membership
     from f4quad.sampling import sample_k, sample_kprime
-    lz = LElem.zero()
+    lz = L_ZERO
     st = UPlusElem(R1Coord(lz, lz, sample_k(rng, 1)),
                    R2Coord(lz, lz, sample_kprime(rng, 1)),
                    R1Coord(lz, lz, sample_k(rng, 1)),
@@ -310,7 +310,7 @@ def test_suzuki_tits_membership(quad, ms):
 
 
 def _apply(matrix, x):
-    return [sum((a * c for a, c in zip(row, x)), KElem.zero()) for row in matrix]
+    return [sum((a * c for a, c in zip(row, x)), K_ZERO) for row in matrix]
 
 
 def _entry(rng):
@@ -340,7 +340,7 @@ def test_solve_linear_k_by_substitution(n):
 def test_solve_linear_k_swaps_rows_past_a_zero_pivot():
     rng = Rng(75)
     matrix = _system(rng, 4)
-    matrix[0][0] = KElem.zero()
+    matrix[0][0] = K_ZERO
     rhs = [sample_k_general(rng, 2) for _ in range(4)]
     sol = solve_linear_k(matrix, rhs)
     assert sol is not None and _apply(matrix, sol) == rhs
@@ -354,5 +354,5 @@ def test_solve_linear_k_singular_is_none():
     assert solve_linear_k(summed, rhs) is None
     zero_col = _system(rng, 4)
     for row in zero_col:
-        row[2] = KElem.zero()
+        row[2] = K_ZERO
     assert solve_linear_k(zero_col, rhs) is None

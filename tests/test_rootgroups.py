@@ -9,19 +9,20 @@ from pathlib import Path
 import pytest
 
 from f4quad import fields, quadrangle
-from f4quad.fields import FieldInstance, KElem, LElem, default_instance
+from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO,
+                           FieldInstance, KElem, LElem, default_instance)
 from f4quad.moufang import MoufangSet
-from f4quad.polynomials import Poly2
+from f4quad.polynomials import P_ONE, P_S, P_T, P_ZERO
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
 from f4quad.sampling import Rng, sample_l_nonzero
 
-ZERO = KElem.zero()
-ONE = KElem.one()
-LZ = LElem.zero()
-LO = LElem.one()
-LE = LElem.e()
+ZERO = K_ZERO
+ONE = K_ONE
+LZ = L_ZERO
+LO = L_ONE
+LE = L_E
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +44,23 @@ def test_comm13_examples(group):
     p = group.check_r1(R1Coord(LO, LZ, ZERO))
     assert group.comm13(p, p) == group.r2_zero
     # central pairs with no L slots commute
-    c1 = group.check_r1(R1Coord(LZ, LZ, KElem.s()))
-    c2 = group.check_r1(R1Coord(LZ, LZ, KElem.t()))
+    c1 = group.check_r1(R1Coord(LZ, LZ, K_S))
+    c2 = group.check_r1(R1Coord(LZ, LZ, K_T))
     assert group.comm13(c1, c2) == group.r2_zero
     # trace(e+s) = 1, so the value is alpha = t
-    q = group.check_r1(R1Coord(LE + LElem.from_k(KElem.s()), LZ, ZERO))
-    assert group.comm13(p, q) == R2Coord(LZ, LZ, KElem.t())
+    q = group.check_r1(R1Coord(LE + LElem(K_S), LZ, ZERO))
+    assert group.comm13(p, q) == R2Coord(LZ, LZ, K_T)
 
 
 def test_comm24_examples(group):
     p = group.check_r2(R2Coord(LO, LZ, ZERO))
     assert group.comm24(p, p) == group.r1_zero
-    c1 = group.check_r2(R2Coord(LZ, LZ, KElem.t()))
-    c2 = group.check_r2(R2Coord(LZ, LZ, KElem.t() * KElem.t()))
+    c1 = group.check_r2(R2Coord(LZ, LZ, K_T))
+    c2 = group.check_r2(R2Coord(LZ, LZ, K_T * K_T))
     assert group.comm24(c1, c2) == group.r1_zero
     # trace(e) = 1, so the value is 1/beta = 1/s
     q = group.check_r2(R2Coord(LE, LZ, ZERO))
-    assert group.comm24(p, q) == R1Coord(LZ, LZ, ONE / KElem.s())
+    assert group.comm24(p, q) == R1Coord(LZ, LZ, ONE / K_S)
 
 
 def test_comm14_examples(group):
@@ -310,11 +311,11 @@ def test_comm14_memo_under_threads(ms):
     assert shared._comm14_cache.cache_info().currsize <= COMM14_MEMO_SIZE
 
 
-def _k(num, den=Poly2.one()):
+def _k(num, den=P_ONE):
     return KElem(num, den)
 
 
-_S, _T, _1 = Poly2.s(), Poly2.t(), Poly2.one()
+_S, _T, _1 = P_S, P_T, P_ONE
 # the irreducible factors of beta and alpha on ROADMAP item 1's candidate
 _FACTORS = (_S, _T, _S + _1, _T + _1)
 _COMM14_INSTANCES = {
@@ -322,10 +323,10 @@ _COMM14_INSTANCES = {
     # phi(e) = e + c needs delta = c + phi(c): c = 1/s gives (s + t)/(s t)
     "delta-over-st": FieldInstance(delta=_k(_S + _T, _S * _T),
                                    phi_e=LElem(_k(_1, _S), ONE),
-                                   beta=KElem.s(), alpha=KElem.t()),
+                                   beta=K_S, alpha=K_T),
     # beta^-1 = 1 / (s (s + 1)): a constant over a non-monomial
     "candidate": FieldInstance(delta=_k(_S.square() + _T),
-                               phi_e=LElem(KElem.t(), ONE),
+                               phi_e=LElem(K_T, ONE),
                                beta=_k(_S.square() + _S),
                                alpha=_k(_T.square() + _T)),
 }
@@ -445,7 +446,7 @@ def test_comm14_u2_part_commutes_with_its_u4_argument(name):
     # why a product, embed_derived and the quadrangle make no second-order
     # [U2,U4] correction: comm24(relation4(p, q)[0], q) is 0 for any L inputs
     group = UPlus(_COMM14_INSTANCES[name])
-    ls = LElem.from_k(KElem.s())  # outside L'
+    ls = LElem(K_S)  # outside L'
     for monomial in (True, False):
         for p, q in _comm14_inputs(group, 70 + monomial, monomial):
             for p1 in (p, R1Coord(LE, ls, p.b)):
@@ -591,7 +592,7 @@ def test_relation4_on_candidate_takes_no_lmul(monkeypatch):
 def test_solvers_invert_comm14(name):
     group = UPlus(_COMM14_INSTANCES[name])
     quad = Quadrangle(group)
-    shift = R2Coord(LZ, LZ, KElem.s())  # s / D lies outside K'
+    shift = R2Coord(LZ, LZ, K_S)  # s / D lies outside K'
     for monomial in (True, False):
         for p, k in _comm14_inputs(group, 60 + monomial, monomial):
             w, z = group.comm14(p, k)
@@ -617,11 +618,11 @@ def test_relation4_slots_the_solvers_read(name):
         assert u3(p.x + p2.x, p.y + p2.y) == u3(p.x, p.y) + u3(p2.x, p2.y)
         assert u3(fields.kscale(c, p.x), fields.kscale(c, p.y)) == c * u3(p.x, p.y)
     # the trace terms lie in K for any L inputs, also outside L'
-    ls = LElem.from_k(KElem.s())
+    ls = LElem(K_S)
     assert not group.inst.lprime_member(ls)
     for p, q in pairs:
         rel(R1Coord(LE, ls, ONE), q)
-        rel(p, R2Coord(ls, LE, KElem.s()))
+        rel(p, R2Coord(ls, LE, K_S))
 
 
 def test_quadrangle_does_not_transcribe_relation4():
@@ -664,6 +665,6 @@ def test_zero_operand_sums_give_the_other_operand(ms):
             assert a + zero == a and zero + a == a
             assert (a + a).is_zero()
     # a zero built afresh, not the shared one, is a zero operand too
-    fresh = R1Coord(LElem(ZERO, ZERO), LElem(ZERO), KElem(Poly2.zero()))
+    fresh = R1Coord(LElem(ZERO, ZERO), LElem(ZERO), KElem(P_ZERO))
     assert fresh + r1 is r1 and r1 + fresh is r1
     assert LElem(ZERO, ZERO) + z is z and z + LElem(ZERO, ZERO) is z
