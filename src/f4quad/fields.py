@@ -53,7 +53,7 @@ class FieldError(ArithmeticError):
 class KElem:
     """A canonical reduced fraction of GF(2)[s,t] polynomials."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly2, den: Poly2 | None = None):
         if den is None:
@@ -64,7 +64,6 @@ class KElem:
             self.num, self.den = P_ZERO, P_ONE
         else:
             self.num, self.den = _cancel(num, den)
-        self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -167,9 +166,7 @@ class KElem:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_one():
@@ -204,7 +201,6 @@ def _trusted_k(num: Poly2, den: Poly2) -> KElem:
     out = KElem.__new__(KElem)
     out.num = num
     out.den = den
-    out._hash = None
     return out
 
 
@@ -348,12 +344,11 @@ def kprime_decompose(f: KElem) -> tuple[KElem, KElem]:
 class LElem:
     """c0 + c1*e with c0, c1 in K.  Instance-independent ops only."""
 
-    __slots__ = ("c0", "c1", "_hash")
+    __slots__ = ("c0", "c1")
 
     def __init__(self, c0: KElem, c1: KElem | None = None):
         self.c0 = c0
         self.c1 = c1 if c1 is not None else K_ZERO
-        self._hash: int | None = None
 
     # perfbench/selftest.py spells 1 of L so; the library uses L_ONE
     @classmethod
@@ -388,9 +383,7 @@ class LElem:
                 and self.c0 == other.c0 and self.c1 == other.c1)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.c0, self.c1))
-        return self._hash
+        return hash((self.c0, self.c1))
 
     def __str__(self) -> str:
         if self.c1.is_zero():
@@ -600,14 +593,13 @@ class FieldInstance:
                 tits_ok, witness = False, f"L sample: {z}"
                 break
         rep.add("twist-squared-is-frobenius", tits_ok, witness)
-        conj_ok = self.phi_e.c1.is_one()
-        for _ in range(samples if not conj_ok else 4):
+        n = 4 if self.phi_e.c1.is_one() else samples
+        conj_ok = True
+        for _ in range(n):
             z = sample_l(rng, max_degree)
             if self.phi_l(z.conj()) != self.phi_l(z).conj():
                 conj_ok = False
                 break
-        else:
-            conj_ok = True
         rep.add("twist-commutes-with-conjugation", conj_ok)
 
         # (iii) alpha = phi(beta) and alpha lies in K'.

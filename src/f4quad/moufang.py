@@ -445,8 +445,7 @@ class Block:
 # the derived geometry at infinity
 # ----------------------------------------------------------------------
 
-def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
-                       max_degree: int) -> CheckList:
+def derived_net_report(ms: MoufangSet, rng: Rng, samples: int) -> CheckList:
     """Net axioms for the lines at infinity: vertical lines are disjoint,
     a vertical and a non-vertical line meet exactly once, and blocks with
     a common gnarl-first-part form parallel classes."""
@@ -456,12 +455,12 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
     # (i) two distinct vertical lines never intersect
     ok, det = True, ""
     for _ in range(samples):
-        r1a = ms.sample_r1(rng, max_degree)
-        r1b = ms.sample_r1(rng, max_degree)
+        r1a = ms.sample_r1(rng, 1)
+        r1b = ms.sample_r1(rng, 1)
         if r1a == r1b:
             continue
-        va = ms.sphere_at_infinity(MoufangPoint(r1a, ms.sample_r2(rng, max_degree)))
-        for pt in va.sample(rng, 3, max_degree):
+        va = ms.sphere_at_infinity(MoufangPoint(r1a, ms.sample_r2(rng, 1)))
+        for pt in va.sample(rng, 3, 1):
             if not pt.is_inf and pt.r1 == r1b:
                 ok, det = False, f"common point {pt}"
                 break
@@ -473,12 +472,12 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
     nonvert = ms.sphere_general(ms.zero, ms.infinity)
     ok, det = True, ""
     for _ in range(samples):
-        r1 = ms.sample_r1(rng, max_degree)
+        r1 = ms.sample_r1(rng, 1)
         expected = MoufangPoint(r1, g.r2_zero)
         if not nonvert.contains(expected):
             ok, det = False, f"expected intersection missing: {expected}"
             break
-        r2 = ms.sample_r2(rng, max_degree)
+        r2 = ms.sample_r2(rng, 1)
         if not r2.is_zero() and nonvert.contains(MoufangPoint(r1, r2)):
             ok, det = False, f"second intersection {MoufangPoint(r1, r2)}"
             break
@@ -487,14 +486,14 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int,
     # (iii) parallel classes: same first part, different second part, disjoint
     ok, det = True, ""
     for _ in range(samples):
-        r2a = ms.sample_r2(rng, max_degree)
-        r2b = ms.sample_r2(rng, max_degree)
+        r2a = ms.sample_r2(rng, 1)
+        r2b = ms.sample_r2(rng, 1)
         if r2a == r2b:
             continue
         blka = ms.sphere_general(MoufangPoint(g.r1_zero, r2a), ms.infinity)
         # members of the first-family block have the shape [(k,l,m), r2a]
         for _ in range(3):
-            member = MoufangPoint(ms.sample_r1(rng, max_degree), r2a)
+            member = MoufangPoint(ms.sample_r1(rng, 1), r2a)
             if not blka.contains(member):
                 ok, det = False, f"displayed member rejected: {member}"
                 break
@@ -560,18 +559,16 @@ class ReconstructedQuadrangle:
         return self._duals[id(line_side)]
 
 
-def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
-                           n_spheres: int,
-                           max_degree: int) -> ReconstructedQuadrangle:
-    """Sample labels and spheres and build the two-sorted structure.
+def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
+                           n: int) -> ReconstructedQuadrangle:
+    """Sample infinity, n - 1 labels and n spheres; build the structure.
 
     The sphere sample mixes gnarls at infinity (some reusing a finite
     gnarl's first part, which manufactures genuine incidences of the
     mutual-containment rule) with finite gnarls through infinity, and
     is deduplicated by projection centre.
     """
-    points = [ms.infinity] + [ms.sample_label(rng, max_degree)
-                              for _ in range(n_points - 1)]
+    points = [ms.infinity] + [ms.sample_label(rng, 1) for _ in range(n - 1)]
     points = list(dict.fromkeys(points))
 
     blocks: list[Block] = []
@@ -579,14 +576,14 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
     finite_gnarls: list[MoufangPoint] = []
     seen_centres: set[str] = set()
     quad = ms.quad
-    while len(blocks) < n_spheres:
-        gnarl = ms.sample_label(rng, max_degree) if rng.chance(3, 4) else ms.infinity
+    while len(blocks) < n:
+        gnarl = ms.sample_label(rng, 1) if rng.chance(3, 4) else ms.infinity
         if gnarl.is_inf:
             if finite_gnarls and rng.chance(1, 2):
                 r1 = finite_gnarls[rng.below(len(finite_gnarls))].r1
-                through = MoufangPoint(r1, ms.sample_r2(rng, max_degree))
+                through = MoufangPoint(r1, ms.sample_r2(rng, 1))
             else:
-                through = ms.sample_label(rng, max_degree)
+                through = ms.sample_label(rng, 1)
             blk = ms.sphere_at_infinity(through)
             centre = quad.project(ms.flag_of_label(through).point, quad.ln_inf)
         else:
@@ -603,9 +600,8 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng, n_points: int,
     return ReconstructedQuadrangle(ms, points, blocks, centres)
 
 
-def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
-                       n_spheres: int, max_degree: int) -> CheckList:
-    """Build the reconstruction on a sample and embed it back.
+def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
+    """Build the reconstruction on n points and n spheres, embed it back.
 
     The embedding sends a label's point sort to its flag point and its
     line sort to the flag line; a sphere's point sort goes to the
@@ -616,7 +612,7 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n_points: int,
     whose note names it.
     """
     quad = ms.quad
-    rq = reconstruct_quadrangle(ms, rng, n_points, n_spheres, max_degree)
+    rq = reconstruct_quadrangle(ms, rng, n)
     points, blocks = rq.points, rq.spheres
     rep = CheckList()
 

@@ -355,10 +355,14 @@ class Poly2:
             return P_ZERO
         # a factor 1 gives the other operand back (Poly2 is immutable);
         # a monomial factor s^i t^j shifts the other operand
+        if a == 1:
+            return other
+        if b == 1:
+            return self
         if not a & (a - 1):
-            return other if a == 1 else other.shift(*self.exponents())
+            return other.shift(*self.exponents())
         if not b & (b - 1):
-            return self if b == 1 else self.shift(*other.exponents())
+            return self.shift(*other.exponents())
         # no row of the packed product spills while both clear _HI
         # (_clears_hi for both, inlined)
         if (a < _HI and b < _HI and not (a | b) & _HI

@@ -267,33 +267,30 @@ class Quadrangle:
             raise ValueError(f"projection of an incident pair {p} I {m}")
         g = self.group
         if m.kind == "LINF":
-            return self._project_base(p, "LINF")
+            return self._project_base(p, m.kind)
+        # move m to the base line of its kind by its transversal's inverse
         if m.kind == "L1":
-            h = g.pure4(m.coords[0])
-            back = h
+            tv = g.pure4(m.coords[0])
         elif m.kind == "L2":
             a, l = m.coords
             tv = UPlusElem(a, l, g.r1_zero, g.r2_zero)
-            h, back = g.inv(tv), tv
         else:
             tv = self.line_transversal(m)
-            h, back = g.inv(tv), tv
-        p1 = self.act_point(p, h)
-        q1 = self._project_base(p1, {"L1": "L0", "L2": "L00", "L3": "L000"}[m.kind])
-        return self.act_point(q1, back)
+        q1 = self._project_base(self.act_point(p, g.inv(tv)), m.kind)
+        return self.act_point(q1, tv)
 
-    def _project_base(self, p: QPoint, base: str) -> QPoint:
+    def _project_base(self, p: QPoint, kind: str) -> QPoint:
         g = self.group
         z1, z2 = g.r1_zero, g.r2_zero
-        if base == "LINF":
+        if kind == "LINF":
             if p.kind == "P2":
                 return self.pt_inf
             return self.pt1(p.coords[0])  # maximal
-        if base == "L0":  # the line [0]
+        if kind == "L1":  # the line [0]
             if p.kind in ("P1", "P2"):
                 return self.pt_inf
             return self.pt2(z2, p.coords[2])
-        if base == "L00":  # the line [0,0]
+        if kind == "L2":  # the line [0,0]
             if p.kind in ("INF", "P1"):
                 return self.pt1(z1)
             if p.kind == "P2":
@@ -305,7 +302,7 @@ class Quadrangle:
             if k is None:
                 raise InternalConsistencyError("projection solve failed on [0,0]")
             return self.pt3(z1, z2, pa2 + g.comm14(pa, k)[1])
-        # base == "L000": the line [0,0,0]
+        # kind == "L3": the line [0,0,0]
         if p.kind == "INF":
             return self.pt2(z2, z1)
         if p.kind == "P1":

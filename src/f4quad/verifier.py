@@ -4,9 +4,14 @@ Every check carries an anchor string naming the defining relation or
 coordinate table it exercises (the README's relation table numbers the
 defining data (1)-(9); purely structural checks are anchored
 "plumbing").  `run` returns a `fields.CheckList` of `fields.Check`, the
-record sub-checks use too.  Reports are deterministic for a fixed
-configuration: the text body is everything except lines starting with
-'#', and the jsonl body is every field except "millis".
+record sub-checks use too.  Each `REGISTRY` row is
+(name, anchor, tag, fn): `run` calls fn(ctx, rng) with its own stream
+rng = Rng(seed * 1000003 + tag), so no two checks share samples and a
+check's draws do not depend on which other checks run (tag None: the
+check draws from `FieldInstance.validate`'s own Rng(seed)).  Reports are
+deterministic for a fixed configuration: the text body is everything
+except lines starting with '#', and the jsonl body is every field except
+"millis".
 """
 
 from __future__ import annotations
@@ -53,12 +58,9 @@ class RunContext:
         self.quad = Quadrangle(self.group)
         self.ms = MoufangSet(self.quad)
 
-    def rng(self, tag: int) -> Rng:
-        return Rng(self.cfg.seed * 1000003 + tag)
-
 
 # ----------------------------------------------------------------------
-# individual checks: return (ok, counterexample-or-None)
+# individual checks: fn(ctx, rng) -> (ok, counterexample-or-None)
 # ----------------------------------------------------------------------
 
 def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.note}",
@@ -71,8 +73,7 @@ def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.note}",
     return False, "; ".join([x for x in lines if x][:limit])
 
 
-def _chk_canonical(ctx: RunContext):
-    rng = ctx.rng(1)
+def _chk_canonical(ctx: RunContext, rng: Rng):
     for _ in range(ctx.cfg.samples):
         a = sample_k_general(rng, ctx.cfg.max_degree)
         b = sample_k_general(rng, ctx.cfg.max_degree)
@@ -84,8 +85,7 @@ def _chk_canonical(ctx: RunContext):
     return True, None
 
 
-def _chk_field_axioms(ctx: RunContext):
-    rng = ctx.rng(2)
+def _chk_field_axioms(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         a = sample_k(rng, ctx.cfg.max_degree)
@@ -105,8 +105,7 @@ def _chk_field_axioms(ctx: RunContext):
     return True, None
 
 
-def _chk_twist_hom(ctx: RunContext):
-    rng = ctx.rng(3)
+def _chk_twist_hom(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         a = sample_k(rng, ctx.cfg.max_degree)
@@ -122,8 +121,7 @@ def _chk_twist_hom(ctx: RunContext):
     return True, None
 
 
-def _chk_twist_square(ctx: RunContext):
-    rng = ctx.rng(4)
+def _chk_twist_square(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         a = sample_k(rng, ctx.cfg.max_degree)
@@ -135,8 +133,7 @@ def _chk_twist_square(ctx: RunContext):
     return True, None
 
 
-def _chk_theta_roundtrip(ctx: RunContext):
-    rng = ctx.rng(5)
+def _chk_theta_roundtrip(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         a = sample_k(rng, ctx.cfg.max_degree)
@@ -154,8 +151,7 @@ def _chk_theta_roundtrip(ctx: RunContext):
     return True, None
 
 
-def _chk_decompose(ctx: RunContext):
-    rng = ctx.rng(6)
+def _chk_decompose(ctx: RunContext, rng: Rng):
     for _ in range(ctx.cfg.samples):
         f = sample_k_general(rng, ctx.cfg.max_degree)
         g, h = kprime_decompose(f)
@@ -168,8 +164,7 @@ def _chk_decompose(ctx: RunContext):
     return True, None
 
 
-def _chk_conj_norm(ctx: RunContext):
-    rng = ctx.rng(7)
+def _chk_conj_norm(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         z = sample_l(rng, ctx.cfg.max_degree)
@@ -184,8 +179,7 @@ def _chk_conj_norm(ctx: RunContext):
     return True, None
 
 
-def _chk_tower(ctx: RunContext):
-    rng = ctx.rng(8)
+def _chk_tower(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     for _ in range(ctx.cfg.samples):
         a = sample_k(rng, ctx.cfg.max_degree)
@@ -200,14 +194,13 @@ def _chk_tower(ctx: RunContext):
     return True, None
 
 
-def _chk_instance(ctx: RunContext):
+def _chk_instance(ctx: RunContext, rng: Rng | None):
     return _outcome(ctx.inst.validate(seed=ctx.cfg.seed,
                                       samples=max(10, ctx.cfg.samples // 5),
                                       max_degree=min(3, ctx.cfg.max_degree)))
 
 
-def _chk_anisotropy(ctx: RunContext):
-    rng = ctx.rng(9)
+def _chk_anisotropy(ctx: RunContext, rng: Rng):
     inst = ctx.inst
     deg = min(2, ctx.cfg.max_degree)
     for _ in range(ctx.cfg.samples * 5):
@@ -226,8 +219,7 @@ def _chk_anisotropy(ctx: RunContext):
     return True, None
 
 
-def _chk_group_identity(ctx: RunContext):
-    rng = ctx.rng(10)
+def _chk_group_identity(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 2):
@@ -250,8 +242,7 @@ def _sample_uplus(ms: MoufangSet, rng: Rng):
                      ms.sample_r1(rng, deg), ms.sample_r2(rng, deg))
 
 
-def _chk_associativity(ctx: RunContext):
-    rng = ctx.rng(11)
+def _chk_associativity(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
     n = max(ctx.cfg.samples, 3)
@@ -264,8 +255,7 @@ def _chk_associativity(ctx: RunContext):
     return True, None
 
 
-def _chk_biadditive(ctx: RunContext):
-    rng = ctx.rng(12)
+def _chk_biadditive(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 2):
@@ -284,8 +274,7 @@ def _chk_biadditive(ctx: RunContext):
     return True, None
 
 
-def _chk_comm_expansion(ctx: RunContext):
-    rng = ctx.rng(13)
+def _chk_comm_expansion(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
@@ -300,8 +289,7 @@ def _chk_comm_expansion(ctx: RunContext):
     return True, None
 
 
-def _chk_nilpotency(ctx: RunContext):
-    rng = ctx.rng(14)
+def _chk_nilpotency(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
@@ -320,8 +308,7 @@ def _chk_nilpotency(ctx: RunContext):
     return True, None
 
 
-def _chk_st_subgroup(ctx: RunContext):
-    rng = ctx.rng(15)
+def _chk_st_subgroup(ctx: RunContext, rng: Rng):
     g = ctx.group
     for _ in range(ctx.cfg.samples // 2):
         es = []
@@ -339,10 +326,9 @@ def _chk_st_subgroup(ctx: RunContext):
     return True, None
 
 
-def _chk_base_incidence(ctx: RunContext):
+def _chk_base_incidence(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
-    rng = ctx.rng(16)
     k = ms.sample_r2(rng, 2)
     a = ms.sample_r1(rng, 2)
     cases = [
@@ -360,8 +346,7 @@ def _chk_base_incidence(ctx: RunContext):
     return True, None
 
 
-def _chk_gq_axioms(ctx: RunContext):
-    rng = ctx.rng(17)
+def _chk_gq_axioms(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
     for _ in range(max(3, ctx.cfg.samples // 10)):
@@ -395,8 +380,7 @@ def _chk_gq_axioms(ctx: RunContext):
     return True, None
 
 
-def _chk_action_laws(ctx: RunContext):
-    rng = ctx.rng(18)
+def _chk_action_laws(ctx: RunContext, rng: Rng):
     q = ctx.quad
     g = ctx.group
     ms = ctx.ms
@@ -416,8 +400,7 @@ def _chk_action_laws(ctx: RunContext):
     return True, None
 
 
-def _chk_projection_examples(ctx: RunContext):
-    rng = ctx.rng(19)
+def _chk_projection_examples(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 5):
@@ -432,8 +415,7 @@ def _chk_projection_examples(ctx: RunContext):
     return True, None
 
 
-def _chk_polarity_involution(ctx: RunContext):
-    rng = ctx.rng(20)
+def _chk_polarity_involution(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
@@ -455,8 +437,7 @@ def _chk_polarity_involution(ctx: RunContext):
     return True, None
 
 
-def _chk_rho_star_hom(ctx: RunContext):
-    rng = ctx.rng(21)
+def _chk_rho_star_hom(ctx: RunContext, rng: Rng):
     q = ctx.quad
     g = ctx.group
     ms = ctx.ms
@@ -468,11 +449,10 @@ def _chk_rho_star_hom(ctx: RunContext):
     return True, None
 
 
-def _chk_absolute_flags(ctx: RunContext):
+def _chk_absolute_flags(ctx: RunContext, rng: Rng):
     q = ctx.quad
     if not q.is_absolute(q.inf_flag) or not q.is_absolute(q.zero_flag):
         return False, "base or zero flag not absolute"
-    rng = ctx.rng(22)
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 2):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
@@ -481,8 +461,7 @@ def _chk_absolute_flags(ctx: RunContext):
     return True, None
 
 
-def _chk_labeling(ctx: RunContext):
-    rng = ctx.rng(23)
+def _chk_labeling(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 2):
         lab = ms.sample_label(rng, 1)
@@ -492,8 +471,7 @@ def _chk_labeling(ctx: RunContext):
     return True, None
 
 
-def _chk_eq9_closure(ctx: RunContext):
-    rng = ctx.rng(24)
+def _chk_eq9_closure(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     n = max(ctx.cfg.samples, 3)
     for _ in range(n):
@@ -507,14 +485,13 @@ def _chk_eq9_closure(ctx: RunContext):
     return True, None
 
 
-def _chk_eq9_verbatim(ctx: RunContext):
+def _chk_eq9_verbatim(ctx: RunContext, rng: Rng):
     """Adjudicate the printed generator form against the derived one.
 
     The check succeeds when it reaches a definite verdict: either the
     two coincide, or the deviation is localised to a single named slot
     while the derived completion still closes (the misprint verdict).
     """
-    rng = ctx.rng(25)
     ms = ctx.ms
     diffs_seen: set[str] = set()
     example = ""
@@ -535,8 +512,7 @@ def _chk_eq9_verbatim(ctx: RunContext):
     return False, "unlocalised deviation: " + verdict
 
 
-def _chk_regularity(ctx: RunContext):
-    rng = ctx.rng(26)
+def _chk_regularity(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
         p = ms.sample_label(rng, 1)
@@ -549,8 +525,7 @@ def _chk_regularity(ctx: RunContext):
     return True, None
 
 
-def _chk_derived_shapes(ctx: RunContext):
-    rng = ctx.rng(27)
+def _chk_derived_shapes(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
         p = ms.sample_label(rng, 1)
@@ -569,8 +544,7 @@ def _chk_derived_shapes(ctx: RunContext):
     return True, None
 
 
-def _chk_block_transport(ctx: RunContext):
-    rng = ctx.rng(28)
+def _chk_block_transport(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(max(2, ctx.cfg.samples // 10)):
         through = ms.sample_label(rng, 1)
@@ -589,8 +563,7 @@ def _chk_block_transport(ctx: RunContext):
     return True, None
 
 
-def _chk_st_moufang(ctx: RunContext):
-    rng = ctx.rng(29)
+def _chk_st_moufang(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(ctx.cfg.samples // 4):
         p = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
@@ -604,8 +577,7 @@ def _chk_st_moufang(ctx: RunContext):
     return True, None
 
 
-def _chk_sphere_pair_bound(ctx: RunContext):
-    rng = ctx.rng(30)
+def _chk_sphere_pair_bound(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(max(2, ctx.cfg.samples // 10)):
         r2a = ms.sample_r2(rng, 1)
@@ -624,8 +596,7 @@ def _chk_sphere_pair_bound(ctx: RunContext):
     return True, None
 
 
-def _chk_appendix_a(ctx: RunContext):
-    rng = ctx.rng(31)
+def _chk_appendix_a(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     g = ms.group
     e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
@@ -652,8 +623,7 @@ def _chk_appendix_a(ctx: RunContext):
     return True, None
 
 
-def _chk_appendix_a_translate(ctx: RunContext):
-    rng = ctx.rng(32)
+def _chk_appendix_a_translate(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     g = ms.group
     e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
@@ -672,8 +642,7 @@ def _chk_appendix_a_translate(ctx: RunContext):
     return True, None
 
 
-def _chk_appendix_b_circles(ctx: RunContext):
-    rng = ctx.rng(33)
+def _chk_appendix_b_circles(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     for _ in range(max(2, ctx.cfg.samples // 20)):
         gn = ms.sample_label(rng, 1)
@@ -690,7 +659,7 @@ def _chk_appendix_b_circles(ctx: RunContext):
     return True, None
 
 
-def _chk_special_circles(ctx: RunContext):
+def _chk_special_circles(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     c1 = ms.special_circle_first()
     p_at_1 = c1.point_at(K_ONE)
@@ -703,7 +672,6 @@ def _chk_special_circles(ctx: RunContext):
         return False, f"first circle at parameter 0: {p_at_0}"
     if not c1.contains(p_at_1) or not c1.contains(p_at_0):
         return False, "membership test rejects generated points"
-    rng = ctx.rng(34)
     c2 = ms.special_circle_second()
     for pt in c2.sample(rng, 8, ctx.cfg.max_degree):
         if not c2.contains(pt):
@@ -711,9 +679,8 @@ def _chk_special_circles(ctx: RunContext):
     return True, None
 
 
-def _chk_tau_prime(ctx: RunContext):
+def _chk_tau_prime(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    rng = ctx.rng(35)
     if ms.tau_prime(ms.zero) != ms.zero:
         return False, "tau' moved the zero label"
     for _ in range(ctx.cfg.samples // 4):
@@ -732,15 +699,12 @@ def _chk_tau_prime(ctx: RunContext):
                   + (f"; e.g. {missed[0]}" if missed else ""))
 
 
-def _chk_net(ctx: RunContext):
-    rng = ctx.rng(36)
-    return _outcome(derived_net_report(ctx.ms, rng, max(5, ctx.cfg.samples // 10), 1))
+def _chk_net(ctx: RunContext, rng: Rng):
+    return _outcome(derived_net_report(ctx.ms, rng, max(5, ctx.cfg.samples // 10)))
 
 
-def _chk_reconstruction(ctx: RunContext):
-    rng = ctx.rng(37)
-    n = max(12, ctx.cfg.samples // 5)
-    return _outcome(reconstruct_report(ctx.ms, rng, n, n, 1),
+def _chk_reconstruction(ctx: RunContext, rng: Rng):
+    return _outcome(reconstruct_report(ctx.ms, rng, max(12, ctx.cfg.samples // 5)),
                     line=lambda c: c.note, limit=3)
 
 
@@ -748,56 +712,56 @@ def _chk_reconstruction(ctx: RunContext):
 # registry
 # ----------------------------------------------------------------------
 
-REGISTRY: dict[str, list[tuple[str, str, object]]] = {
+REGISTRY: dict[str, list[tuple[str, str, int | None, object]]] = {
     "fields": [
-        ("canonical-forms", "plumbing", _chk_canonical),
-        ("field-axioms", "plumbing", _chk_field_axioms),
-        ("twist-homomorphism", "twist endomorphism", _chk_twist_hom),
-        ("twist-squared-is-frobenius", "twist endomorphism", _chk_twist_square),
-        ("theta-roundtrips", "twist endomorphism", _chk_theta_roundtrip),
-        ("kprime-decompose", "subfield tower", _chk_decompose),
-        ("conjugation-and-norm", "quadratic extension", _chk_conj_norm),
-        ("tower-inclusions", "subfield tower", _chk_tower),
-        ("instance-validation", "anisotropy conditions", _chk_instance),
-        ("anisotropy-probe", "anisotropy conditions", _chk_anisotropy),
+        ("canonical-forms", "plumbing", 1, _chk_canonical),
+        ("field-axioms", "plumbing", 2, _chk_field_axioms),
+        ("twist-homomorphism", "twist endomorphism", 3, _chk_twist_hom),
+        ("twist-squared-is-frobenius", "twist endomorphism", 4, _chk_twist_square),
+        ("theta-roundtrips", "twist endomorphism", 5, _chk_theta_roundtrip),
+        ("kprime-decompose", "subfield tower", 6, _chk_decompose),
+        ("conjugation-and-norm", "quadratic extension", 7, _chk_conj_norm),
+        ("tower-inclusions", "subfield tower", 8, _chk_tower),
+        ("instance-validation", "anisotropy conditions", None, _chk_instance),
+        ("anisotropy-probe", "anisotropy conditions", 9, _chk_anisotropy),
     ],
     "root-groups": [
-        ("identity-and-inverses", "Eqs. (1)-(4)", _chk_group_identity),
-        ("associativity", "Eqs. (1)-(4)", _chk_associativity),
-        ("commutator-biadditivity", "Eqs. (2)-(3)", _chk_biadditive),
-        ("commutator-expansion", "Eq. (4)", _chk_comm_expansion),
-        ("nilpotency-class-3", "lower central series", _chk_nilpotency),
-        ("suzuki-tits-subgroup", "Suzuki-Tits restriction", _chk_st_subgroup),
+        ("identity-and-inverses", "Eqs. (1)-(4)", 10, _chk_group_identity),
+        ("associativity", "Eqs. (1)-(4)", 11, _chk_associativity),
+        ("commutator-biadditivity", "Eqs. (2)-(3)", 12, _chk_biadditive),
+        ("commutator-expansion", "Eq. (4)", 13, _chk_comm_expansion),
+        ("nilpotency-class-3", "lower central series", 14, _chk_nilpotency),
+        ("suzuki-tits-subgroup", "Suzuki-Tits restriction", 15, _chk_st_subgroup),
     ],
     "quadrangle": [
-        ("base-incidences", "coordinatisation", _chk_base_incidence),
-        ("quadrangle-axioms", "coordinatisation", _chk_gq_axioms),
-        ("action-laws", "Eqs. (1)-(4)", _chk_action_laws),
-        ("projection-closed-forms", "coordinatisation", _chk_projection_examples),
-        ("polarity-involution", "Eqs. (5)-(8)", _chk_polarity_involution),
-        ("polarity-group-twist", "Eqs. (5)-(8)", _chk_rho_star_hom),
-        ("absolute-flags", "Eqs. (5)-(8)", _chk_absolute_flags),
+        ("base-incidences", "coordinatisation", 16, _chk_base_incidence),
+        ("quadrangle-axioms", "coordinatisation", 17, _chk_gq_axioms),
+        ("action-laws", "Eqs. (1)-(4)", 18, _chk_action_laws),
+        ("projection-closed-forms", "coordinatisation", 19, _chk_projection_examples),
+        ("polarity-involution", "Eqs. (5)-(8)", 20, _chk_polarity_involution),
+        ("polarity-group-twist", "Eqs. (5)-(8)", 21, _chk_rho_star_hom),
+        ("absolute-flags", "Eqs. (5)-(8)", 22, _chk_absolute_flags),
     ],
     "moufang": [
-        ("flag-labeling", "Eq. (9)", _chk_labeling),
-        ("generator-closure-derived", "Eq. (9)", _chk_eq9_closure),
-        ("generator-verbatim-adjudication", "Eq. (9)", _chk_eq9_verbatim),
-        ("regular-translation", "Moufang set axioms", _chk_regularity),
-        ("derived-subgroup-shapes", "derived subgroups", _chk_derived_shapes),
-        ("block-transport", "sphere and circle orbits", _chk_block_transport),
-        ("suzuki-tits-sub-moufang-set", "Suzuki-Tits restriction", _chk_st_moufang),
-        ("two-spheres-bound", "net structure", _chk_sphere_pair_bound),
+        ("flag-labeling", "Eq. (9)", 23, _chk_labeling),
+        ("generator-closure-derived", "Eq. (9)", 24, _chk_eq9_closure),
+        ("generator-verbatim-adjudication", "Eq. (9)", 25, _chk_eq9_verbatim),
+        ("regular-translation", "Moufang set axioms", 26, _chk_regularity),
+        ("derived-subgroup-shapes", "derived subgroups", 27, _chk_derived_shapes),
+        ("block-transport", "sphere and circle orbits", 28, _chk_block_transport),
+        ("suzuki-tits-sub-moufang-set", "Suzuki-Tits restriction", 29, _chk_st_moufang),
+        ("two-spheres-bound", "net structure", 30, _chk_sphere_pair_bound),
     ],
     "appendices": [
-        ("sphere-tables", "sphere coordinate tables", _chk_appendix_a),
-        ("sphere-translates", "sphere coordinate tables", _chk_appendix_a_translate),
-        ("circle-with-finite-gnarl", "circle coordinate tables", _chk_appendix_b_circles),
-        ("explicit-circles", "circle coordinate tables", _chk_special_circles),
-        ("polarity-twisted-translation", "circle coordinate tables", _chk_tau_prime),
+        ("sphere-tables", "sphere coordinate tables", 31, _chk_appendix_a),
+        ("sphere-translates", "sphere coordinate tables", 32, _chk_appendix_a_translate),
+        ("circle-with-finite-gnarl", "circle coordinate tables", 33, _chk_appendix_b_circles),
+        ("explicit-circles", "circle coordinate tables", 34, _chk_special_circles),
+        ("polarity-twisted-translation", "circle coordinate tables", 35, _chk_tau_prime),
     ],
     "reconstruction": [
-        ("net-axioms", "net lemma", _chk_net),
-        ("quadrangle-reconstruction", "reconstruction rules", _chk_reconstruction),
+        ("net-axioms", "net lemma", 36, _chk_net),
+        ("quadrangle-reconstruction", "reconstruction rules", 37, _chk_reconstruction),
     ],
 }
 
@@ -810,13 +774,14 @@ def run(cfg: SuiteConfig) -> CheckList:
     for suite in SUITES:
         if suite not in cfg.suites:
             continue
-        for name, anchor, fn in REGISTRY[suite]:
+        for name, anchor, tag, fn in REGISTRY[suite]:
             if not prerequisites_ok and not cfg.survey:
                 report.checks.append(Check(name, "skip", None, suite, anchor))
                 continue
             t0 = time.perf_counter()
             try:
-                ok, extra = fn(ctx)
+                rng = None if tag is None else Rng(cfg.seed * 1000003 + tag)
+                ok, extra = fn(ctx, rng)
                 status = "pass" if ok else "fail"
             except Exception as exc:  # a crash: type, where and message
                 at = traceback.extract_tb(exc.__traceback__)[-1]

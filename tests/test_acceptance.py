@@ -237,7 +237,7 @@ def test_criterion_09_circle_tables(world):
 def test_criterion_10_net_axioms(world):
     inst, group, quad, ms = world
     t0 = time.time()
-    rep = derived_net_report(ms, Rng(0), 50, 1)
+    rep = derived_net_report(ms, Rng(0), 50)
     assert rep.ok, [c.note for c in rep.checks if not c.passed]
     budget("10 (net axioms of the derived geometry)", t0, 60)
 
@@ -245,7 +245,7 @@ def test_criterion_10_net_axioms(world):
 def test_criterion_11_reconstruction(world):
     inst, group, quad, ms = world
     t0 = time.time()
-    rep = reconstruct_report(ms, Rng(0), 200, 200, 1)
+    rep = reconstruct_report(ms, Rng(0), 200)
     assert rep.ok, [c.note for c in rep.checks if not c.passed]
     checks = {c.name: c for c in rep.checks}
     # 200 distinct points and spheres, embedded injectively

@@ -54,14 +54,26 @@ def test_jsonl_schema(capsys):
         assert rec["status"] in ("pass", "fail", "skip")
 
 
-def _crash(ctx):
+def test_each_check_names_its_own_stream():
+    # a row is (name, anchor, tag, fn); a repeated tag would make two
+    # checks draw the same samples
+    rows = [row for suite in verifier.SUITES for row in verifier.REGISTRY[suite]]
+    assert all(len(row) == 4 for row in rows)
+    tags = [tag for _, _, tag, _ in rows if tag is not None]
+    assert all(type(tag) is int for tag in tags)
+    assert len(set(tags)) == len(tags)
+    assert [name for name, _, tag, _ in rows if tag is None] == [
+        "instance-validation"]
+
+
+def _crash(ctx, rng):
     raise ZeroDivisionError("planted")
 
 
 def test_crash_reads_error_not_fail(capsys, monkeypatch):
     checks = list(verifier.REGISTRY["fields"])
-    name, anchor, _ = checks[1]
-    checks[1] = (name, anchor, _crash)
+    name, anchor, tag, _ = checks[1]
+    checks[1] = (name, anchor, tag, _crash)
     monkeypatch.setitem(verifier.REGISTRY, "fields", checks)
     code, out = run_cli(["verify-all", "--format", "jsonl"] + FAST, capsys)
     assert code == 1

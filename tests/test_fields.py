@@ -444,11 +444,10 @@ def test_monomial_denominators_share_the_one():
             z = LElem(KElem(num, d), KElem(num * num, d1))
             assert fields._shared(z)[4] is P_ONE, (d, d1)
     assert default_instance()._delta_raw[1] is P_ONE
-    # a factor 1 gives the other operand back, unless that operand is a
-    # monomial other than 1: then the product is a shift
+    # a factor 1 gives the other operand back, monomials included
     rng = Rng(47)
     polys = [sample_poly_nonzero(rng, 3, 4) for _ in range(20)]
-    for p in [P_ONE] + [p for p in polys if not p.is_monomial()]:
+    for p in list(dens) + polys:
         assert P_ONE * p is p and p * P_ONE is p, p
 
 

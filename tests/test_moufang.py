@@ -347,7 +347,7 @@ def test_block_descriptors(ms):
 
 
 def test_net_report(ms):
-    rep = derived_net_report(ms, Rng(79), 5, 1)
+    rep = derived_net_report(ms, Rng(79), 5)
     assert rep.ok, [c for c in rep.checks if not c.passed]
     assert {c.name for c in rep.checks} == {
         "vertical-lines-disjoint", "vertical-meets-nonvertical-once",
@@ -355,7 +355,7 @@ def test_net_report(ms):
 
 
 def test_reconstruction_report(ms):
-    rep = reconstruct_report(ms, Rng(80), 14, 14, 1)
+    rep = reconstruct_report(ms, Rng(80), 14)
     assert rep.ok, [c.note for c in rep.checks if not c.passed]
     assert {c.name for c in rep.checks if c.passed} >= {
         "rule3-exercised", "injective", "polarity-consistent-points",
@@ -364,7 +364,7 @@ def test_reconstruction_report(ms):
 
 def test_reconstructed_structure_object(ms):
     from f4quad.moufang import reconstruct_quadrangle
-    rq = reconstruct_quadrangle(ms, Rng(81), 10, 10, 1)
+    rq = reconstruct_quadrangle(ms, Rng(81), 10)
     # rule 1 on the structure itself
     assert rq.incident(rq.points[1], rq.points[1])
     assert not rq.incident(rq.points[1], rq.points[2])
