@@ -214,7 +214,7 @@ class MoufangSet:
         """Inverse of the labeling: a-slot of the point, k'-slot of the line."""
         if f == self.quad.inf_flag:
             return self.infinity
-        if f.point.kind != "P3" or f.line.kind != "L3":
+        if len(f.point.coords) != 3 or len(f.line.coords) != 3:
             raise ValueError(f"not an absolute flag shape: {f}")
         return MoufangPoint(f.point.coords[0], f.line.coords[2])
 
@@ -525,9 +525,8 @@ class ReconstructedQuadrangle:
         self.points = list(points)
         self.spheres = list(spheres)
         self._flags = {p: ms.flag_of_label(p) for p in self.points}
-        self._centres = {id(blk): c for blk, c in zip(self.spheres, centres)}
-        self._duals = {id(blk): ms.quad.rho_point(c)
-                       for blk, c in zip(self.spheres, centres)}
+        self._images = {id(blk): (c, ms.quad.rho_point(c))
+                        for blk, c in zip(self.spheres, centres)}
 
     def incident(self, point_side, line_side) -> bool:
         """The three rules: labels match; the gnarl names the label; or
@@ -546,17 +545,16 @@ class ReconstructedQuadrangle:
 
     def embed_point(self, point_side):
         """Image in the coordinate quadrangle: flag points for labels,
-        projection centres for spheres."""
+        projection centres for spheres (`embed_line`: flag lines, and
+        the polar images of those centres)."""
         if isinstance(point_side, MoufangPoint):
-            flag = self._flags.get(point_side)
-            return (flag or self.ms.flag_of_label(point_side)).point
-        return self._centres[id(point_side)]
+            return self._flags[point_side].point
+        return self._images[id(point_side)][0]
 
     def embed_line(self, line_side):
         if isinstance(line_side, MoufangPoint):
-            flag = self._flags.get(line_side)
-            return (flag or self.ms.flag_of_label(line_side)).line
-        return self._duals[id(line_side)]
+            return self._flags[line_side].line
+        return self._images[id(line_side)][1]
 
 
 def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
@@ -660,6 +658,7 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
                 if quad.rho_point(rq.embed_point(xp)) != rq.embed_line(xp)), None)
     rep.add("polarity-consistent-points", bad is None,
             "" if bad is None else f"sort swap differs from the polarity at {bad}")
+    # holds by construction: embed_line(blk) is rho_point of this centre
     bad = next((blk for blk in blocks[:10]
                 if quad.rho_point(rq.embed_point(blk)) != rq.embed_line(blk)), None)
     rep.add("polarity-consistent-spheres", bad is None,

@@ -1,26 +1,35 @@
 """The coordinatised generalized quadrangle and its polarity.
 
-Points carry 0 to 3 coordinates ((inf), (a), (k,b), (a,l,a')), lines
-dually ([inf], [k], [a,l], [k,b,k']).  The base apartment is the
-octagon (inf) I [inf] I (0) I [0,0] I (0,0,0) I [0,0,0] I (0,0) I [0]
-I (inf).  The unipotent group U+ fixes the flag {(inf),[inf]} and acts
-regularly on the flags opposite it; every element of the quadrangle
-lies in the U+ orbit of a base-apartment element, with stabilisers
+A point or line is its coordinate tuple, and its rank is the tuple's
+length: points (inf), (a), (k,b), (a,l,a') and lines [inf], [k], [a,l],
+[k,b,k'] have ranks 0 to 3, and the class is the sort.  The base
+apartment is the octagon (inf) I [inf] I (0) I [0,0] I (0,0,0) I
+[0,0,0] I (0,0) I [0] I (inf).  The unipotent group U+ fixes the flag
+{(inf),[inf]} and acts regularly on the flags opposite it; every
+element of the quadrangle lies in the U+ orbit of a base-apartment
+element, with stabilisers by rank
 
-    (a): U2 U3 U4      [k]: U1 U2 U3     (k,b): U1 U2     [a,l]: U3 U4
-    (a,l,a'): U4       [k,b,k']: U1
+    rank   point       stabiliser     line        stabiliser
+    0      (inf)       U+             [inf]       U+
+    1      (a)         U2 U3 U4       [k]         U1 U2 U3
+    2      (k,b)       U1 U2          [a,l]       U3 U4
+    3      (a,l,a')    U4             [k,b,k']    U1
 
 so each element is a coset against a fixed transversal and the whole
 geometry (incidence, projections, collinearity) is computed by group
 collection: nothing here is transcribed from coordinate formulas, it
 is all derived from the commutator relations at run time.
 
-The two quaternary incidence relations, for instance, reduce to
+Incidence is a rule on ranks: (inf) I [inf]; elements whose ranks
+differ by one are incident exactly when the shorter tuple is a prefix
+of the longer; and the two maximal sorts meet by
 
     (a,l,a') I [k,b,k']  iff  w . m^-1 lies in the set U4 U1
 
 with w, m the point and line transversals, which is tested by
 re-collecting u4(c) u1(d) from the candidate's extreme components.
+The polarity (5)-(8) keeps the rank and maps each coordinate by its
+type, U1/U3 slots by `rho_r1` and U2/U4 slots by `rho_r2`.
 
 Collinearity and projection invert relation (4) in one argument.  The
 solvers hold no copy of it: they evaluate `UPlus.relation4` at the
@@ -52,22 +61,20 @@ class ProjectionUnsupported(NotImplementedError):
 
 @dataclass(unsafe_hash=True, slots=True)
 class QPoint:
-    kind: str  # INF | P1 | P2 | P3
-    coords: tuple
+    coords: tuple  # (), (a,), (k, b) or (a, l, a')
 
     def __str__(self) -> str:
-        if self.kind == "INF":
+        if not self.coords:
             return "(inf)"
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(unsafe_hash=True, slots=True)
 class QLine:
-    kind: str  # LINF | L1 | L2 | L3
-    coords: tuple
+    coords: tuple  # (), (k,), (a, l) or (k, b, k')
 
     def __str__(self) -> str:
-        if self.kind == "LINF":
+        if not self.coords:
             return "[inf]"
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
@@ -88,62 +95,65 @@ class Quadrangle:
         self.group = group
         self.inst = group.inst
         g = group
-        self.pt_inf = QPoint("INF", ())
-        self.ln_inf = QLine("LINF", ())
-        self.zero_point = QPoint("P3", (g.r1_zero, g.r2_zero, g.r1_zero))
-        self.zero_line = QLine("L3", (g.r2_zero, g.r1_zero, g.r2_zero))
+        self.pt_inf = QPoint(())
+        self.ln_inf = QLine(())
+        self.zero_point = QPoint((g.r1_zero, g.r2_zero, g.r1_zero))
+        self.zero_line = QLine((g.r2_zero, g.r1_zero, g.r2_zero))
         self.inf_flag = Flag(self.pt_inf, self.ln_inf)
         self.zero_flag = Flag(self.zero_point, self.zero_line)
 
     # -- constructors -------------------------------------------------------
 
     def pt1(self, a: R1Coord) -> QPoint:
-        return QPoint("P1", (a,))
+        return QPoint((a,))
 
     def pt2(self, k: R2Coord, b: R1Coord) -> QPoint:
-        return QPoint("P2", (k, b))
+        return QPoint((k, b))
 
     def pt3(self, a: R1Coord, l: R2Coord, a2: R1Coord) -> QPoint:
-        return QPoint("P3", (a, l, a2))
+        return QPoint((a, l, a2))
 
     def ln1(self, k: R2Coord) -> QLine:
-        return QLine("L1", (k,))
+        return QLine((k,))
 
     def ln2(self, a: R1Coord, l: R2Coord) -> QLine:
-        return QLine("L2", (a, l))
+        return QLine((a, l))
 
     def ln3(self, k: R2Coord, b: R1Coord, k2: R2Coord) -> QLine:
-        return QLine("L3", (k, b, k2))
-
-    # -- transversals ---------------------------------------------------------
-
-    def point_transversal(self, p: QPoint) -> UPlusElem:
-        """u3(a') u2(l) u1(a) collected; the U4 coset representative of p."""
-        g = self.group
-        a, l, a2 = p.coords
-        w = g.mul(g.pure3(a2), g.pure2(l))
-        return g.mul(w, g.pure1(a))
-
-    def line_transversal(self, m: QLine) -> UPlusElem:
-        """u2(k') u3(b) u4(k), in normal order: m's U1 coset representative."""
-        k, b, k2 = m.coords
-        return UPlusElem(self.group.r1_zero, k2, b, k)
+        return QLine((k, b, k2))
 
     # -- group action ------------------------------------------------------------
 
+    def transversal(self, x) -> UPlusElem:
+        """The coset representative that moves the base element of x's
+        sort and rank to x: for points 1, u1(a), u3(b) u4(k) and
+        u3(a') u2(l) u1(a) collected; for lines 1, u4(k), u1(a) u2(l)
+        and u2(k') u3(b) u4(k)."""
+        g, c = self.group, x.coords
+        if not c:
+            return g.identity
+        z1, z2 = g.r1_zero, g.r2_zero
+        if isinstance(x, QPoint):
+            if len(c) == 1:
+                return g.pure1(c[0])
+            if len(c) == 2:
+                return UPlusElem(z1, z2, c[1], c[0])
+            return g.mul(g.mul(g.pure3(c[2]), g.pure2(c[1])), g.pure1(c[0]))
+        if len(c) == 1:
+            return g.pure4(c[0])
+        if len(c) == 2:
+            return UPlusElem(c[0], c[1], z1, z2)
+        return UPlusElem(z1, c[2], c[1], c[0])
+
     def act_point(self, p: QPoint, g: UPlusElem) -> QPoint:
-        gp = self.group
-        if p.kind == "INF":
+        if not p.coords:
             return p
-        if p.kind == "P1":
-            nf = gp.mul(gp.pure1(p.coords[0]), g)
+        gp = self.group
+        nf = gp.mul(self.transversal(p), g)
+        if len(p.coords) == 1:
             return self.pt1(nf.g1)
-        if p.kind == "P2":
-            k, b = p.coords
-            elt = UPlusElem(gp.r1_zero, gp.r2_zero, b, k)
-            nf = gp.mul(elt, g)
+        if len(p.coords) == 2:
             return self.pt2(nf.g4, nf.g3)
-        nf = gp.mul(self.point_transversal(p), g)
         r = gp.mul(gp.pure4(nf.g4), nf)
         if not r.g4.is_zero():
             raise InternalConsistencyError("point extraction left a U4 part")
@@ -151,27 +161,22 @@ class Quadrangle:
         return self.pt3(r.g1, l, r.g3)
 
     def act_line(self, m: QLine, g: UPlusElem) -> QLine:
-        gp = self.group
-        if m.kind == "LINF":
+        if not m.coords:
             return m
-        if m.kind == "L1":
-            nf = gp.mul(gp.pure4(m.coords[0]), g)
+        gp = self.group
+        nf = gp.mul(self.transversal(m), g)
+        if len(m.coords) == 1:
             return self.ln1(nf.g4)
-        if m.kind == "L2":
-            a, l = m.coords
-            elt = UPlusElem(a, l, gp.r1_zero, gp.r2_zero)
-            nf = gp.mul(elt, g)
-            q = gp.mul(nf, gp.pure1(nf.g1))
-            return self.ln2(nf.g1, q.g2)
-        nf = gp.mul(self.line_transversal(m), g)
+        if len(m.coords) == 2:
+            return self.ln2(nf.g1, gp.mul(nf, gp.pure1(nf.g1)).g2)
         return self.ln3(nf.g4, nf.g3, nf.g2)
 
     def point_on_line(self, m: QLine, d: R1Coord) -> QPoint:
         """The maximal point of the maximal line m with row parameter d."""
-        if m.kind != "L3":
+        if len(m.coords) != 3:
             raise ValueError("point rows are for maximal lines")
         base = self.pt3(d, self.group.r2_zero, self.group.r1_zero)
-        return self.act_point(base, self.line_transversal(m))
+        return self.act_point(base, self.transversal(m))
 
     def act(self, x, g: UPlusElem):
         if isinstance(x, QPoint):
@@ -185,29 +190,18 @@ class Quadrangle:
     # -- incidence ------------------------------------------------------------------
 
     def incident(self, p: QPoint, m: QLine) -> bool:
-        pk, mk = p.kind, m.kind
-        if pk == "INF":
-            return mk in ("LINF", "L1")
-        if pk == "P1":
-            if mk == "LINF":
-                return True
-            return mk == "L2" and m.coords[0] == p.coords[0]
-        if pk == "P2":
-            if mk == "L1":
-                return m.coords[0] == p.coords[0]
-            return (mk == "L3" and m.coords[0] == p.coords[0]
-                    and m.coords[1] == p.coords[1])
-        # maximal point
-        if mk == "L2":
-            return m.coords[0] == p.coords[0] and m.coords[1] == p.coords[1]
-        if mk != "L3":
-            return False
-        return self._opposite_flag_test(p, m)
+        """(inf) I [inf]; adjacent ranks by prefix; maximal by collection."""
+        pc, mc = p.coords, m.coords
+        if len(pc) == len(mc):
+            return not pc or (len(pc) == 3 and self._opposite_flag_test(p, m))
+        if len(pc) == len(mc) + 1:
+            return pc[:len(mc)] == mc
+        return len(mc) == len(pc) + 1 and mc[:len(pc)] == pc
 
     def _opposite_flag_test(self, p: QPoint, m: QLine) -> bool:
         """(a,l,a') I [k,b,k'] iff the transversal quotient lies in U4 U1."""
         g = self.group
-        d = g.mul(self.point_transversal(p), g.inv(self.line_transversal(m)))
+        d = g.mul(self.transversal(p), g.inv(self.transversal(m)))
         e = g.mul(g.pure4(d.g4), g.pure1(d.g1))
         return e == d
 
@@ -217,25 +211,23 @@ class Quadrangle:
         """The joining line, or None.  p and q must differ."""
         if p == q:
             raise ValueError("collinearity needs two distinct points")
-        a, b = p, q
-        order = {"INF": 0, "P1": 1, "P2": 2, "P3": 3}
-        if order[a.kind] > order[b.kind]:
-            a, b = b, a
+        a, b = (p, q) if len(p.coords) <= len(q.coords) else (q, p)
+        ra, rb = len(a.coords), len(b.coords)
         g = self.group
-        if a.kind == "INF":
-            if b.kind == "P1":
+        if ra == 0:
+            if rb == 1:
                 return self.ln_inf
-            if b.kind == "P2":
+            if rb == 2:
                 return self.ln1(b.coords[0])
             return None
-        if a.kind == "P1":
-            if b.kind == "P1":
+        if ra == 1:
+            if rb == 1:
                 return self.ln_inf
-            if b.kind == "P2":
+            if rb == 2:
                 return None
             return self.ln2(*b.coords[:2]) if b.coords[0] == a.coords[0] else None
-        if a.kind == "P2":
-            if b.kind == "P2":
+        if ra == 2:
+            if rb == 2:
                 return self.ln1(a.coords[0]) if a.coords[0] == b.coords[0] else None
             k, kb = a.coords
             pa, pl, pa2 = b.coords
@@ -244,7 +236,7 @@ class Quadrangle:
                 return self.ln3(k, kb, pl + g.comm13(pa, pa2) + p2)
             return None
         # both maximal: reduce the first to the zero point
-        w = self.point_transversal(a)
+        w = self.transversal(a)
         qq = self.act_point(b, g.inv(w))
         qa, ql, qa2 = qq.coords
         if qa.is_zero():
@@ -265,35 +257,27 @@ class Quadrangle:
         """The unique point of m collinear with p (p not on m)."""
         if self.incident(p, m):
             raise ValueError(f"projection of an incident pair {p} I {m}")
-        g = self.group
-        if m.kind == "LINF":
-            return self._project_base(p, m.kind)
-        # move m to the base line of its kind by its transversal's inverse
-        if m.kind == "L1":
-            tv = g.pure4(m.coords[0])
-        elif m.kind == "L2":
-            a, l = m.coords
-            tv = UPlusElem(a, l, g.r1_zero, g.r2_zero)
-        else:
-            tv = self.line_transversal(m)
-        q1 = self._project_base(self.act_point(p, g.inv(tv)), m.kind)
+        if not m.coords:  # [inf] is its own base line
+            return self._project_base(p, 0)
+        # move m to the base line of its rank by its transversal's inverse
+        tv = self.transversal(m)
+        q1 = self._project_base(self.act_point(p, self.group.inv(tv)),
+                                len(m.coords))
         return self.act_point(q1, tv)
 
-    def _project_base(self, p: QPoint, kind: str) -> QPoint:
+    def _project_base(self, p: QPoint, rank: int) -> QPoint:
+        """The foot of p on the base line of the given rank."""
         g = self.group
         z1, z2 = g.r1_zero, g.r2_zero
-        if kind == "LINF":
-            if p.kind == "P2":
-                return self.pt_inf
-            return self.pt1(p.coords[0])  # maximal
-        if kind == "L1":  # the line [0]
-            if p.kind in ("P1", "P2"):
-                return self.pt_inf
-            return self.pt2(z2, p.coords[2])
-        if kind == "L2":  # the line [0,0]
-            if p.kind in ("INF", "P1"):
+        pr = len(p.coords)
+        if rank == 0:  # the line [inf]; p is (k,b) or maximal
+            return self.pt_inf if pr == 2 else self.pt1(p.coords[0])
+        if rank == 1:  # the line [0]
+            return self.pt_inf if pr in (1, 2) else self.pt2(z2, p.coords[2])
+        if rank == 2:  # the line [0,0]
+            if pr in (0, 1):
                 return self.pt1(z1)
-            if p.kind == "P2":
+            if pr == 2:
                 return self.pt3(z1, z2, p.coords[1])
             pa, pl, pa2 = p.coords
             if pa.is_zero():
@@ -302,12 +286,12 @@ class Quadrangle:
             if k is None:
                 raise InternalConsistencyError("projection solve failed on [0,0]")
             return self.pt3(z1, z2, pa2 + g.comm14(pa, k)[1])
-        # kind == "L3": the line [0,0,0]
-        if p.kind == "INF":
+        # rank 3: the line [0,0,0]
+        if pr == 0:
             return self.pt2(z2, z1)
-        if p.kind == "P1":
+        if pr == 1:
             return self.pt3(p.coords[0], z2, z1)
-        if p.kind == "P2":
+        if pr == 2:
             k, kb = p.coords
             if k.is_zero():
                 return self.pt2(z2, z1)
@@ -321,16 +305,12 @@ class Quadrangle:
         if pl.is_zero():
             return self.pt3(pa, z2, z1)
         # shift the U1 slot away, solve, shift back
-        shifted_st = (pl.u.is_zero() and pl.v.is_zero()
-                      and pa2.x.is_zero() and pa2.y.is_zero())
-        if not shifted_st:
+        if not (pl.u.is_zero() and pl.v.is_zero()
+                and pa2.x.is_zero() and pa2.y.is_zero()):
             raise ProjectionUnsupported(
                 "projection of a maximal point onto a maximal line in general "
                 "position needs the opposite root groups, which are out of scope")
-        bd = pl.a / pa2.b
-        d = R1Coord(L_ZERO, L_ZERO, bd)
-        ans = self.pt3(d + pa, z2, z1)
-        return ans
+        return self.pt3(R1Coord(L_ZERO, L_ZERO, pl.a / pa2.b) + pa, z2, z1)
 
     # -- linear solvers over K ------------------------------------------------------------
 
@@ -384,27 +364,16 @@ class Quadrangle:
                        kscale(inst.alpha_inv, inst.phi_l(c.v)),
                        theta_k(c.a))
 
+    def _rho(self, coords: tuple) -> tuple:
+        """The polarity slot by slot: it keeps the rank."""
+        return tuple(self.rho_r1(c) if isinstance(c, R1Coord) else self.rho_r2(c)
+                     for c in coords)
+
     def rho_point(self, p: QPoint) -> QLine:
-        if p.kind == "INF":
-            return self.ln_inf
-        if p.kind == "P1":
-            return self.ln1(self.rho_r1(p.coords[0]))
-        if p.kind == "P2":
-            k, b = p.coords
-            return self.ln2(self.rho_r2(k), self.rho_r1(b))
-        a, l, a2 = p.coords
-        return self.ln3(self.rho_r1(a), self.rho_r2(l), self.rho_r1(a2))
+        return QLine(self._rho(p.coords))
 
     def rho_line(self, m: QLine) -> QPoint:
-        if m.kind == "LINF":
-            return self.pt_inf
-        if m.kind == "L1":
-            return self.pt1(self.rho_r2(m.coords[0]))
-        if m.kind == "L2":
-            a, l = m.coords
-            return self.pt2(self.rho_r1(a), self.rho_r2(l))
-        k, b, k2 = m.coords
-        return self.pt3(self.rho_r2(k), self.rho_r1(b), self.rho_r2(k2))
+        return QPoint(self._rho(m.coords))
 
     def rho_star(self, g: UPlusElem) -> UPlusElem:
         """Conjugation of U+ by the polarity, collected to normal form."""
@@ -426,8 +395,6 @@ class Quadrangle:
         if isinstance(x, Flag):
             return (self.suzuki_tits_member(x.point)
                     and self.suzuki_tits_member(x.line))
-        if x.kind in ("INF", "LINF"):
-            return True
         for c in x.coords:
             if isinstance(c, R1Coord):
                 if not (c.x.is_zero() and c.y.is_zero()):

@@ -88,9 +88,9 @@ def test_point_orbits_partition(quad, ms):
     assert quad.act_point(quad.pt_inf, x) == quad.pt_inf
     a = ms.sample_r1(rng, 1)
     img = quad.act_point(quad.pt1(a), x)
-    assert img.kind == "P1" and img.coords[0] == a + x.g1
+    assert len(img.coords) == 1 and img.coords[0] == a + x.g1
     img = quad.act_line(quad.ln1(ms.sample_r2(rng, 1)), x)
-    assert img.kind == "L1"
+    assert len(img.coords) == 1
 
 
 def test_projection_of_infinity(quad, ms):
@@ -356,3 +356,106 @@ def test_solve_linear_k_singular_is_none():
     for row in zero_col:
         row[2] = K_ZERO
     assert solve_linear_k(zero_col, rhs) is None
+
+
+def test_projection_onto_every_line_rank(quad, ms):
+    # feet of (inf), sampled (a), (k,b) and flag points on every line
+    # rank: [inf], sampled and flag-derived [k] and [a,l], flag lines
+    rng = Rng(58)
+    made = unsupported = 0
+    for _ in range(6):
+        f = ms.flag_of_label(ms.sample_label(rng, 1))
+        h = ms.flag_of_label(ms.sample_label(rng, 1))
+        pts = (quad.pt_inf, quad.pt1(ms.sample_r1(rng, 1)),
+               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)),
+               quad.pt2(f.line.coords[0], ms.sample_r1(rng, 1)),
+               f.point, h.point)
+        lines = (quad.ln_inf, quad.ln1(ms.sample_r2(rng, 1)),
+                 quad.ln1(f.line.coords[0]),
+                 quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)),
+                 quad.ln2(*h.point.coords[:2]), f.line, h.line)
+        for m in lines:
+            for p in pts:
+                if quad.incident(p, m):
+                    continue
+                try:
+                    foot = quad.project(p, m)
+                except ProjectionUnsupported:
+                    assert len(p.coords) == len(m.coords) == 3, (p, m)
+                    unsupported += 1
+                    continue
+                assert quad.incident(foot, m), (p, m)
+                assert quad.collinear(p, foot) is not None, (p, m)
+                made += 1
+    assert made > 100 and unsupported > 0, (made, unsupported)
+
+
+def _table_incident(quad, p, m):
+    # the incidence case table, keyed by coordinate counts
+    pr, mr = len(p.coords), len(m.coords)
+    if pr == 0:
+        return mr in (0, 1)
+    if pr == 1:
+        return mr == 0 or (mr == 2 and m.coords[0] == p.coords[0])
+    if pr == 2:
+        if mr == 1:
+            return m.coords[0] == p.coords[0]
+        return (mr == 3 and m.coords[0] == p.coords[0]
+                and m.coords[1] == p.coords[1])
+    if mr == 2:
+        return m.coords[0] == p.coords[0] and m.coords[1] == p.coords[1]
+    return mr == 3 and quad._opposite_flag_test(p, m)
+
+
+def _table_rho_point(quad, p):
+    # slot maps (5)-(8): (a) -> [a^rho], (k,b) -> [k^rho, b^rho], ...
+    c, r1, r2 = p.coords, quad.rho_r1, quad.rho_r2
+    if len(c) == 0:
+        return quad.ln_inf
+    if len(c) == 1:
+        return quad.ln1(r1(c[0]))
+    if len(c) == 2:
+        return quad.ln2(r2(c[0]), r1(c[1]))
+    return quad.ln3(r1(c[0]), r2(c[1]), r1(c[2]))
+
+
+def _table_rho_line(quad, m):
+    c, r1, r2 = m.coords, quad.rho_r1, quad.rho_r2
+    if len(c) == 0:
+        return quad.pt_inf
+    if len(c) == 1:
+        return quad.pt1(r2(c[0]))
+    if len(c) == 2:
+        return quad.pt2(r1(c[0]), r2(c[1]))
+    return quad.pt3(r2(c[0]), r1(c[1]), r2(c[2]))
+
+
+def test_rank_rules_match_the_tables(quad, ms):
+    rng = Rng(59)
+    ranks, verdicts = set(), set()
+    for _ in range(4):
+        f = ms.flag_of_label(ms.sample_label(rng, 1))
+        (a, l, _), (k, b, _) = f.point.coords, f.line.coords
+        h = ms.flag_of_label(ms.sample_label(rng, 1))
+        # one flag's prefixes, then sampled coordinates and another flag
+        pts = [quad.pt_inf, quad.pt1(a), quad.pt2(k, b), f.point,
+               quad.pt1(ms.sample_r1(rng, 1)),
+               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)), h.point]
+        lns = [quad.ln_inf, quad.ln1(k), quad.ln2(a, l), f.line,
+               quad.ln1(ms.sample_r2(rng, 1)),
+               quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)), h.line]
+        for p in pts:
+            assert quad.rho_point(p) == _table_rho_point(quad, p)
+            assert quad.rho_line(quad.rho_point(p)) == p
+            for m in lns:
+                want = _table_incident(quad, p, m)
+                assert quad.incident(p, m) == want, (p, m)
+                ranks.add((len(p.coords), len(m.coords)))
+                verdicts.add((len(p.coords) - len(m.coords), want))
+        for m in lns:
+            assert quad.rho_line(m) == _table_rho_line(quad, m)
+            assert quad.rho_point(quad.rho_line(m)) == m
+    assert len(ranks) == 16
+    # each adjacent-rank pair and the maximal pair meet both verdicts
+    assert {(1, True), (1, False), (-1, True), (-1, False),
+            (0, True), (0, False)} <= verdicts

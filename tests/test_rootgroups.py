@@ -550,7 +550,7 @@ def test_line_transversal_is_the_collected_product(name, slot):
         for (b, k), (_, k2) in zip(pairs[:6], pairs[6:]):
             want = group.mul(group.mul(group.pure2(k2), group.pure3(b)),
                              group.pure4(k))
-            assert quad.line_transversal(quad.ln3(k, b, k2)) == want, (k, b, k2)
+            assert quad.transversal(quad.ln3(k, b, k2)) == want, (k, b, k2)
 
 
 def test_comm14_one_pass_takes_no_gcd(monkeypatch):
