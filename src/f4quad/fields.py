@@ -452,6 +452,11 @@ class CheckList:
                 sum(c.status == "skip" for c in self.checks))
 
 
+def _first(witnesses):
+    """The first witness that is not None, drawing nothing after it."""
+    return next((w for w in witnesses if w is not None), None)
+
+
 # ----------------------------------------------------------------------
 # field instance: delta, phi(e), beta, alpha
 # ----------------------------------------------------------------------
@@ -561,9 +566,9 @@ class FieldInstance:
     def validate(self, seed: int = 0, samples: int = 20,
                  max_degree: int = 3) -> CheckList:
         """Machine checks of the defining conditions; anisotropy is probed,
-        not proved."""
-        from .sampling import Rng, sample_k, sample_l
-
+        not proved.  Rng(seed) feeds `samples` rounds each of the probes
+        `frobenius_miss`, `zero_of_form1` and `zero_of_form2`, which the
+        fields suite's twist-square and anisotropy checks share."""
         rep = CheckList()
         rng = Rng(seed)
 
@@ -581,26 +586,13 @@ class FieldInstance:
         min_poly = self.lmul(pe, pe) + pe + LElem(phi_k(self.delta))
         rep.add("phiE-satisfies-image-minimal-polynomial", min_poly.is_zero(),
                 "" if min_poly.is_zero() else f"residue: {min_poly}")
-        tits_ok = True
-        witness = ""
-        for _ in range(samples):
-            f = sample_k(rng, max_degree)
-            if phi_k(phi_k(f)) != f.square():
-                tits_ok, witness = False, f"K sample: {f}"
-                break
-            z = sample_l(rng, max_degree)
-            if self.phi_l(self.phi_l(z)) != self.lsquare(z):
-                tits_ok, witness = False, f"L sample: {z}"
-                break
-        rep.add("twist-squared-is-frobenius", tits_ok, witness)
+        miss = _first(self.frobenius_miss(rng, max_degree) for _ in range(samples))
+        rep.add("twist-squared-is-frobenius", miss is None,
+                "" if miss is None else "%s sample: %s" % miss)
         n = 4 if self.phi_e.c1.is_one() else samples
-        conj_ok = True
-        for _ in range(n):
-            z = sample_l(rng, max_degree)
-            if self.phi_l(z.conj()) != self.phi_l(z).conj():
-                conj_ok = False
-                break
-        rep.add("twist-commutes-with-conjugation", conj_ok)
+        rep.add("twist-commutes-with-conjugation",
+                all(self.phi_l(z.conj()) == self.phi_l(z).conj()
+                    for z in (sample_l(rng, max_degree) for _ in range(n))))
 
         # (iii) alpha = phi(beta) and alpha lies in K'.
         rep.add("alpha-is-twist-of-beta", phi_k(self.beta) == self.alpha,
@@ -608,25 +600,21 @@ class FieldInstance:
         rep.add("alpha-in-kprime", kprime_member(self.alpha))
 
         # (iv) randomized anisotropy probing of both defining forms.
-        cx1 = self._probe_form1(rng, samples, max_degree)
-        rep.add("anisotropy-form1-probe", cx1 is None,
-                "no nontrivial zero found (evidence, not proof)"
-                if cx1 is None else f"counterexample: {cx1}")
-        cx2 = self._probe_form2(rng, samples, max_degree)
-        rep.add("anisotropy-form2-probe", cx2 is None,
-                "no nontrivial zero found (evidence, not proof)"
-                if cx2 is None else f"counterexample: {cx2}")
+        cx1 = _first(self.zero_of_form1(rng, max_degree) for _ in range(samples))
+        cx2 = _first(self.zero_of_form2(rng, max_degree) for _ in range(samples))
+        for form, cx in (("form1", cx1), ("form2", cx2)):
+            rep.add(f"anisotropy-{form}-probe", cx is None,
+                    "no nontrivial zero found (evidence, not proof)"
+                    if cx is None else f"counterexample: {cx}")
 
         # (v) a counterexample in one form maps through the twist to the other.
         if cx1 is not None:
             u, v, a = cx1
-            x, y, b = self.phi_l(u), self.phi_l(v), theta_k(a)
-            val = self.form2(x, y, b)
+            val = self.form2(self.phi_l(u), self.phi_l(v), theta_k(a))
             rep.add("counterexample-transfers-1to2", val.is_zero(), str(val))
         if cx2 is not None:
             x, y, b = cx2
-            u, v, a = self.theta_l(x), self.theta_l(y), phi_k(b)
-            val = self.form1(u, v, a)
+            val = self.form1(self.theta_l(x), self.theta_l(y), phi_k(b))
             rep.add("counterexample-transfers-2to1", val.is_zero(), str(val))
         return rep
 
@@ -638,29 +626,31 @@ class FieldInstance:
         """x xbar + beta^2 y ybar + alpha b^2  (x, y in L', b in K)."""
         return self.lnorm(x) + self.beta_sq * self.lnorm(y) + self.alpha * b.square()
 
-    def _probe_form1(self, rng, samples: int, max_degree: int):
-        from .sampling import sample_k, sample_l
-        for _ in range(samples):
-            u = sample_l(rng, max_degree)
-            v = sample_l(rng, max_degree)
-            a = phi_k(sample_k(rng, max_degree))
-            if u.is_zero() and v.is_zero() and a.is_zero():
-                continue
-            if self.form1(u, v, a).is_zero():
-                return (u, v, a)
+    def frobenius_miss(self, rng, max_degree: int):
+        """A K sample, then an L sample: ("K", f) or ("L", z) at the first
+        on which phi o phi differs from squaring."""
+        f = sample_k(rng, max_degree)
+        if phi_k(phi_k(f)) != f.square():
+            return "K", f
+        z = sample_l(rng, max_degree)
+        if self.phi_l(self.phi_l(z)) != self.lsquare(z):
+            return "L", z
         return None
 
-    def _probe_form2(self, rng, samples: int, max_degree: int):
-        from .sampling import sample_k, sample_l
-        for _ in range(samples):
-            x = self.phi_l(sample_l(rng, max_degree))
-            y = self.phi_l(sample_l(rng, max_degree))
-            b = sample_k(rng, max_degree)
-            if x.is_zero() and y.is_zero() and b.is_zero():
-                continue
-            if self.form2(x, y, b).is_zero():
-                return (x, y, b)
-        return None
+    def zero_of_form1(self, rng, max_degree: int):
+        """Draws u, v in L and a = phi(f), f in K; (u, v, a) if that is a
+        nontrivial zero of form1."""
+        u, v = sample_l(rng, max_degree), sample_l(rng, max_degree)
+        a = phi_k(sample_k(rng, max_degree))
+        return (u, v, a) if (u or v or a) and self.form1(u, v, a).is_zero() else None
+
+    def zero_of_form2(self, rng, max_degree: int):
+        """Draws x, y in L' as phi_l of samples of L, then b in K; (x, y, b)
+        if that is a nontrivial zero of form2."""
+        x = self.phi_l(sample_l(rng, max_degree))
+        y = self.phi_l(sample_l(rng, max_degree))
+        b = sample_k(rng, max_degree)
+        return (x, y, b) if (x or y or b) and self.form2(x, y, b).is_zero() else None
 
     def _find_artin_schreier_root(self, max_degree: int):
         """Exhaustive search for a root of x^2 + x + delta up to the bound.
@@ -695,3 +685,7 @@ def default_instance() -> FieldInstance:
                          phi_e=LElem(K_S, K_ONE),
                          beta=K_S,
                          alpha=K_T)
+
+
+# sampling builds on this module, which the package imports first
+from .sampling import Rng, sample_k, sample_l  # noqa: E402

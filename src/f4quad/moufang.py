@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import (K_ONE, L_ZERO, CheckList, KElem, LElem, kprime_member,
-                     kscale, phi_k, theta_k)
+from .fields import (K_ONE, L_ZERO, CheckList, KElem, LElem, _first,
+                     kprime_member, kscale, phi_k, theta_k)
 from .quadrangle import Flag, Quadrangle
 from .rootgroups import InternalConsistencyError, R1Coord, R2Coord, UPlusElem
 from .sampling import Rng, sample_k, sample_kprime, sample_l
@@ -151,19 +151,17 @@ class MoufangSet:
             raise ValueError("infinity has no generator element")
         return self._embeds(p.r1, p.r2)
 
-    def compare_embeddings(self, r1: R1Coord, r2: R2Coord) -> list[str]:
-        """Slot-by-slot differences of the printed and the derived forms."""
+    def compare_embeddings(self, r1: R1Coord, r2: R2Coord) -> list[tuple]:
+        """(slot, difference) for each slot where the printed and the
+        derived forms differ; U4's difference is None."""
         a = self.embed_verbatim(r1, r2)
         b = self.embed_derived(r1, r2)
-        diffs = []
-        if a.g3.x != b.g3.x:
-            diffs.append(f"U3.x differs by {a.g3.x + b.g3.x}")
-        if a.g3.y != b.g3.y:
-            diffs.append(f"U3.y differs by {a.g3.y + b.g3.y}")
-        if a.g3.b != b.g3.b:
-            diffs.append(f"U3.K differs by {a.g3.b + b.g3.b}")
+        diffs = [(slot, p + q) for slot, p, q in (("U3.x", a.g3.x, b.g3.x),
+                                                 ("U3.y", a.g3.y, b.g3.y),
+                                                 ("U3.K", a.g3.b, b.g3.b))
+                 if p != q]
         if a.g4 != b.g4:
-            diffs.append("U4 differs")
+            diffs.append(("U4", None))
         return diffs
 
     # -- label arithmetic -----------------------------------------------------------
@@ -292,9 +290,7 @@ class MoufangSet:
             if p.r1.x != x or p.r1.y != y or p.r2.u != u or p.r2.v != v:
                 return False
             k = p.r1.b + a
-            if not kprime_member(k):
-                return False
-            return p.r2.a == b + gauge * phi_k(k)
+            return kprime_member(k) and p == point_at(k)
 
         return Block("circle", gnarl, through, contains, point_at,
                      sample_kprime)
@@ -452,58 +448,50 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int) -> CheckList:
     rep = CheckList()
     g = ms.group
 
+    def probe(name, one_sample):
+        det = _first(one_sample() for _ in range(samples))
+        rep.add(name, det is None, det or "")
+
     # (i) two distinct vertical lines never intersect
-    ok, det = True, ""
-    for _ in range(samples):
-        r1a = ms.sample_r1(rng, 1)
-        r1b = ms.sample_r1(rng, 1)
+    def common_point():
+        r1a, r1b = ms.sample_r1(rng, 1), ms.sample_r1(rng, 1)
         if r1a == r1b:
-            continue
+            return None
         va = ms.sphere_at_infinity(MoufangPoint(r1a, ms.sample_r2(rng, 1)))
-        for pt in va.sample(rng, 3, 1):
-            if not pt.is_inf and pt.r1 == r1b:
-                ok, det = False, f"common point {pt}"
-                break
-        if not ok:
-            break
-    rep.add("vertical-lines-disjoint", ok, det)
+        return _first(f"common point {pt}" for pt in va.sample(rng, 3, 1)
+                      if not pt.is_inf and pt.r1 == r1b)
+    probe("vertical-lines-disjoint", common_point)
 
     # (ii) vertical meets the base non-vertical block exactly at [(x,y,a),0]
     nonvert = ms.sphere_general(ms.zero, ms.infinity)
-    ok, det = True, ""
-    for _ in range(samples):
+
+    def meeting_miss():
         r1 = ms.sample_r1(rng, 1)
         expected = MoufangPoint(r1, g.r2_zero)
         if not nonvert.contains(expected):
-            ok, det = False, f"expected intersection missing: {expected}"
-            break
+            return f"expected intersection missing: {expected}"
         r2 = ms.sample_r2(rng, 1)
         if not r2.is_zero() and nonvert.contains(MoufangPoint(r1, r2)):
-            ok, det = False, f"second intersection {MoufangPoint(r1, r2)}"
-            break
-    rep.add("vertical-meets-nonvertical-once", ok, det)
+            return f"second intersection {MoufangPoint(r1, r2)}"
+        return None
+    probe("vertical-meets-nonvertical-once", meeting_miss)
 
     # (iii) parallel classes: same first part, different second part, disjoint
-    ok, det = True, ""
-    for _ in range(samples):
-        r2a = ms.sample_r2(rng, 1)
-        r2b = ms.sample_r2(rng, 1)
+    def shared_member():
+        r2a, r2b = ms.sample_r2(rng, 1), ms.sample_r2(rng, 1)
         if r2a == r2b:
-            continue
+            return None
         blka = ms.sphere_general(MoufangPoint(g.r1_zero, r2a), ms.infinity)
         # members of the first-family block have the shape [(k,l,m), r2a]
         for _ in range(3):
             member = MoufangPoint(ms.sample_r1(rng, 1), r2a)
             if not blka.contains(member):
-                ok, det = False, f"displayed member rejected: {member}"
-                break
+                return f"displayed member rejected: {member}"
             blkb = ms.sphere_general(MoufangPoint(g.r1_zero, r2b), ms.infinity)
             if blkb.contains(member):
-                ok, det = False, f"parallel blocks share {member}"
-                break
-        if not ok:
-            break
-    rep.add("parallel-class-disjoint", ok, det)
+                return f"parallel blocks share {member}"
+        return None
+    probe("parallel-class-disjoint", shared_member)
     return rep
 
 
@@ -572,7 +560,7 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
     blocks: list[Block] = []
     centres = []
     finite_gnarls: list[MoufangPoint] = []
-    seen_centres: set[str] = set()
+    seen_centres = set()
     quad = ms.quad
     while len(blocks) < n:
         gnarl = ms.sample_label(rng, 1) if rng.chance(3, 4) else ms.infinity
@@ -588,9 +576,9 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
             blk = ms.sphere_general(gnarl, ms.infinity)
             centre = quad.project(quad.pt_inf,
                                   ms.flag_of_label(gnarl).line)
-        if str(centre) in seen_centres:
+        if centre in seen_centres:
             continue
-        seen_centres.add(str(centre))
+        seen_centres.add(centre)
         blocks.append(blk)
         centres.append(centre)
         if not gnarl.is_inf:
@@ -647,8 +635,8 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
 
     # only a pass has a note; a failure adds nothing to the verifier's note
     centres = [rq.embed_point(b) for b in blocks]
-    injective = (len(set(map(str, centres))) == len(centres)
-                 and len(set(map(str, points))) == len(points))
+    injective = (len(set(centres)) == len(centres)
+                 and len(set(points)) == len(points))
     rep.add("injective", injective,
             f"{len(points)} points, {len(blocks)} spheres" if injective else "")
 

@@ -23,8 +23,8 @@ import traceback
 from dataclasses import dataclass
 
 from .fields import (K_ONE, K_S, K_ZERO, L_ZERO, Check, CheckList,
-                     FieldInstance, LElem, default_instance, kprime_decompose,
-                     kprime_member, phi_k, theta_k)
+                     FieldInstance, LElem, _first, default_instance,
+                     kprime_decompose, kprime_member, phi_k, theta_k)
 from .moufang import (MoufangPoint, MoufangSet, derived_net_report,
                       reconstruct_report)
 from .quadrangle import Quadrangle
@@ -122,15 +122,9 @@ def _chk_twist_hom(ctx: RunContext, rng: Rng):
 
 
 def _chk_twist_square(ctx: RunContext, rng: Rng):
-    inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        a = sample_k(rng, ctx.cfg.max_degree)
-        if phi_k(phi_k(a)) != a.square():
-            return False, f"K sample {a}"
-        z = sample_l(rng, ctx.cfg.max_degree)
-        if inst.phi_l(inst.phi_l(z)) != inst.lsquare(z):
-            return False, f"L sample {z}"
-    return True, None
+    miss = _first(ctx.inst.frobenius_miss(rng, ctx.cfg.max_degree)
+                  for _ in range(ctx.cfg.samples))
+    return (True, None) if miss is None else (False, "%s sample %s" % miss)
 
 
 def _chk_theta_roundtrip(ctx: RunContext, rng: Rng):
@@ -201,21 +195,14 @@ def _chk_instance(ctx: RunContext, rng: Rng | None):
 
 
 def _chk_anisotropy(ctx: RunContext, rng: Rng):
-    inst = ctx.inst
-    deg = min(2, ctx.cfg.max_degree)
+    inst, deg = ctx.inst, min(2, ctx.cfg.max_degree)
     for _ in range(ctx.cfg.samples * 5):
-        u = sample_l(rng, deg)
-        v = sample_l(rng, deg)
-        a = sample_kprime(rng, deg)
-        if not (u.is_zero() and v.is_zero() and a.is_zero()):
-            if inst.form1(u, v, a).is_zero():
-                return False, f"form1 zero at ({u}, {v}, {a})"
-        x = sample_lprime(inst, rng, deg)
-        y = sample_lprime(inst, rng, deg)
-        b = sample_k(rng, deg)
-        if not (x.is_zero() and y.is_zero() and b.is_zero()):
-            if inst.form2(x, y, b).is_zero():
-                return False, f"form2 zero at ({x}, {y}, {b})"
+        cx = inst.zero_of_form1(rng, deg)
+        if cx is not None:
+            return False, "form1 zero at (%s, %s, %s)" % cx
+        cx = inst.zero_of_form2(rng, deg)
+        if cx is not None:
+            return False, "form2 zero at (%s, %s, %s)" % cx
     return True, None
 
 
@@ -497,12 +484,11 @@ def _chk_eq9_verbatim(ctx: RunContext, rng: Rng):
     example = ""
     for _ in range(ctx.cfg.samples // 2):
         lab = ms.sample_label(rng, 1)
-        diffs = ms.compare_embeddings(lab.r1, lab.r2)
-        for d in diffs:
-            slot = d.split(" differs")[0]
+        for slot, d in ms.compare_embeddings(lab.r1, lab.r2):
             diffs_seen.add(slot)
             if not example:
-                example = f"{lab}: {d}"
+                by = "" if d is None else f" by {d}"
+                example = f"{lab}: {slot} differs{by}"
     if not diffs_seen:
         return True, "printed form and derived completion coincide"
     verdict = (f"printed form deviates from the polarity-centralising "

@@ -283,6 +283,110 @@ def test_alternative_instance_isotropy_detected():
     assert structural.get("counterexample-transfers-1to2", False)
 
 
+# Reference copies of the probe loops as they stood before the probes were
+# shared between FieldInstance.validate and the fields suite.
+
+def _ref_twist_loop(inst, rng, samples, max_degree):
+    for _ in range(samples):
+        f = sample_k(rng, max_degree)
+        if phi_k(phi_k(f)) != f.square():
+            return "K", f
+        z = sample_l(rng, max_degree)
+        if inst.phi_l(inst.phi_l(z)) != inst.lsquare(z):
+            return "L", z
+    return None
+
+
+def _ref_form_probe(inst, rng, samples, max_degree, form):
+    for _ in range(samples):
+        if form == 1:
+            u = sample_l(rng, max_degree)
+            v = sample_l(rng, max_degree)
+            a = phi_k(sample_k(rng, max_degree))
+        else:
+            u = inst.phi_l(sample_l(rng, max_degree))
+            v = inst.phi_l(sample_l(rng, max_degree))
+            a = sample_k(rng, max_degree)
+        if u.is_zero() and v.is_zero() and a.is_zero():
+            continue
+        if (inst.form1 if form == 1 else inst.form2)(u, v, a).is_zero():
+            return (u, v, a)
+    return None
+
+
+def _ref_validate_probes(inst, seed, samples, max_degree):
+    """validate's draws: the twist loop, the conjugation loop, then the
+    form1 and form2 probes, on one Rng(seed)."""
+    rng = Rng(seed)
+    miss = _ref_twist_loop(inst, rng, samples, max_degree)
+    conj_ok = True
+    for _ in range(4 if inst.phi_e.c1.is_one() else samples):
+        z = sample_l(rng, max_degree)
+        if inst.phi_l(z.conj()) != inst.phi_l(z).conj():
+            conj_ok = False
+            break
+    return (miss, conj_ok, _ref_form_probe(inst, rng, samples, max_degree, 1),
+            _ref_form_probe(inst, rng, samples, max_degree, 2))
+
+
+def _ref_anisotropy_check(inst, rng, samples, deg):
+    for _ in range(samples * 5):
+        cx = _ref_form_probe(inst, rng, 1, deg, 1)
+        if cx is not None:
+            return False, "form1 zero at (%s, %s, %s)" % cx
+        cx = _ref_form_probe(inst, rng, 1, deg, 2)
+        if cx is not None:
+            return False, "form2 zero at (%s, %s, %s)" % cx
+    return True, None
+
+
+@pytest.mark.parametrize("case", ["default", "beta-alpha-one", "delta-t-s2",
+                                  "bad-phiE"])
+def test_shared_probes_draw_as_the_loops_they_replace(case):
+    # the default instance; the isotropic instances of the two tests above;
+    # and a phi(e) that breaks the twist law, so the twist probe misses
+    from f4quad import verifier
+    from f4quad.parser import parse_instance_text
+    inst = {
+        "default": default_instance,
+        "beta-alpha-one": lambda: FieldInstance(
+            delta=S + T, phi_e=LElem(S, ONE), beta=ONE, alpha=ONE),
+        "delta-t-s2": lambda: parse_instance_text(
+            "delta = t + s^2\nphiE = e + t\nbeta = t\nalpha = s^2\n"),
+        "bad-phiE": lambda: FieldInstance(
+            delta=S + T, phi_e=LElem(T, ONE), beta=S, alpha=T),
+    }[case]()
+    samples, max_degree = 60, 1
+    ctx = verifier.RunContext(verifier.SuiteConfig(
+        samples=samples, max_degree=max_degree, instance=inst))
+    witnesses = 0
+    for seed in range(3):
+        miss, conj_ok, cx1, cx2 = _ref_validate_probes(inst, seed, samples,
+                                                       max_degree)
+        notes = {c.name: (c.passed, c.note) for c in
+                 inst.validate(seed, samples, max_degree).checks}
+        assert notes["twist-squared-is-frobenius"] == (
+            (True, "") if miss is None else (False, "%s sample: %s" % miss))
+        assert notes["twist-commutes-with-conjugation"][0] is conj_ok
+        for form, cx in (("form1", cx1), ("form2", cx2)):
+            assert notes[f"anisotropy-{form}-probe"] == (
+                (True, "no nontrivial zero found (evidence, not proof)")
+                if cx is None else (False, f"counterexample: {cx}"))
+
+        # the fields suite's checks on their own streams
+        ref, rng = Rng(seed), Rng(seed)
+        miss = _ref_twist_loop(inst, ref, samples, max_degree)
+        assert verifier._chk_twist_square(ctx, rng) == (
+            (True, None) if miss is None else (False, "%s sample %s" % miss))
+        assert rng.state == ref.state
+        ref, rng = Rng(seed), Rng(seed)
+        want = _ref_anisotropy_check(inst, ref, samples, min(2, max_degree))
+        assert verifier._chk_anisotropy(ctx, rng) == want
+        assert rng.state == ref.state
+        witnesses += (miss, cx1, cx2, want[1]).count(None) < 4
+    assert witnesses == (0 if case == "default" else 3)
+
+
 def test_artin_schreier_root_detected():
     # delta = s^2 + s has the obvious root x = s
     degenerate = FieldInstance(delta=S * S + S, phi_e=LElem(S, ONE),

@@ -4,11 +4,12 @@ The expected values below were produced once from the seeded samplers
 and pin both the serialisation format and the underlying arithmetic.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from f4quad import verifier
+from f4quad import parser, verifier
 from f4quad.fields import K_S, default_instance
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
@@ -91,3 +92,21 @@ def test_group_law_body_matches_recorded():
         seed=0, samples=100, max_degree=3, suites=("root-groups", "moufang")))
     body = verifier.report_body(verifier.emit_jsonl(report), "jsonl")
     assert body == _recorded_body("group-law.seed0.jsonl")
+
+
+def test_failing_anisotropy_probe_matches_recorded():
+    # the benchmark's field-kernel configuration at program seed 1, where
+    # the check fails; it runs alone on its own stream (tag 9)
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    inst, rep = parser.load_instance(str(bench / "default_instance.txt"))
+    assert rep.ok
+    ctx = verifier.RunContext(verifier.SuiteConfig(
+        seed=1, samples=4000, max_degree=6, suites=("fields",), instance=inst))
+    recorded = next(
+        rec for rec in map(json.loads, _recorded_body(
+            "field-kernel.seed1.jsonl").splitlines())
+        if rec["name"] == "anisotropy-probe")
+    assert recorded["status"] == "fail"
+    assert recorded["counterexample"] == "form1 zero at (e, 1, 1)"
+    ok, note = verifier._chk_anisotropy(ctx, Rng(1 * 1000003 + 9))
+    assert (ok, note) == (False, recorded["counterexample"])
