@@ -482,12 +482,12 @@ def derived_net_report(ms: MoufangSet, rng: Rng, samples: int) -> CheckList:
         if r2a == r2b:
             return None
         blka = ms.sphere_general(MoufangPoint(g.r1_zero, r2a), ms.infinity)
+        blkb = ms.sphere_general(MoufangPoint(g.r1_zero, r2b), ms.infinity)
         # members of the first-family block have the shape [(k,l,m), r2a]
         for _ in range(3):
             member = MoufangPoint(ms.sample_r1(rng, 1), r2a)
             if not blka.contains(member):
                 return f"displayed member rejected: {member}"
-            blkb = ms.sphere_general(MoufangPoint(g.r1_zero, r2b), ms.infinity)
             if blkb.contains(member):
                 return f"parallel blocks share {member}"
         return None

@@ -34,6 +34,7 @@ class ParseError(ValueError):
 
 
 _PUNCT = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit also takes "²" and "٣"
 
 
 class _Tokenizer:
@@ -45,7 +46,6 @@ class _Tokenizer:
         self.text = text
         self.line = line
         self.offset = offset
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.idx = 0
@@ -61,9 +61,9 @@ class _Tokenizer:
                 self.tokens.append(("punct", ch, col0 + i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and self.text[j].isdigit():
+                while j < n and self.text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("int", self.text[i:j], col0 + i))
                 i = j

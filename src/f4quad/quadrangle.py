@@ -2,12 +2,13 @@
 
 A point or line is its coordinate tuple, and its rank is the tuple's
 length: points (inf), (a), (k,b), (a,l,a') and lines [inf], [k], [a,l],
-[k,b,k'] have ranks 0 to 3, and the class is the sort.  The base
-apartment is the octagon (inf) I [inf] I (0) I [0,0] I (0,0,0) I
-[0,0,0] I (0,0) I [0] I (inf).  The unipotent group U+ fixes the flag
-{(inf),[inf]} and acts regularly on the flags opposite it; every
-element of the quadrangle lies in the U+ orbit of a base-apartment
-element, with stabilisers by rank
+[k,b,k'] have ranks 0 to 3, and the class is the sort: callers write
+QPoint((k, b)), QLine((a, l)) or a prefix, QPoint(f.point.coords[:1]).
+The base apartment is the octagon (inf) I [inf] I (0) I [0,0] I
+(0,0,0) I [0,0,0] I (0,0) I [0] I (inf).  The unipotent group U+ fixes
+the flag {(inf),[inf]} and acts regularly on the flags opposite it;
+every element of the quadrangle lies in the U+ orbit of a
+base-apartment element, with stabilisers by rank
 
     rank   point       stabiliser     line        stabiliser
     0      (inf)       U+             [inf]       U+
@@ -31,13 +32,16 @@ re-collecting u4(c) u1(d) from the candidate's extreme components.
 The polarity (5)-(8) keeps the rank and maps each coordinate by its
 type, U1/U3 slots by `rho_r1` and U2/U4 slots by `rho_r2`.
 
-Collinearity and projection invert relation (4) in one argument.  The
-solvers hold no copy of it: they evaluate `UPlus.relation4` at the
-basis (1,0), (e,0), (0,1), (0,e) of L x L, solve the 4x4 system by
-Gauss-Jordan elimination in K (`solve_linear_k`; this module works on
-K and L values only, never on their polynomials), and read the last
-slot off its additive (U2: c scales it by c^2) or linear (U3)
-dependence on the first two.
+Collinearity is the same prefix rule unless one point is maximal and
+the other has rank 2 or 3: the only line that can join two points is
+the higher-rank one's tuple less its last slot.  The other joins and
+projection invert relation (4) in one argument.  The solvers hold no
+copy of it: they evaluate `UPlus.relation4` at the basis (1,0), (e,0),
+(0,1), (0,e) of L x L, solve the 4x4 system by Gauss-Jordan
+elimination in K (`solve_linear_k`; this module works on K and L
+values only, never on their polynomials), and read the last slot off
+its additive (U2: c scales it by c^2) or linear (U3) dependence on the
+first two.
 
 Projections use the generalized-quadrangle axiom; the one family of
 configurations that would need the opposite root groups (both elements
@@ -102,26 +106,6 @@ class Quadrangle:
         self.inf_flag = Flag(self.pt_inf, self.ln_inf)
         self.zero_flag = Flag(self.zero_point, self.zero_line)
 
-    # -- constructors -------------------------------------------------------
-
-    def pt1(self, a: R1Coord) -> QPoint:
-        return QPoint((a,))
-
-    def pt2(self, k: R2Coord, b: R1Coord) -> QPoint:
-        return QPoint((k, b))
-
-    def pt3(self, a: R1Coord, l: R2Coord, a2: R1Coord) -> QPoint:
-        return QPoint((a, l, a2))
-
-    def ln1(self, k: R2Coord) -> QLine:
-        return QLine((k,))
-
-    def ln2(self, a: R1Coord, l: R2Coord) -> QLine:
-        return QLine((a, l))
-
-    def ln3(self, k: R2Coord, b: R1Coord, k2: R2Coord) -> QLine:
-        return QLine((k, b, k2))
-
     # -- group action ------------------------------------------------------------
 
     def transversal(self, x) -> UPlusElem:
@@ -151,14 +135,14 @@ class Quadrangle:
         gp = self.group
         nf = gp.mul(self.transversal(p), g)
         if len(p.coords) == 1:
-            return self.pt1(nf.g1)
+            return QPoint((nf.g1,))
         if len(p.coords) == 2:
-            return self.pt2(nf.g4, nf.g3)
+            return QPoint((nf.g4, nf.g3))
         r = gp.mul(gp.pure4(nf.g4), nf)
         if not r.g4.is_zero():
             raise InternalConsistencyError("point extraction left a U4 part")
         l = r.g2 + gp.comm13(r.g1, r.g3)
-        return self.pt3(r.g1, l, r.g3)
+        return QPoint((r.g1, l, r.g3))
 
     def act_line(self, m: QLine, g: UPlusElem) -> QLine:
         if not m.coords:
@@ -166,16 +150,16 @@ class Quadrangle:
         gp = self.group
         nf = gp.mul(self.transversal(m), g)
         if len(m.coords) == 1:
-            return self.ln1(nf.g4)
+            return QLine((nf.g4,))
         if len(m.coords) == 2:
-            return self.ln2(nf.g1, gp.mul(nf, gp.pure1(nf.g1)).g2)
-        return self.ln3(nf.g4, nf.g3, nf.g2)
+            return QLine((nf.g1, gp.mul(nf, gp.pure1(nf.g1)).g2))
+        return QLine((nf.g4, nf.g3, nf.g2))
 
     def point_on_line(self, m: QLine, d: R1Coord) -> QPoint:
         """The maximal point of the maximal line m with row parameter d."""
         if len(m.coords) != 3:
             raise ValueError("point rows are for maximal lines")
-        base = self.pt3(d, self.group.r2_zero, self.group.r1_zero)
+        base = QPoint((d, self.group.r2_zero, self.group.r1_zero))
         return self.act_point(base, self.transversal(m))
 
     def act(self, x, g: UPlusElem):
@@ -208,32 +192,22 @@ class Quadrangle:
     # -- collinearity -----------------------------------------------------------------
 
     def collinear(self, p: QPoint, q: QPoint):
-        """The joining line, or None.  p and q must differ."""
+        """The joining line, or None.  p and q must differ.  Below the
+        rank pairs (2, 3) and (3, 3) it is the prefix rule."""
         if p == q:
             raise ValueError("collinearity needs two distinct points")
         a, b = (p, q) if len(p.coords) <= len(q.coords) else (q, p)
         ra, rb = len(a.coords), len(b.coords)
+        if ra < 2 or rb < 3:
+            m = QLine(b.coords[:rb - 1])
+            return m if self.incident(a, m) else None
         g = self.group
-        if ra == 0:
-            if rb == 1:
-                return self.ln_inf
-            if rb == 2:
-                return self.ln1(b.coords[0])
-            return None
-        if ra == 1:
-            if rb == 1:
-                return self.ln_inf
-            if rb == 2:
-                return None
-            return self.ln2(*b.coords[:2]) if b.coords[0] == a.coords[0] else None
         if ra == 2:
-            if rb == 2:
-                return self.ln1(a.coords[0]) if a.coords[0] == b.coords[0] else None
             k, kb = a.coords
             pa, pl, pa2 = b.coords
             p2, p3 = g.comm14(pa, k)
             if p3 == pa2 + kb + g.comm24(pl, k):
-                return self.ln3(k, kb, pl + g.comm13(pa, pa2) + p2)
+                return QLine((k, kb, pl + g.comm13(pa, pa2) + p2))
             return None
         # both maximal: reduce the first to the zero point
         w = self.transversal(a)
@@ -241,7 +215,7 @@ class Quadrangle:
         qa, ql, qa2 = qq.coords
         if qa.is_zero():
             if ql.is_zero():
-                return self.act_line(self.ln2(g.r1_zero, g.r2_zero), w)
+                return self.act_line(QLine((g.r1_zero, g.r2_zero)), w)
             return None
         target = ql + g.comm13(qa, qa2)
         c = self._solve_comm14_u2(qa, target)
@@ -249,7 +223,7 @@ class Quadrangle:
             return None
         if g.comm14(qa, c)[1] != qa2:
             return None
-        return self.act_line(self.ln3(c, g.r1_zero, g.r2_zero), w)
+        return self.act_line(QLine((c, g.r1_zero, g.r2_zero)), w)
 
     # -- projection -------------------------------------------------------------------
 
@@ -271,46 +245,46 @@ class Quadrangle:
         z1, z2 = g.r1_zero, g.r2_zero
         pr = len(p.coords)
         if rank == 0:  # the line [inf]; p is (k,b) or maximal
-            return self.pt_inf if pr == 2 else self.pt1(p.coords[0])
+            return self.pt_inf if pr == 2 else QPoint((p.coords[0],))
         if rank == 1:  # the line [0]
-            return self.pt_inf if pr in (1, 2) else self.pt2(z2, p.coords[2])
+            return self.pt_inf if pr in (1, 2) else QPoint((z2, p.coords[2]))
         if rank == 2:  # the line [0,0]
             if pr in (0, 1):
-                return self.pt1(z1)
+                return QPoint((z1,))
             if pr == 2:
-                return self.pt3(z1, z2, p.coords[1])
+                return QPoint((z1, z2, p.coords[1]))
             pa, pl, pa2 = p.coords
             if pa.is_zero():
-                return self.pt1(z1)
+                return QPoint((z1,))
             k = self._solve_comm14_u2(pa, pl + g.comm13(pa, pa2))
             if k is None:
                 raise InternalConsistencyError("projection solve failed on [0,0]")
-            return self.pt3(z1, z2, pa2 + g.comm14(pa, k)[1])
+            return QPoint((z1, z2, pa2 + g.comm14(pa, k)[1]))
         # rank 3: the line [0,0,0]
         if pr == 0:
-            return self.pt2(z2, z1)
+            return QPoint((z2, z1))
         if pr == 1:
-            return self.pt3(p.coords[0], z2, z1)
+            return QPoint((p.coords[0], z2, z1))
         if pr == 2:
             k, kb = p.coords
             if k.is_zero():
-                return self.pt2(z2, z1)
+                return QPoint((z2, z1))
             d = self._solve_comm14_u3(k, kb)
             if d is None:
                 raise InternalConsistencyError("projection solve failed on [0,0,0]")
-            return self.pt3(d, z2, z1)
+            return QPoint((d, z2, z1))
         pa, pl, pa2 = p.coords
         if pa2.is_zero():
-            return self.pt2(z2, z1)
+            return QPoint((z2, z1))
         if pl.is_zero():
-            return self.pt3(pa, z2, z1)
+            return QPoint((pa, z2, z1))
         # shift the U1 slot away, solve, shift back
         if not (pl.u.is_zero() and pl.v.is_zero()
                 and pa2.x.is_zero() and pa2.y.is_zero()):
             raise ProjectionUnsupported(
                 "projection of a maximal point onto a maximal line in general "
                 "position needs the opposite root groups, which are out of scope")
-        return self.pt3(R1Coord(L_ZERO, L_ZERO, pl.a / pa2.b) + pa, z2, z1)
+        return QPoint((R1Coord(L_ZERO, L_ZERO, pl.a / pa2.b) + pa, z2, z1))
 
     # -- linear solvers over K ------------------------------------------------------------
 
@@ -387,22 +361,6 @@ class Quadrangle:
     def is_absolute(self, f: Flag) -> bool:
         return (self.rho_point(f.point) == f.line
                 and self.rho_line(f.line) == f.point)
-
-    # -- Suzuki-Tits restriction ------------------------------------------------------------
-
-    def suzuki_tits_member(self, x) -> bool:
-        """All L slots of all coordinates vanish."""
-        if isinstance(x, Flag):
-            return (self.suzuki_tits_member(x.point)
-                    and self.suzuki_tits_member(x.line))
-        for c in x.coords:
-            if isinstance(c, R1Coord):
-                if not (c.x.is_zero() and c.y.is_zero()):
-                    return False
-            else:
-                if not (c.u.is_zero() and c.v.is_zero()):
-                    return False
-        return True
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .fields import (K_ONE, K_S, K_ZERO, L_ZERO, Check, CheckList,
                      kprime_decompose, kprime_member, phi_k, theta_k)
 from .moufang import (MoufangPoint, MoufangSet, derived_net_report,
                       reconstruct_report)
-from .quadrangle import Quadrangle
+from .quadrangle import QLine, QPoint, Quadrangle
 from .rootgroups import (InternalConsistencyError, R1Coord, R2Coord, UPlus,
                          UPlusElem)
 from .sampling import (Rng, sample_k, sample_k_general, sample_kprime,
@@ -320,12 +320,12 @@ def _chk_base_incidence(ctx: RunContext, rng: Rng):
     a = ms.sample_r1(rng, 2)
     cases = [
         (q.incident(q.pt_inf, q.ln_inf), True),
-        (q.incident(q.pt_inf, q.ln1(k)), True),
-        (q.incident(q.pt1(a), q.ln_inf), True),
-        (q.incident(q.pt1(a), q.ln1(k)), False),
-        (q.incident(q.pt2(k, a), q.ln1(k)), True),
+        (q.incident(q.pt_inf, QLine((k,))), True),
+        (q.incident(QPoint((a,)), q.ln_inf), True),
+        (q.incident(QPoint((a,)), QLine((k,))), False),
+        (q.incident(QPoint((k, a)), QLine((k,))), True),
         (q.incident(q.zero_point, q.zero_line), True),
-        (q.incident(q.zero_point, q.ln2(ctx.group.r1_zero, ctx.group.r2_zero)), True),
+        (q.incident(q.zero_point, QLine((ctx.group.r1_zero, ctx.group.r2_zero))), True),
     ]
     for i, (got, want) in enumerate(cases):
         if got != want:
@@ -345,8 +345,8 @@ def _chk_gq_axioms(ctx: RunContext, rng: Rng):
         if pa != pb and q.collinear(pa, pb) != m:
             return False, f"points of {m} join elsewhere"
         # projections from the supported configurations land and join
-        for p in (q.pt_inf, q.pt1(ms.sample_r1(rng, 1)),
-                  q.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1))):
+        for p in (q.pt_inf, QPoint((ms.sample_r1(rng, 1),)),
+                  QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)))):
             if q.incident(p, m):
                 continue
             foot = q.project(p, m)
@@ -358,7 +358,7 @@ def _chk_gq_axioms(ctx: RunContext, rng: Rng):
         # one point among a sampled stretch of the line's point row
         outside = ms.flag_of_label(ms.sample_label(rng, 1)).point
         if not q.incident(outside, m):
-            row = [q.pt2(m.coords[0], m.coords[1])]
+            row = [QPoint(m.coords[:2])]
             row += [q.point_on_line(m, ms.sample_r1(rng, 1)) for _ in range(4)]
             hits = sum(1 for cand in row if cand != outside
                        and q.collinear(outside, cand) is not None)
@@ -393,11 +393,11 @@ def _chk_projection_examples(ctx: RunContext, rng: Rng):
     for _ in range(ctx.cfg.samples // 5):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         m = f.line
-        kb = q.pt2(m.coords[0], m.coords[1])
+        kb = QPoint(m.coords[:2])
         if q.project(q.pt_inf, m) != kb:
             return False, f"projection of (inf) onto {m}"
         got = q.project(f.point, q.ln_inf)
-        if got != q.pt1(f.point.coords[0]):
+        if got != QPoint(f.point.coords[:1]):
             return False, f"projection of {f.point} onto [inf]"
     return True, None
 
@@ -409,8 +409,8 @@ def _chk_polarity_involution(ctx: RunContext, rng: Rng):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         a = f.point.coords[0]
         k = f.line.coords[0]
-        pts = [q.pt_inf, q.pt1(a), q.pt2(k, f.line.coords[1]), f.point]
-        lns = [q.ln_inf, q.ln1(k), q.ln2(a, f.point.coords[1]), f.line]
+        pts = [q.pt_inf, QPoint((a,)), QPoint((k, f.line.coords[1])), f.point]
+        lns = [q.ln_inf, QLine((k,)), QLine((a, f.point.coords[1])), f.line]
         for p in pts:
             if q.rho_line(q.rho_point(p)) != p:
                 return False, f"rho^2 on point {p}"

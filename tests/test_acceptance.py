@@ -13,7 +13,7 @@ from f4quad.fields import (K_ONE, K_ZERO, L_ZERO, default_instance, kscale,
                            phi_k, theta_k)
 from f4quad.moufang import (MoufangPoint, MoufangSet, derived_net_report,
                             reconstruct_report)
-from f4quad.quadrangle import Quadrangle
+from f4quad.quadrangle import QLine, QPoint, Quadrangle
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import (Rng, sample_k, sample_kprime, sample_l,
                              sample_lprime)
@@ -101,10 +101,10 @@ def test_criterion_04_polarity_involution(world):
     rng = Rng(0)
     for _ in range(100):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
-        pts = [quad.pt_inf, quad.pt1(f.point.coords[0]),
-               quad.pt2(f.line.coords[0], f.line.coords[1]), f.point]
-        lns = [quad.ln_inf, quad.ln1(f.line.coords[0]),
-               quad.ln2(f.point.coords[0], f.point.coords[1]), f.line]
+        pts = [quad.pt_inf, QPoint(f.point.coords[:1]),
+               QPoint(f.line.coords[:2]), f.point]
+        lns = [quad.ln_inf, QLine(f.line.coords[:1]),
+               QLine(f.point.coords[:2]), f.line]
         for p in pts:
             assert quad.rho_line(quad.rho_point(p)) == p
         for m in lns:

@@ -211,6 +211,14 @@ def test_unusable_field_value_is_config_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_is_config_error(tmp_path, capsys):
+    path = tmp_path / "superscript.txt"
+    path.write_text("delta = s + t\nphiE = e + s\nbeta = s\nalpha = \u00b2\n",
+                    encoding="utf-8")
+    assert main(["verify-fields", "--instance", str(path)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_deep_nesting_is_config_error(tmp_path, capsys):
     path = tmp_path / "deep.txt"
     path.write_text("delta = s + t\nphiE = e + s\nbeta = s\n"

@@ -91,6 +91,14 @@ def test_unknown_character_rejected():
         parse_instance_text("delta = s ? t\nphiE = e\nbeta = s\nalpha = t")
 
 
+@pytest.mark.parametrize("rhs", ["\u00b2", "t^\u00b2", "\u0663"])
+def test_non_ascii_digit_rejected(rhs):
+    # superscript two and Arabic-Indic three are digits to str.isdigit
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_instance_text(f"delta = s + t\nphiE = e + s\nbeta = s\nalpha = {rhs}")
+    assert (err.value.line, err.value.col) == (4, 9 + len(rhs) - 1)
+
+
 def test_unknown_name_rejected():
     with pytest.raises(ParseError):
         parse_instance_text("delta = s + u\nphiE = e\nbeta = s\nalpha = t")
@@ -209,7 +217,8 @@ FIELDS = {"delta": "s + t", "phiE": "e + s", "beta": "s", "alpha": "t"}
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)),
-       body=st.text(alphabet="ste0123456789 +-*/^()", max_size=40),
+       body=st.text(alphabet="ste0123456789 +-*/^()\u00b2\u0663\u00e9",
+                    max_size=40),
        depth=st.integers(0, 500))
 def test_fuzzed_right_hand_side_raises_only_parse_error(field, body, depth):
     text = "\n".join(f"{name} = {rhs}" for name, rhs in FIELDS.items()

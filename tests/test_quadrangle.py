@@ -4,7 +4,8 @@ import pytest
 
 from f4quad.fields import K_ONE, K_S, K_T, K_ZERO, L_ZERO, default_instance
 from f4quad.moufang import MoufangSet
-from f4quad.quadrangle import ProjectionUnsupported, Quadrangle, solve_linear_k
+from f4quad.quadrangle import (ProjectionUnsupported, QLine, QPoint, Quadrangle,
+                               solve_linear_k)
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import Rng, sample_k_general
 
@@ -29,11 +30,11 @@ def test_base_incidences(quad, ms):
     k = ms.sample_r2(rng, 1)
     a = ms.sample_r1(rng, 1)
     assert quad.incident(quad.pt_inf, quad.ln_inf)
-    assert quad.incident(quad.pt_inf, quad.ln1(k))
-    assert quad.incident(quad.pt1(a), quad.ln_inf)
-    assert not quad.incident(quad.pt1(a), quad.ln1(k))
-    assert quad.incident(quad.pt2(k, a), quad.ln1(k))
-    assert quad.incident(quad.pt1(a), quad.ln2(a, k))
+    assert quad.incident(quad.pt_inf, QLine((k,)))
+    assert quad.incident(QPoint((a,)), quad.ln_inf)
+    assert not quad.incident(QPoint((a,)), QLine((k,)))
+    assert quad.incident(QPoint((k, a)), QLine((k,)))
+    assert quad.incident(QPoint((a,)), QLine((a, k)))
     assert quad.incident(quad.zero_point, quad.zero_line)
     assert not quad.incident(quad.pt_inf, quad.zero_line)
     assert not quad.incident(quad.zero_point, quad.ln_inf)
@@ -44,9 +45,9 @@ def test_hat_rack_cycle(quad):
     g = quad.group
     z1, z2 = g.r1_zero, g.r2_zero
     p0, l0 = quad.zero_point, quad.zero_line
-    p2, l3 = quad.pt2(z2, z1), quad.ln1(z2)
-    p1l = quad.pt1(z1)
-    l00 = quad.ln2(z1, z2)
+    p2, l3 = QPoint((z2, z1)), QLine((z2,))
+    p1l = QPoint((z1,))
+    l00 = QLine((z1, z2))
     assert quad.incident(p0, l0)
     assert quad.incident(p2, l0)
     assert quad.incident(p2, l3)
@@ -78,7 +79,7 @@ def test_action_preserves_incidence(quad, ms):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         assert quad.incident(quad.act_point(f.point, x),
                              quad.act_line(f.line, x))
-        m = quad.ln1(ms.sample_r2(rng, 1))
+        m = QLine((ms.sample_r2(rng, 1),))
         assert quad.incident(quad.pt_inf, quad.act_line(m, x))
 
 
@@ -87,9 +88,9 @@ def test_point_orbits_partition(quad, ms):
     x = rand_elem(ms, rng)
     assert quad.act_point(quad.pt_inf, x) == quad.pt_inf
     a = ms.sample_r1(rng, 1)
-    img = quad.act_point(quad.pt1(a), x)
+    img = quad.act_point(QPoint((a,)), x)
     assert len(img.coords) == 1 and img.coords[0] == a + x.g1
-    img = quad.act_line(quad.ln1(ms.sample_r2(rng, 1)), x)
+    img = quad.act_line(QLine((ms.sample_r2(rng, 1),)), x)
     assert len(img.coords) == 1
 
 
@@ -98,17 +99,17 @@ def test_projection_of_infinity(quad, ms):
     for _ in range(6):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         got = quad.project(quad.pt_inf, f.line)
-        assert got == quad.pt2(f.line.coords[0], f.line.coords[1])
+        assert got == QPoint(f.line.coords[:2])
 
 
 def test_projection_onto_inf_line(quad, ms):
     # the projection of the zero-flag point onto [inf] is the point (0):
     # the chain runs zero point I [0,0] I (0) I [inf]
     got = quad.project(quad.zero_point, quad.ln_inf)
-    assert got == quad.pt1(quad.group.r1_zero)
+    assert got == QPoint((quad.group.r1_zero,))
     rng = Rng(45)
     f = ms.flag_of_label(ms.sample_label(rng, 1))
-    assert quad.project(f.point, quad.ln_inf) == quad.pt1(f.point.coords[0])
+    assert quad.project(f.point, quad.ln_inf) == QPoint(f.point.coords[:1])
 
 
 def test_projection_incident_pair_rejected(quad):
@@ -120,11 +121,11 @@ def test_projection_lands_and_joins(quad, ms):
     rng = Rng(46)
     for _ in range(5):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
-        pts = (quad.pt_inf, quad.pt1(ms.sample_r1(rng, 1)),
-               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)))
+        pts = (quad.pt_inf, QPoint((ms.sample_r1(rng, 1),)),
+               QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1))))
         # a maximal point projects onto a line [a,l] too (the U3 part of
         # comm14 lands in the foot's last slot)
-        line2 = quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1))
+        line2 = QLine((ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)))
         maximal = ms.flag_of_label(ms.sample_label(rng, 1)).point
         for m, ps in ((f.line, pts), (line2, pts + (maximal,))):
             for p in ps:
@@ -146,7 +147,7 @@ def test_projection_uniqueness_scan(quad, ms):
         outside = ms.flag_of_label(ms.sample_label(rng, 1)).point
         if quad.incident(outside, f.line):
             continue
-        row = [quad.pt2(f.line.coords[0], f.line.coords[1])]
+        row = [QPoint(f.line.coords[:2])]
         row += [quad.point_on_line(f.line, ms.sample_r1(rng, 1))
                 for _ in range(4)]
         hits = sum(1 for cand in row
@@ -175,9 +176,9 @@ def test_suzuki_tits_projection_closed(quad):
     # inside the Suzuki-Tits restriction the same configuration solves
     g = quad.group
     lz = L_ZERO
-    p = quad.pt3(R1Coord(lz, lz, K_ONE),
-                 R2Coord(lz, lz, K_T),
-                 R1Coord(lz, lz, K_S))
+    p = QPoint((R1Coord(lz, lz, K_ONE),
+                R2Coord(lz, lz, K_T),
+                R1Coord(lz, lz, K_S)))
     foot = quad.project(p, quad.zero_line)
     assert quad.incident(foot, quad.zero_line)
     assert quad.collinear(p, foot) is not None
@@ -187,9 +188,9 @@ def test_collinearity_cases(quad, ms):
     rng = Rng(49)
     a = ms.sample_r1(rng, 1)
     b = ms.sample_r1(rng, 1)
-    assert quad.collinear(quad.pt_inf, quad.pt1(a)) == quad.ln_inf
+    assert quad.collinear(quad.pt_inf, QPoint((a,))) == quad.ln_inf
     k = ms.sample_r2(rng, 1)
-    assert quad.collinear(quad.pt_inf, quad.pt2(k, a)) == quad.ln1(k)
+    assert quad.collinear(quad.pt_inf, QPoint((k, a))) == QLine((k,))
     f = ms.flag_of_label(ms.sample_label(rng, 1))
     assert quad.collinear(quad.pt_inf, f.point) is None
     # symmetry on sampled pairs
@@ -224,9 +225,9 @@ def test_polarity_base_and_involution(quad, ms):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         a = f.point.coords[0]
         k = f.line.coords[0]
-        for p in (quad.pt1(a), quad.pt2(k, f.line.coords[1]), f.point):
+        for p in (QPoint((a,)), QPoint((k, f.line.coords[1])), f.point):
             assert quad.rho_line(quad.rho_point(p)) == p
-        for m in (quad.ln1(k), quad.ln2(a, f.point.coords[1]), f.line):
+        for m in (QLine((k,)), QLine((a, f.point.coords[1])), f.line):
             assert quad.rho_point(quad.rho_line(m)) == m
 
 
@@ -245,10 +246,10 @@ def test_polarity_reverses_incidence(quad, ms):
     rng = Rng(53)
     for _ in range(6):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
-        pts = [quad.pt_inf, quad.pt1(f.point.coords[0]),
-               quad.pt2(f.line.coords[0], f.line.coords[1]), f.point]
-        lns = [quad.ln_inf, quad.ln1(f.line.coords[0]),
-               quad.ln2(f.point.coords[0], f.point.coords[1]), f.line]
+        pts = [quad.pt_inf, QPoint(f.point.coords[:1]),
+               QPoint(f.line.coords[:2]), f.point]
+        lns = [quad.ln_inf, QLine(f.line.coords[:1]),
+               QLine(f.point.coords[:2]), f.line]
         for p in pts:
             for m in lns:
                 assert quad.incident(p, m) == quad.incident(
@@ -292,12 +293,17 @@ def test_absolute_flags(quad, ms):
 
 
 def test_suzuki_tits_membership(quad, ms):
-    assert quad.suzuki_tits_member(quad.zero_flag)
-    assert quad.suzuki_tits_member(quad.pt_inf)
+    # an element is in the Suzuki-Tits restriction when its transversal
+    # is: the transversal's L slots are its coordinates' L slots
+    def member(x):
+        return quad.group.suzuki_tits_member(quad.transversal(x))
+
+    assert member(quad.zero_flag.point) and member(quad.zero_flag.line)
+    assert member(quad.pt_inf)
     rng = Rng(57)
     lab = ms.sample_label(rng, 1)
     if not lab.r2.u.is_zero():
-        assert not quad.suzuki_tits_member(ms.flag_of_label(lab).point)
+        assert not member(ms.flag_of_label(lab).point)
     # action by a Suzuki-Tits element preserves membership
     from f4quad.sampling import sample_k, sample_kprime
     lz = L_ZERO
@@ -306,7 +312,7 @@ def test_suzuki_tits_membership(quad, ms):
                    R1Coord(lz, lz, sample_k(rng, 1)),
                    R2Coord(lz, lz, sample_kprime(rng, 1)))
     img = quad.act_point(quad.zero_point, st)
-    assert quad.suzuki_tits_member(img)
+    assert member(img)
 
 
 def _apply(matrix, x):
@@ -366,14 +372,14 @@ def test_projection_onto_every_line_rank(quad, ms):
     for _ in range(6):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         h = ms.flag_of_label(ms.sample_label(rng, 1))
-        pts = (quad.pt_inf, quad.pt1(ms.sample_r1(rng, 1)),
-               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)),
-               quad.pt2(f.line.coords[0], ms.sample_r1(rng, 1)),
+        pts = (quad.pt_inf, QPoint((ms.sample_r1(rng, 1),)),
+               QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1))),
+               QPoint((f.line.coords[0], ms.sample_r1(rng, 1))),
                f.point, h.point)
-        lines = (quad.ln_inf, quad.ln1(ms.sample_r2(rng, 1)),
-                 quad.ln1(f.line.coords[0]),
-                 quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)),
-                 quad.ln2(*h.point.coords[:2]), f.line, h.line)
+        lines = (quad.ln_inf, QLine((ms.sample_r2(rng, 1),)),
+                 QLine(f.line.coords[:1]),
+                 QLine((ms.sample_r1(rng, 1), ms.sample_r2(rng, 1))),
+                 QLine(h.point.coords[:2]), f.line, h.line)
         for m in lines:
             for p in pts:
                 if quad.incident(p, m):
@@ -413,10 +419,10 @@ def _table_rho_point(quad, p):
     if len(c) == 0:
         return quad.ln_inf
     if len(c) == 1:
-        return quad.ln1(r1(c[0]))
+        return QLine((r1(c[0]),))
     if len(c) == 2:
-        return quad.ln2(r2(c[0]), r1(c[1]))
-    return quad.ln3(r1(c[0]), r2(c[1]), r1(c[2]))
+        return QLine((r2(c[0]), r1(c[1])))
+    return QLine((r1(c[0]), r2(c[1]), r1(c[2])))
 
 
 def _table_rho_line(quad, m):
@@ -424,26 +430,46 @@ def _table_rho_line(quad, m):
     if len(c) == 0:
         return quad.pt_inf
     if len(c) == 1:
-        return quad.pt1(r2(c[0]))
+        return QPoint((r2(c[0]),))
     if len(c) == 2:
-        return quad.pt2(r1(c[0]), r2(c[1]))
-    return quad.pt3(r2(c[0]), r1(c[1]), r2(c[2]))
+        return QPoint((r1(c[0]), r2(c[1])))
+    return QPoint((r2(c[0]), r1(c[1]), r2(c[2])))
+
+
+def _table_collinear(quad, p, q):
+    # the collinearity case table, keyed by coordinate counts; it has
+    # no row for a rank-2 or maximal point against a maximal one
+    a, b = (p, q) if len(p.coords) <= len(q.coords) else (q, p)
+    ra, rb = len(a.coords), len(b.coords)
+    if ra == 0:
+        if rb == 1:
+            return quad.ln_inf
+        if rb == 2:
+            return QLine((b.coords[0],))
+        return None
+    if ra == 1:
+        if rb == 1:
+            return quad.ln_inf
+        if rb == 2:
+            return None
+        return QLine(b.coords[:2]) if b.coords[0] == a.coords[0] else None
+    return QLine((a.coords[0],)) if a.coords[0] == b.coords[0] else None
 
 
 def test_rank_rules_match_the_tables(quad, ms):
     rng = Rng(59)
-    ranks, verdicts = set(), set()
+    ranks, verdicts, joins = set(), set(), set()
     for _ in range(4):
         f = ms.flag_of_label(ms.sample_label(rng, 1))
         (a, l, _), (k, b, _) = f.point.coords, f.line.coords
         h = ms.flag_of_label(ms.sample_label(rng, 1))
         # one flag's prefixes, then sampled coordinates and another flag
-        pts = [quad.pt_inf, quad.pt1(a), quad.pt2(k, b), f.point,
-               quad.pt1(ms.sample_r1(rng, 1)),
-               quad.pt2(ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)), h.point]
-        lns = [quad.ln_inf, quad.ln1(k), quad.ln2(a, l), f.line,
-               quad.ln1(ms.sample_r2(rng, 1)),
-               quad.ln2(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1)), h.line]
+        pts = [quad.pt_inf, QPoint((a,)), QPoint((k, b)), f.point,
+               QPoint((ms.sample_r1(rng, 1),)),
+               QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1))), h.point]
+        lns = [quad.ln_inf, QLine((k,)), QLine((a, l)), f.line,
+               QLine((ms.sample_r2(rng, 1),)),
+               QLine((ms.sample_r1(rng, 1), ms.sample_r2(rng, 1))), h.line]
         for p in pts:
             assert quad.rho_point(p) == _table_rho_point(quad, p)
             assert quad.rho_line(quad.rho_point(p)) == p
@@ -455,7 +481,16 @@ def test_rank_rules_match_the_tables(quad, ms):
         for m in lns:
             assert quad.rho_line(m) == _table_rho_line(quad, m)
             assert quad.rho_point(quad.rho_line(m)) == m
+        for i, p in enumerate(pts):
+            for q in pts[i + 1:]:
+                pair = tuple(sorted((len(p.coords), len(q.coords))))
+                if p == q or pair in ((2, 3), (3, 3)):
+                    continue
+                want = _table_collinear(quad, p, q)
+                assert quad.collinear(p, q) == quad.collinear(q, p) == want, (p, q)
+                joins.add(pair)
     assert len(ranks) == 16
+    assert joins == {(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2)}
     # each adjacent-rank pair and the maximal pair meet both verdicts
     assert {(1, True), (1, False), (-1, True), (-1, False),
             (0, True), (0, False)} <= verdicts

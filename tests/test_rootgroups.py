@@ -13,7 +13,7 @@ from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO,
                            FieldInstance, KElem, LElem, default_instance)
 from f4quad.moufang import MoufangSet
 from f4quad.polynomials import P_ONE, P_S, P_T, P_ZERO
-from f4quad.quadrangle import Quadrangle
+from f4quad.quadrangle import QLine, QPoint, Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
 from f4quad.sampling import Rng, sample_l_nonzero
@@ -523,9 +523,9 @@ def test_collinear_p2_p3_matches_two_corrections(name, monkeypatch):
     for monomial in (True, False):
         pairs = _comm14_inputs(group, 68 + monomial, monomial)
         for (kb, k), (_, k2) in zip(pairs[:6], pairs[6:]):
-            on_line = quad.point_on_line(quad.ln3(k, kb, k2), ms.sample_r1(rng, 1))
-            sampled = quad.pt3(ms.sample_r1(rng, 1), ms.sample_r2(rng, 1),
-                               ms.sample_r1(rng, 1))
+            on_line = quad.point_on_line(QLine((k, kb, k2)), ms.sample_r1(rng, 1))
+            sampled = QPoint((ms.sample_r1(rng, 1), ms.sample_r2(rng, 1),
+                              ms.sample_r1(rng, 1)))
             for b, collinear in ((on_line, True), (sampled, False)):
                 pa, pl, pa2 = b.coords
                 p2, p3 = group.comm14(pa, k)
@@ -533,9 +533,9 @@ def test_collinear_p2_p3_matches_two_corrections(name, monkeypatch):
                 joined = (p3 + group.comm24(p2, k)
                           == pa2 + kb + group.comm24(kk, k))
                 assert joined == collinear, (k, kb, b)
-                want = quad.ln3(k, kb, kk) if joined else None
+                want = QLine((k, kb, kk)) if joined else None
                 calls.clear()
-                assert quad.collinear(quad.pt2(k, kb), b) == want, (k, kb, b)
+                assert quad.collinear(QPoint((k, kb)), b) == want, (k, kb, b)
                 assert len(calls) == 1
 
 
@@ -550,7 +550,7 @@ def test_line_transversal_is_the_collected_product(name, slot):
         for (b, k), (_, k2) in zip(pairs[:6], pairs[6:]):
             want = group.mul(group.mul(group.pure2(k2), group.pure3(b)),
                              group.pure4(k))
-            assert quad.transversal(quad.ln3(k, b, k2)) == want, (k, b, k2)
+            assert quad.transversal(QLine((k, b, k2))) == want, (k, b, k2)
 
 
 def test_comm14_one_pass_takes_no_gcd(monkeypatch):
