@@ -201,7 +201,7 @@ def parse_expression(text: str, line: int, inst: FieldInstance | None,
 def parse_instance_text(text: str) -> FieldInstance:
     """Parse the four definitions into a FieldInstance (not yet validated)."""
     raw: dict[str, tuple[str, int, int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

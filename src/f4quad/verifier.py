@@ -8,10 +8,12 @@ record sub-checks use too.  Each `REGISTRY` row is
 (name, anchor, tag, fn): `run` calls fn(ctx, rng) with its own stream
 rng = Rng(seed * 1000003 + tag), so no two checks share samples and a
 check's draws do not depend on which other checks run (tag None: the
-check draws from `FieldInstance.validate`'s own Rng(seed)).  Reports are
-deterministic for a fixed configuration: the text body is everything
-except lines starting with '#', and the jsonl body is every field except
-"millis".
+check draws from `FieldInstance.validate`'s own Rng(seed)).  Most checks
+are trials, trial(ctx, rng) -> note | None, each call one sample drawn
+and tested; `_sampled(count)` runs one count(samples) times and fails
+with the first note (`fields._first`).  Reports are deterministic for a
+fixed configuration: the text body is everything except lines starting
+with '#', and the jsonl body is every field except "millis".
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class RunContext:
 
 
 # ----------------------------------------------------------------------
-# individual checks: fn(ctx, rng) -> (ok, counterexample-or-None)
+# individual checks: fn(ctx, rng) -> (ok, counterexample-or-None); most
+# are trials, trial(ctx, rng) -> note | None, made checks by `_sampled`
 # ----------------------------------------------------------------------
 
 def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.note}",
@@ -73,119 +76,125 @@ def _outcome(rep: CheckList, line=lambda c: f"{c.name}: {c.note}",
     return False, "; ".join([x for x in lines if x][:limit])
 
 
+def _sampled(count):
+    """Make trial(ctx, rng) -> note | None, one sample drawn and tested,
+    a check that runs it count(samples) times and fails with the first
+    note, drawing nothing after it."""
+    def check(trial):
+        def fn(ctx: RunContext, rng: Rng):
+            note = _first(trial(ctx, rng)
+                          for _ in range(count(ctx.cfg.samples)))
+            return note is None, note
+        return fn
+    return check
+
+
+@_sampled(lambda n: n)
 def _chk_canonical(ctx: RunContext, rng: Rng):
-    for _ in range(ctx.cfg.samples):
-        a = sample_k_general(rng, ctx.cfg.max_degree)
-        b = sample_k_general(rng, ctx.cfg.max_degree)
-        lhs, rhs = a + b, b + a
-        if lhs != rhs or hash(lhs) != hash(rhs):
-            return False, f"a={a}, b={b}"
-        if not a.is_zero() and not (a * a.inv()).is_one():
-            return False, f"a={a}"
-    return True, None
+    a = sample_k_general(rng, ctx.cfg.max_degree)
+    b = sample_k_general(rng, ctx.cfg.max_degree)
+    lhs, rhs = a + b, b + a
+    if lhs != rhs or hash(lhs) != hash(rhs):
+        return f"a={a}, b={b}"
+    if not a.is_zero() and not (a * a.inv()).is_one():
+        return f"a={a}"
 
 
+@_sampled(lambda n: n)
 def _chk_field_axioms(ctx: RunContext, rng: Rng):
     inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        a = sample_k(rng, ctx.cfg.max_degree)
-        b = sample_k(rng, ctx.cfg.max_degree)
-        c = sample_k(rng, ctx.cfg.max_degree)
-        if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-            return False, f"K triple {a}; {b}; {c}"
-        if a * (b + c) != a * b + a * c:
-            return False, f"K distributivity {a}; {b}; {c}"
-        z = sample_l(rng, ctx.cfg.max_degree)
-        w = sample_l(rng, ctx.cfg.max_degree)
-        x = sample_l(rng, ctx.cfg.max_degree)
-        if inst.lmul(inst.lmul(z, w), x) != inst.lmul(z, inst.lmul(w, x)):
-            return False, f"L triple {z}; {w}; {x}"
-        if inst.lmul(z, w + x) != inst.lmul(z, w) + inst.lmul(z, x):
-            return False, f"L distributivity {z}; {w}; {x}"
-    return True, None
+    a = sample_k(rng, ctx.cfg.max_degree)
+    b = sample_k(rng, ctx.cfg.max_degree)
+    c = sample_k(rng, ctx.cfg.max_degree)
+    if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
+        return f"K triple {a}; {b}; {c}"
+    if a * (b + c) != a * b + a * c:
+        return f"K distributivity {a}; {b}; {c}"
+    z = sample_l(rng, ctx.cfg.max_degree)
+    w = sample_l(rng, ctx.cfg.max_degree)
+    x = sample_l(rng, ctx.cfg.max_degree)
+    if inst.lmul(inst.lmul(z, w), x) != inst.lmul(z, inst.lmul(w, x)):
+        return f"L triple {z}; {w}; {x}"
+    if inst.lmul(z, w + x) != inst.lmul(z, w) + inst.lmul(z, x):
+        return f"L distributivity {z}; {w}; {x}"
 
 
+@_sampled(lambda n: n)
 def _chk_twist_hom(ctx: RunContext, rng: Rng):
     inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        a = sample_k(rng, ctx.cfg.max_degree)
-        b = sample_k(rng, ctx.cfg.max_degree)
-        if phi_k(a + b) != phi_k(a) + phi_k(b) or phi_k(a * b) != phi_k(a) * phi_k(b):
-            return False, f"K pair {a}; {b}"
-        z = sample_l(rng, ctx.cfg.max_degree)
-        w = sample_l(rng, ctx.cfg.max_degree)
-        if inst.phi_l(z + w) != inst.phi_l(z) + inst.phi_l(w):
-            return False, f"L pair {z}; {w}"
-        if inst.phi_l(inst.lmul(z, w)) != inst.lmul(inst.phi_l(z), inst.phi_l(w)):
-            return False, f"L pair {z}; {w}"
-    return True, None
+    a = sample_k(rng, ctx.cfg.max_degree)
+    b = sample_k(rng, ctx.cfg.max_degree)
+    if phi_k(a + b) != phi_k(a) + phi_k(b) or phi_k(a * b) != phi_k(a) * phi_k(b):
+        return f"K pair {a}; {b}"
+    z = sample_l(rng, ctx.cfg.max_degree)
+    w = sample_l(rng, ctx.cfg.max_degree)
+    if inst.phi_l(z + w) != inst.phi_l(z) + inst.phi_l(w):
+        return f"L pair {z}; {w}"
+    if inst.phi_l(inst.lmul(z, w)) != inst.lmul(inst.phi_l(z), inst.phi_l(w)):
+        return f"L pair {z}; {w}"
 
 
+@_sampled(lambda n: n)
 def _chk_twist_square(ctx: RunContext, rng: Rng):
-    miss = _first(ctx.inst.frobenius_miss(rng, ctx.cfg.max_degree)
-                  for _ in range(ctx.cfg.samples))
-    return (True, None) if miss is None else (False, "%s sample %s" % miss)
+    miss = ctx.inst.frobenius_miss(rng, ctx.cfg.max_degree)
+    return None if miss is None else "%s sample %s" % miss
 
 
+@_sampled(lambda n: n)
 def _chk_theta_roundtrip(ctx: RunContext, rng: Rng):
     inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        a = sample_k(rng, ctx.cfg.max_degree)
-        if theta_k(phi_k(a)) != a:
-            return False, f"theta(phi({a}))"
-        ap = sample_kprime(rng, ctx.cfg.max_degree)
-        if phi_k(theta_k(ap)) != ap:
-            return False, f"phi(theta({ap}))"
-        z = sample_l(rng, ctx.cfg.max_degree)
-        if inst.theta_l(inst.phi_l(z)) != z:
-            return False, f"thetaL(phiL({z}))"
-        zp = sample_lprime(inst, rng, ctx.cfg.max_degree)
-        if inst.phi_l(inst.theta_l(zp)) != zp:
-            return False, f"phiL(thetaL({zp}))"
-    return True, None
+    a = sample_k(rng, ctx.cfg.max_degree)
+    if theta_k(phi_k(a)) != a:
+        return f"theta(phi({a}))"
+    ap = sample_kprime(rng, ctx.cfg.max_degree)
+    if phi_k(theta_k(ap)) != ap:
+        return f"phi(theta({ap}))"
+    z = sample_l(rng, ctx.cfg.max_degree)
+    if inst.theta_l(inst.phi_l(z)) != z:
+        return f"thetaL(phiL({z}))"
+    zp = sample_lprime(inst, rng, ctx.cfg.max_degree)
+    if inst.phi_l(inst.theta_l(zp)) != zp:
+        return f"phiL(thetaL({zp}))"
 
 
+@_sampled(lambda n: n)
 def _chk_decompose(ctx: RunContext, rng: Rng):
-    for _ in range(ctx.cfg.samples):
-        f = sample_k_general(rng, ctx.cfg.max_degree)
-        g, h = kprime_decompose(f)
-        if g + K_S * h != f:
-            return False, f"f={f}"
-        if (h.is_zero()) != kprime_member(f):
-            return False, f"f={f}"
-        if kprime_member(f) and phi_k(theta_k(f)) != f:
-            return False, f"f={f}"
-    return True, None
+    f = sample_k_general(rng, ctx.cfg.max_degree)
+    g, h = kprime_decompose(f)
+    if g + K_S * h != f:
+        return f"f={f}"
+    if (h.is_zero()) != kprime_member(f):
+        return f"f={f}"
+    if kprime_member(f) and phi_k(theta_k(f)) != f:
+        return f"f={f}"
 
 
+@_sampled(lambda n: n)
 def _chk_conj_norm(ctx: RunContext, rng: Rng):
     inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        z = sample_l(rng, ctx.cfg.max_degree)
-        w = sample_l(rng, ctx.cfg.max_degree)
-        if z.conj().conj() != z:
-            return False, f"z={z}"
-        if inst.lnorm(inst.lmul(z, w)) != inst.lnorm(z) * inst.lnorm(w):
-            return False, f"z={z}, w={w}"
-        zw = inst.lmul(z, z.conj())
-        if not zw.c1.is_zero():
-            return False, f"norm left K at z={z}"
-    return True, None
+    z = sample_l(rng, ctx.cfg.max_degree)
+    w = sample_l(rng, ctx.cfg.max_degree)
+    if z.conj().conj() != z:
+        return f"z={z}"
+    if inst.lnorm(inst.lmul(z, w)) != inst.lnorm(z) * inst.lnorm(w):
+        return f"z={z}, w={w}"
+    zw = inst.lmul(z, z.conj())
+    if not zw.c1.is_zero():
+        return f"norm left K at z={z}"
 
 
+@_sampled(lambda n: n)
 def _chk_tower(ctx: RunContext, rng: Rng):
     inst = ctx.inst
-    for _ in range(ctx.cfg.samples):
-        a = sample_k(rng, ctx.cfg.max_degree)
-        if not kprime_member(a.square()):
-            return False, f"square of {a} outside K'"
-        z = sample_l(rng, ctx.cfg.max_degree)
-        if not inst.lprime_member(inst.lsquare(z)):
-            return False, f"square of {z} outside L'"
-        ap = sample_kprime(rng, ctx.cfg.max_degree)
-        if not inst.lprime_member(LElem(ap)):
-            return False, f"K' element {ap} outside L'"
-    return True, None
+    a = sample_k(rng, ctx.cfg.max_degree)
+    if not kprime_member(a.square()):
+        return f"square of {a} outside K'"
+    z = sample_l(rng, ctx.cfg.max_degree)
+    if not inst.lprime_member(inst.lsquare(z)):
+        return f"square of {z} outside L'"
+    ap = sample_kprime(rng, ctx.cfg.max_degree)
+    if not inst.lprime_member(LElem(ap)):
+        return f"K' element {ap} outside L'"
 
 
 def _chk_instance(ctx: RunContext, rng: Rng | None):
@@ -194,33 +203,31 @@ def _chk_instance(ctx: RunContext, rng: Rng | None):
                                       max_degree=min(3, ctx.cfg.max_degree)))
 
 
+@_sampled(lambda n: 5 * n)
 def _chk_anisotropy(ctx: RunContext, rng: Rng):
     inst, deg = ctx.inst, min(2, ctx.cfg.max_degree)
-    for _ in range(ctx.cfg.samples * 5):
-        cx = inst.zero_of_form1(rng, deg)
-        if cx is not None:
-            return False, "form1 zero at (%s, %s, %s)" % cx
-        cx = inst.zero_of_form2(rng, deg)
-        if cx is not None:
-            return False, "form2 zero at (%s, %s, %s)" % cx
-    return True, None
+    cx = inst.zero_of_form1(rng, deg)
+    if cx is not None:
+        return "form1 zero at (%s, %s, %s)" % cx
+    cx = inst.zero_of_form2(rng, deg)
+    if cx is not None:
+        return "form2 zero at (%s, %s, %s)" % cx
 
 
+@_sampled(lambda n: n // 2)
 def _chk_group_identity(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 2):
-        x = _sample_uplus(ms, rng)
-        if g.mul(x, g.identity) != x or g.mul(g.identity, x) != x:
-            return False, f"x={x}"
-        xi = g.inv(x)
-        if not g.mul(x, xi).is_identity():
-            return False, f"x={x}"
-        if not g.mul(xi, x).is_identity():
-            return False, f"x={x}"
-        if g.inv(xi) != x:
-            return False, f"x={x}"
-    return True, None
+    x = _sample_uplus(ms, rng)
+    if g.mul(x, g.identity) != x or g.mul(g.identity, x) != x:
+        return f"x={x}"
+    xi = g.inv(x)
+    if not g.mul(x, xi).is_identity():
+        return f"x={x}"
+    if not g.mul(xi, x).is_identity():
+        return f"x={x}"
+    if g.inv(xi) != x:
+        return f"x={x}"
 
 
 def _sample_uplus(ms: MoufangSet, rng: Rng):
@@ -229,88 +236,82 @@ def _sample_uplus(ms: MoufangSet, rng: Rng):
                      ms.sample_r1(rng, deg), ms.sample_r2(rng, deg))
 
 
+@_sampled(lambda n: max(n, 3))
 def _chk_associativity(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
-    n = max(ctx.cfg.samples, 3)
-    for _ in range(n):
-        a = _sample_uplus(ms, rng)
-        b = _sample_uplus(ms, rng)
-        c = _sample_uplus(ms, rng)
-        if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-            return False, f"a={a}; b={b}; c={c}"
-    return True, None
+    a = _sample_uplus(ms, rng)
+    b = _sample_uplus(ms, rng)
+    c = _sample_uplus(ms, rng)
+    if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
+        return f"a={a}; b={b}; c={c}"
 
 
+@_sampled(lambda n: n // 2)
 def _chk_biadditive(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 2):
-        p = ms.sample_r1(rng, 2)
-        p2 = ms.sample_r1(rng, 2)
-        q = ms.sample_r1(rng, 2)
-        if g.comm13(p + p2, q) != g.comm13(p, q) + g.comm13(p2, q):
-            return False, f"comm13 at {p}; {p2}; {q}"
-        if g.comm13(q, p + p2) != g.comm13(q, p) + g.comm13(q, p2):
-            return False, f"comm13 second arg at {q}; {p}; {p2}"
-        r = ms.sample_r2(rng, 2)
-        r2 = ms.sample_r2(rng, 2)
-        w = ms.sample_r2(rng, 2)
-        if g.comm24(r + r2, w) != g.comm24(r, w) + g.comm24(r2, w):
-            return False, f"comm24 at {r}; {r2}; {w}"
-    return True, None
+    p = ms.sample_r1(rng, 2)
+    p2 = ms.sample_r1(rng, 2)
+    q = ms.sample_r1(rng, 2)
+    if g.comm13(p + p2, q) != g.comm13(p, q) + g.comm13(p2, q):
+        return f"comm13 at {p}; {p2}; {q}"
+    if g.comm13(q, p + p2) != g.comm13(q, p) + g.comm13(q, p2):
+        return f"comm13 second arg at {q}; {p}; {p2}"
+    r = ms.sample_r2(rng, 2)
+    r2 = ms.sample_r2(rng, 2)
+    w = ms.sample_r2(rng, 2)
+    if g.comm24(r + r2, w) != g.comm24(r, w) + g.comm24(r2, w):
+        return f"comm24 at {r}; {r2}; {w}"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_comm_expansion(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        a = g.pure1(ms.sample_r1(rng, 2))
-        h1 = g.pure4(ms.sample_r2(rng, 2))
-        h2 = g.pure4(ms.sample_r2(rng, 2))
-        lhs = g.commutator(a, g.mul(h1, h2))
-        rhs = g.mul(g.commutator(a, h2),
-                    g.conjugate(g.commutator(a, h1), h2))
-        if lhs != rhs:
-            return False, f"a={a}; h1={h1}; h2={h2}"
-    return True, None
+    a = g.pure1(ms.sample_r1(rng, 2))
+    h1 = g.pure4(ms.sample_r2(rng, 2))
+    h2 = g.pure4(ms.sample_r2(rng, 2))
+    lhs = g.commutator(a, g.mul(h1, h2))
+    rhs = g.mul(g.commutator(a, h2),
+                g.conjugate(g.commutator(a, h1), h2))
+    if lhs != rhs:
+        return f"a={a}; h1={h1}; h2={h2}"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_nilpotency(ctx: RunContext, rng: Rng):
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        a = _sample_uplus(ms, rng)
-        b = _sample_uplus(ms, rng)
-        c = _sample_uplus(ms, rng)
-        d = _sample_uplus(ms, rng)
-        deg2 = g.commutator(a, b)
-        deg3 = g.commutator(deg2, c)
-        if not g.commutator(deg3, d).is_identity():
-            return False, f"a={a}; b={b}; c={c}; d={d}"
-        if g.filtration_degree(deg2) < 2:
-            return False, f"commutator depth at {a}; {b}"
-        if g.filtration_degree(deg3) < 3:
-            return False, f"double commutator depth"
-    return True, None
+    a = _sample_uplus(ms, rng)
+    b = _sample_uplus(ms, rng)
+    c = _sample_uplus(ms, rng)
+    d = _sample_uplus(ms, rng)
+    deg2 = g.commutator(a, b)
+    deg3 = g.commutator(deg2, c)
+    if not g.commutator(deg3, d).is_identity():
+        return f"a={a}; b={b}; c={c}; d={d}"
+    if g.filtration_degree(deg2) < 2:
+        return f"commutator depth at {a}; {b}"
+    if g.filtration_degree(deg3) < 3:
+        return f"double commutator depth"
 
 
+@_sampled(lambda n: n // 2)
 def _chk_st_subgroup(ctx: RunContext, rng: Rng):
     g = ctx.group
-    for _ in range(ctx.cfg.samples // 2):
-        es = []
-        for _ in range(2):
-            r1 = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
-            r2 = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
-            r1b = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
-            r2b = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
-            es.append(UPlusElem(r1, r2, r1b, r2b))
-        prod = g.mul(es[0], es[1])
-        if not g.suzuki_tits_member(prod):
-            return False, f"{es[0]}; {es[1]}"
-        if not g.suzuki_tits_member(g.commutator(es[0], es[1])):
-            return False, "commutator left the restriction"
-    return True, None
+    es = []
+    for _ in range(2):
+        r1 = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
+        r2 = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
+        r1b = R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2))
+        r2b = R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2))
+        es.append(UPlusElem(r1, r2, r1b, r2b))
+    prod = g.mul(es[0], es[1])
+    if not g.suzuki_tits_member(prod):
+        return f"{es[0]}; {es[1]}"
+    if not g.suzuki_tits_member(g.commutator(es[0], es[1])):
+        return "commutator left the restriction"
 
 
 def _chk_base_incidence(ctx: RunContext, rng: Rng):
@@ -333,107 +334,102 @@ def _chk_base_incidence(ctx: RunContext, rng: Rng):
     return True, None
 
 
+@_sampled(lambda n: max(3, n // 10))
 def _chk_gq_axioms(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
-    for _ in range(max(3, ctx.cfg.samples // 10)):
-        f = ms.flag_of_label(ms.sample_label(rng, 1))
-        m = f.line
-        # two distinct points of a line join back to that line only
-        pa = q.point_on_line(m, ms.sample_r1(rng, 1))
-        pb = q.point_on_line(m, ms.sample_r1(rng, 1))
-        if pa != pb and q.collinear(pa, pb) != m:
-            return False, f"points of {m} join elsewhere"
-        # projections from the supported configurations land and join
-        for p in (q.pt_inf, QPoint((ms.sample_r1(rng, 1),)),
-                  QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)))):
-            if q.incident(p, m):
-                continue
-            foot = q.project(p, m)
-            if not q.incident(foot, m):
-                return False, f"projection of {p} off the line {m}"
-            if q.collinear(p, foot) is None:
-                return False, f"projection of {p} not collinear"
-        # scan witness: a maximal point in general position sees exactly
-        # one point among a sampled stretch of the line's point row
-        outside = ms.flag_of_label(ms.sample_label(rng, 1)).point
-        if not q.incident(outside, m):
-            row = [QPoint(m.coords[:2])]
-            row += [q.point_on_line(m, ms.sample_r1(rng, 1)) for _ in range(4)]
-            hits = sum(1 for cand in row if cand != outside
-                       and q.collinear(outside, cand) is not None)
-            if hits > 1:
-                return False, f"two feet on {m} from {outside}"
-    return True, None
+    f = ms.flag_of_label(ms.sample_label(rng, 1))
+    m = f.line
+    # two distinct points of a line join back to that line only
+    pa = q.point_on_line(m, ms.sample_r1(rng, 1))
+    pb = q.point_on_line(m, ms.sample_r1(rng, 1))
+    if pa != pb and q.collinear(pa, pb) != m:
+        return f"points of {m} join elsewhere"
+    # projections from the supported configurations land and join
+    for p in (q.pt_inf, QPoint((ms.sample_r1(rng, 1),)),
+              QPoint((ms.sample_r2(rng, 1), ms.sample_r1(rng, 1)))):
+        if q.incident(p, m):
+            continue
+        foot = q.project(p, m)
+        if not q.incident(foot, m):
+            return f"projection of {p} off the line {m}"
+        if q.collinear(p, foot) is None:
+            return f"projection of {p} not collinear"
+    # scan witness: a maximal point in general position sees exactly
+    # one point among a sampled stretch of the line's point row
+    outside = ms.flag_of_label(ms.sample_label(rng, 1)).point
+    if not q.incident(outside, m):
+        row = [QPoint(m.coords[:2])]
+        row += [q.point_on_line(m, ms.sample_r1(rng, 1)) for _ in range(4)]
+        hits = sum(1 for cand in row if cand != outside
+                   and q.collinear(outside, cand) is not None)
+        if hits > 1:
+            return f"two feet on {m} from {outside}"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_action_laws(ctx: RunContext, rng: Rng):
     q = ctx.quad
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        x = _sample_uplus(ms, rng)
-        y = _sample_uplus(ms, rng)
-        f = ms.flag_of_label(ms.sample_label(rng, 1))
-        p, m = f.point, f.line
-        if q.act_point(p, g.identity) != p:
-            return False, f"identity action on {p}"
-        if q.act_point(q.act_point(p, x), y) != q.act_point(p, g.mul(x, y)):
-            return False, f"composition on {p}"
-        if q.act_line(q.act_line(m, x), y) != q.act_line(m, g.mul(x, y)):
-            return False, f"composition on {m}"
-        if q.incident(p, m) != q.incident(q.act_point(p, x), q.act_line(m, x)):
-            return False, f"incidence not preserved at {p}, {m}"
-    return True, None
+    x = _sample_uplus(ms, rng)
+    y = _sample_uplus(ms, rng)
+    f = ms.flag_of_label(ms.sample_label(rng, 1))
+    p, m = f.point, f.line
+    if q.act_point(p, g.identity) != p:
+        return f"identity action on {p}"
+    if q.act_point(q.act_point(p, x), y) != q.act_point(p, g.mul(x, y)):
+        return f"composition on {p}"
+    if q.act_line(q.act_line(m, x), y) != q.act_line(m, g.mul(x, y)):
+        return f"composition on {m}"
+    if q.incident(p, m) != q.incident(q.act_point(p, x), q.act_line(m, x)):
+        return f"incidence not preserved at {p}, {m}"
 
 
+@_sampled(lambda n: n // 5)
 def _chk_projection_examples(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 5):
-        f = ms.flag_of_label(ms.sample_label(rng, 1))
-        m = f.line
-        kb = QPoint(m.coords[:2])
-        if q.project(q.pt_inf, m) != kb:
-            return False, f"projection of (inf) onto {m}"
-        got = q.project(f.point, q.ln_inf)
-        if got != QPoint(f.point.coords[:1]):
-            return False, f"projection of {f.point} onto [inf]"
-    return True, None
+    f = ms.flag_of_label(ms.sample_label(rng, 1))
+    m = f.line
+    kb = QPoint(m.coords[:2])
+    if q.project(q.pt_inf, m) != kb:
+        return f"projection of (inf) onto {m}"
+    got = q.project(f.point, q.ln_inf)
+    if got != QPoint(f.point.coords[:1]):
+        return f"projection of {f.point} onto [inf]"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_polarity_involution(ctx: RunContext, rng: Rng):
     q = ctx.quad
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        f = ms.flag_of_label(ms.sample_label(rng, 1))
-        a = f.point.coords[0]
-        k = f.line.coords[0]
-        pts = [q.pt_inf, QPoint((a,)), QPoint((k, f.line.coords[1])), f.point]
-        lns = [q.ln_inf, QLine((k,)), QLine((a, f.point.coords[1])), f.line]
-        for p in pts:
-            if q.rho_line(q.rho_point(p)) != p:
-                return False, f"rho^2 on point {p}"
+    f = ms.flag_of_label(ms.sample_label(rng, 1))
+    a = f.point.coords[0]
+    k = f.line.coords[0]
+    pts = [q.pt_inf, QPoint((a,)), QPoint((k, f.line.coords[1])), f.point]
+    lns = [q.ln_inf, QLine((k,)), QLine((a, f.point.coords[1])), f.line]
+    for p in pts:
+        if q.rho_line(q.rho_point(p)) != p:
+            return f"rho^2 on point {p}"
+    for m in lns:
+        if q.rho_point(q.rho_line(m)) != m:
+            return f"rho^2 on line {m}"
+    for p in pts:
         for m in lns:
-            if q.rho_point(q.rho_line(m)) != m:
-                return False, f"rho^2 on line {m}"
-        for p in pts:
-            for m in lns:
-                if q.incident(p, m) != q.incident(q.rho_line(m), q.rho_point(p)):
-                    return False, f"incidence reversal at {p}, {m}"
-    return True, None
+            if q.incident(p, m) != q.incident(q.rho_line(m), q.rho_point(p)):
+                return f"incidence reversal at {p}, {m}"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_rho_star_hom(ctx: RunContext, rng: Rng):
     q = ctx.quad
     g = ctx.group
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        x = _sample_uplus(ms, rng)
-        y = _sample_uplus(ms, rng)
-        if q.rho_star(g.mul(x, y)) != g.mul(q.rho_star(x), q.rho_star(y)):
-            return False, f"x={x}; y={y}"
-    return True, None
+    x = _sample_uplus(ms, rng)
+    y = _sample_uplus(ms, rng)
+    if q.rho_star(g.mul(x, y)) != g.mul(q.rho_star(x), q.rho_star(y)):
+        return f"x={x}; y={y}"
 
 
 def _chk_absolute_flags(ctx: RunContext, rng: Rng):
@@ -448,28 +444,25 @@ def _chk_absolute_flags(ctx: RunContext, rng: Rng):
     return True, None
 
 
+@_sampled(lambda n: n // 2)
 def _chk_labeling(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 2):
-        lab = ms.sample_label(rng, 1)
-        f = ms.flag_of_label(lab)
-        if ms.label_of_flag(f) != lab:
-            return False, f"label {lab}"
-    return True, None
+    lab = ms.sample_label(rng, 1)
+    f = ms.flag_of_label(lab)
+    if ms.label_of_flag(f) != lab:
+        return f"label {lab}"
 
 
+@_sampled(lambda n: max(n, 3))
 def _chk_eq9_closure(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    n = max(ctx.cfg.samples, 3)
-    for _ in range(n):
-        p = ms.sample_label(rng, 1)
-        q = ms.sample_label(rng, 1)
-        # a ClosureError localises the failure; any other crash reads error
-        try:
-            ms.mul(p, q)
-        except InternalConsistencyError as exc:
-            return False, str(exc)
-    return True, None
+    p = ms.sample_label(rng, 1)
+    q = ms.sample_label(rng, 1)
+    # a ClosureError localises the failure; any other crash reads error
+    try:
+        ms.mul(p, q)
+    except InternalConsistencyError as exc:
+        return str(exc)
 
 
 def _chk_eq9_verbatim(ctx: RunContext, rng: Rng):
@@ -498,151 +491,141 @@ def _chk_eq9_verbatim(ctx: RunContext, rng: Rng):
     return False, "unlocalised deviation: " + verdict
 
 
+@_sampled(lambda n: n // 4)
 def _chk_regularity(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        p = ms.sample_label(rng, 1)
-        q = ms.sample_label(rng, 1)
-        g = ms.solve_translation(p, q)
-        if ms.act(p, g) != q:
-            return False, f"p={p}, q={q}"
-        if ms.act(ms.infinity, g) != ms.infinity:
-            return False, "infinity moved"
-    return True, None
+    p = ms.sample_label(rng, 1)
+    q = ms.sample_label(rng, 1)
+    g = ms.solve_translation(p, q)
+    if ms.act(p, g) != q:
+        return f"p={p}, q={q}"
+    if ms.act(ms.infinity, g) != ms.infinity:
+        return "infinity moved"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_derived_shapes(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        p = ms.sample_label(rng, 1)
-        q = ms.sample_label(rng, 1)
-        c = ms.commutator(p, q)
-        if not c.r1.is_zero():
-            return False, f"[U,U] label with nonzero first part: {c}"
-        r = ms.sample_label(rng, 1)
-        cc = ms.commutator(r, c)
-        if not (cc.r1.is_zero() and cc.r2.u.is_zero() and cc.r2.v.is_zero()):
-            return False, f"[U,[U,U]] label off-centre: {cc}"
-        s = ms.sample_label(rng, 1)
-        ccc = ms.commutator(s, cc)
-        if not (ccc.r1.is_zero() and ccc.r2.is_zero()):
-            return False, "class 3 violated at group level"
-    return True, None
+    p = ms.sample_label(rng, 1)
+    q = ms.sample_label(rng, 1)
+    c = ms.commutator(p, q)
+    if not c.r1.is_zero():
+        return f"[U,U] label with nonzero first part: {c}"
+    r = ms.sample_label(rng, 1)
+    cc = ms.commutator(r, c)
+    if not (cc.r1.is_zero() and cc.r2.u.is_zero() and cc.r2.v.is_zero()):
+        return f"[U,[U,U]] label off-centre: {cc}"
+    s = ms.sample_label(rng, 1)
+    ccc = ms.commutator(s, cc)
+    if not (ccc.r1.is_zero() and ccc.r2.is_zero()):
+        return "class 3 violated at group level"
 
 
+@_sampled(lambda n: max(2, n // 10))
 def _chk_block_transport(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(max(2, ctx.cfg.samples // 10)):
-        through = ms.sample_label(rng, 1)
-        g = ms.sample_label(rng, 1)
-        moved = ms.act(through, g)
-        sph = ms.sphere_at_infinity(through)
-        img = ms.sphere_at_infinity(moved)
-        for pt in sph.sample(rng, 4, 1):
-            if not img.contains(ms.act(pt, g)):
-                return False, f"sphere transport at {pt}"
-        circ = ms.circle_at_infinity(through)
-        imgc = ms.circle_at_infinity(moved)
-        for pt in circ.sample(rng, 4, 1):
-            if not imgc.contains(ms.act(pt, g)):
-                return False, f"circle transport at {pt}"
-    return True, None
+    through = ms.sample_label(rng, 1)
+    g = ms.sample_label(rng, 1)
+    moved = ms.act(through, g)
+    sph = ms.sphere_at_infinity(through)
+    img = ms.sphere_at_infinity(moved)
+    for pt in sph.sample(rng, 4, 1):
+        if not img.contains(ms.act(pt, g)):
+            return f"sphere transport at {pt}"
+    circ = ms.circle_at_infinity(through)
+    imgc = ms.circle_at_infinity(moved)
+    for pt in circ.sample(rng, 4, 1):
+        if not imgc.contains(ms.act(pt, g)):
+            return f"circle transport at {pt}"
 
 
+@_sampled(lambda n: n // 4)
 def _chk_st_moufang(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(ctx.cfg.samples // 4):
-        p = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
-                         R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
-        g = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
-                         R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
-        img = ms.act(p, g)
-        if not (img.r1.x.is_zero() and img.r1.y.is_zero()
-                and img.r2.u.is_zero() and img.r2.v.is_zero()):
-            return False, f"restriction left at {p}, {g}"
-    return True, None
+    p = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
+                     R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
+    g = MoufangPoint(R1Coord(L_ZERO, L_ZERO, sample_k(rng, 2)),
+                     R2Coord(L_ZERO, L_ZERO, sample_kprime(rng, 2)))
+    img = ms.act(p, g)
+    if not (img.r1.x.is_zero() and img.r1.y.is_zero()
+            and img.r2.u.is_zero() and img.r2.v.is_zero()):
+        return f"restriction left at {p}, {g}"
 
 
+@_sampled(lambda n: max(2, n // 10))
 def _chk_sphere_pair_bound(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(max(2, ctx.cfg.samples // 10)):
-        r2a = ms.sample_r2(rng, 1)
-        r2b = ms.sample_r2(rng, 1)
-        if r2a == r2b:
-            continue
-        blka = ms.sphere_general(MoufangPoint(ms.group.r1_zero, r2a), ms.infinity)
-        blkb = ms.sphere_general(MoufangPoint(ms.group.r1_zero, r2b), ms.infinity)
-        shared = 0
-        for _ in range(6):
-            member = MoufangPoint(ms.sample_r1(rng, 1), r2a)
-            if blka.contains(member) and blkb.contains(member):
-                shared += 1
-        if shared > 1:
-            return False, f"blocks share {shared} sampled points besides inf"
-    return True, None
+    r2a = ms.sample_r2(rng, 1)
+    r2b = ms.sample_r2(rng, 1)
+    if r2a == r2b:
+        return None
+    blka = ms.sphere_general(MoufangPoint(ms.group.r1_zero, r2a), ms.infinity)
+    blkb = ms.sphere_general(MoufangPoint(ms.group.r1_zero, r2b), ms.infinity)
+    shared = 0
+    for _ in range(6):
+        member = MoufangPoint(ms.sample_r1(rng, 1), r2a)
+        if blka.contains(member) and blkb.contains(member):
+            shared += 1
+    if shared > 1:
+        return f"blocks share {shared} sampled points besides inf"
 
 
+@_sampled(lambda n: max(2, n // 20))
 def _chk_appendix_a(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     g = ms.group
     e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
-    for _ in range(max(2, ctx.cfg.samples // 20)):
-        uvb = ms.sample_r2(rng, 1)
-        blk0 = ms.sphere_general(MoufangPoint(g.r1_zero, uvb), ms.infinity)
-        blk1 = ms.sphere_general(MoufangPoint(e1, uvb), ms.infinity)
-        if not blk0.contains(ms.infinity) or not blk1.contains(ms.infinity):
-            return False, "infinity missing from a sphere"
-        for _ in range(5):
-            klm = ms.sample_r1(rng, 1)
-            if not blk0.contains(MoufangPoint(klm, uvb)):
-                return False, f"first table member rejected: {klm}"
-            shift = ctx.quad.rho_r1(klm)
-            member = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
-                                  uvb + shift)
-            if not blk1.contains(member):
-                return False, f"second table member rejected: {member}"
-            off = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
-                               uvb + shift + R2Coord(L_ZERO, L_ZERO,
-                                                     phi_k(K_ONE)))
-            if blk1.contains(off) and not phi_k(K_ONE).is_zero():
-                return False, f"perturbed point accepted: {off}"
-    return True, None
+    uvb = ms.sample_r2(rng, 1)
+    blk0 = ms.sphere_general(MoufangPoint(g.r1_zero, uvb), ms.infinity)
+    blk1 = ms.sphere_general(MoufangPoint(e1, uvb), ms.infinity)
+    if not blk0.contains(ms.infinity) or not blk1.contains(ms.infinity):
+        return "infinity missing from a sphere"
+    for _ in range(5):
+        klm = ms.sample_r1(rng, 1)
+        if not blk0.contains(MoufangPoint(klm, uvb)):
+            return f"first table member rejected: {klm}"
+        shift = ctx.quad.rho_r1(klm)
+        member = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
+                              uvb + shift)
+        if not blk1.contains(member):
+            return f"second table member rejected: {member}"
+        off = MoufangPoint(R1Coord(klm.x, klm.y, klm.b + K_ONE),
+                           uvb + shift + R2Coord(L_ZERO, L_ZERO, K_ONE))
+        if blk1.contains(off):
+            return f"perturbed point accepted: {off}"
 
 
+@_sampled(lambda n: max(2, n // 20))
 def _chk_appendix_a_translate(ctx: RunContext, rng: Rng):
     ms = ctx.ms
     g = ms.group
     e1 = R1Coord(L_ZERO, L_ZERO, K_ONE)
     mover = MoufangPoint(e1, g.r2_zero)
-    for _ in range(max(2, ctx.cfg.samples // 20)):
-        uvb0 = ms.sample_r2(rng, 1)
-        src = ms.sphere_general(MoufangPoint(g.r1_zero, uvb0), ms.infinity)
-        gnarl_img = ms.act(MoufangPoint(g.r1_zero, uvb0), mover)
-        dst = ms.sphere_general(gnarl_img, ms.infinity)
-        for _ in range(5):
-            member = MoufangPoint(ms.sample_r1(rng, 1), uvb0)
-            if not src.contains(member):
-                return False, "source table member rejected"
-            if not dst.contains(ms.act(member, mover)):
-                return False, f"translate missing {member}"
-    return True, None
+    uvb0 = ms.sample_r2(rng, 1)
+    src = ms.sphere_general(MoufangPoint(g.r1_zero, uvb0), ms.infinity)
+    gnarl_img = ms.act(MoufangPoint(g.r1_zero, uvb0), mover)
+    dst = ms.sphere_general(gnarl_img, ms.infinity)
+    for _ in range(5):
+        member = MoufangPoint(ms.sample_r1(rng, 1), uvb0)
+        if not src.contains(member):
+            return "source table member rejected"
+        if not dst.contains(ms.act(member, mover)):
+            return f"translate missing {member}"
 
 
+@_sampled(lambda n: max(2, n // 20))
 def _chk_appendix_b_circles(ctx: RunContext, rng: Rng):
     ms = ctx.ms
-    for _ in range(max(2, ctx.cfg.samples // 20)):
-        gn = ms.sample_label(rng, 1)
-        blk = ms.circle_general(gn, ms.infinity)
-        if not blk.contains(ms.infinity) or not blk.contains(gn):
-            return False, f"gnarl/infinity missing from circle at {gn}"
-        for pt in blk.sample(rng, 5, 1):
-            if not blk.contains(pt):
-                return False, f"generated circle point rejected: {pt}"
-        probe = MoufangPoint(pt.r1, R2Coord(pt.r2.u, pt.r2.v,
-                                            pt.r2.a + phi_k(K_ONE)))
-        if blk.contains(probe):
-            return False, f"perturbed circle point accepted: {probe}"
-    return True, None
+    gn = ms.sample_label(rng, 1)
+    blk = ms.circle_general(gn, ms.infinity)
+    if not blk.contains(ms.infinity) or not blk.contains(gn):
+        return f"gnarl/infinity missing from circle at {gn}"
+    for pt in blk.sample(rng, 5, 1):
+        if not blk.contains(pt):
+            return f"generated circle point rejected: {pt}"
+    probe = MoufangPoint(pt.r1, R2Coord(pt.r2.u, pt.r2.v, pt.r2.a + K_ONE))
+    if blk.contains(probe):
+        return f"perturbed circle point accepted: {probe}"
 
 
 def _chk_special_circles(ctx: RunContext, rng: Rng):

@@ -86,6 +86,18 @@ def test_parse_error_carries_position():
     assert (err.value.line, err.value.col) == (4, 21)
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_error_lines_count_newlines_only(sep):
+    # str.splitlines breaks at each of these too; a line ends at '\n'
+    text = f"delta = s + t{sep}phiE = e + s\nbeta = s\nalpha = ?"
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.line <= text.count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(f"delta = s + t\nphiE = e + s{sep}\nbeta = s\nalpha = ?")
+    assert (err.value.line, err.value.col) == (4, 9)
+
+
 def test_unknown_character_rejected():
     with pytest.raises(ParseError):
         parse_instance_text("delta = s ? t\nphiE = e\nbeta = s\nalpha = t")

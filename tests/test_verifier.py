@@ -156,3 +156,38 @@ def test_each_check_draws_its_recorded_stream(samples):
                 note.encode()).hexdigest()[:16], rng.state)
     assert got == {name: (True, NOTES.get(name, [None] * 4)[col], states[col])
                    for name, states in STATES.items()}
+
+
+def _planted(notes):
+    """A trial whose k-th call (from 1) returns notes.get(k), and the
+    list of the streams it was called with."""
+    calls = []
+
+    def trial(ctx, rng):
+        calls.append(rng)
+        return notes.get(len(calls))
+    return trial, calls
+
+
+@pytest.mark.parametrize("count, want", [
+    (lambda n: n, 7), (lambda n: n // 2, 3), (lambda n: max(2, n // 10), 2),
+    (lambda n: 5 * n, 35)])
+def test_sampled_runs_every_trial_of_a_pass(count, want):
+    ctx = verifier.RunContext(verifier.SuiteConfig(samples=7))
+    rng = Rng(1)
+    trial, calls = _planted({})
+    assert verifier._sampled(count)(trial)(ctx, rng) == (True, None)
+    assert calls == [rng] * want
+
+
+def test_sampled_stops_at_the_first_note():
+    ctx = verifier.RunContext(verifier.SuiteConfig(samples=7))
+    trial, calls = _planted({3: "third", 4: "fourth"})
+    assert verifier._sampled(lambda n: n)(trial)(ctx, Rng(1)) == (
+        False, "third")
+    assert len(calls) == 3
+    # a count of 0 never calls the trial, so its note cannot show
+    trial, calls = _planted({1: "first"})
+    assert verifier._sampled(lambda n: n // 10)(trial)(ctx, Rng(1)) == (
+        True, None)
+    assert calls == []
