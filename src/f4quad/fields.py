@@ -10,15 +10,18 @@ are pairs c0 + c1*e.  Conjugation sends e -> e + 1.  An instance fixes
 delta, the image phi(e), and the pair (beta, alpha = phi(beta)) that
 parametrises the anisotropic forms.  L' is the subfield generated by
 the squares of L together with K', equivalently the image phi(L).
-L arithmetic runs on raw values (A0, A1, i, j, g) = (A0 + A1 e) /
-(s^i t^j g), g free of s and t and `polynomials.P_ONE` itself for a
-monomial denominator (`_shared`; a K value has A1 = 0, `_kraw`).  A sum
-meets at the larger exponents and at lcm(g, h), a gcd only when g != h;
-a product adds exponents and multiplies g parts (in L: three products
-and one by delta).  `_over` reduces once per coordinate, by a monomial
-cancel when g is P_ONE, an identity test: a second Poly2 equal to 1
-would send every reduction through `_cancel`.  `lmul`, `lnorm`,
-`lsquare`, `kscale`: a raw op, then `_over`.
+L arithmetic runs on raw values (A0, A1, i, j, g, b) = (A0 + A1 e) /
+(s^i t^j g): ints A0, A1 packed as in `polynomials` at one stride w per
+evaluation, b bounding their s-degree, g free of s and t and
+`polynomials.P_ONE` itself for a monomial denominator (`_shared`; a K
+value has A1 = 0, `_kraw`).  A sum meets at the larger exponents and at
+lcm(g, h), a gcd only when g != h; a product (`u_mul`; in L three and
+one by delta) adds exponents.  Bounds add alike, so none falls below an
+operand's but by a product with an exact 0: a result bounded below w is
+exact.  `_over` reduces once per coordinate, a monomial cancel when g is
+P_ONE (an identity test: a second Poly2 equal to 1 would send every
+reduction through `_cancel`), after raising `_Wider` on a bound that
+reaches w, as `_pack` does on an input; `_widening` reruns at 2w.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -38,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polynomials import (P_ONE, P_S, P_T, P_ZERO, Poly2, poly_divexact,
-                          poly_gcd)
+from .polynomials import (P_ONE, P_S, P_T, P_ZERO, W, Poly2, _pack, _sdeg,
+                          _shrink, _spread, _Wider, poly_divexact, poly_gcd,
+                          u_mul)
 
 
 class FieldError(ArithmeticError):
@@ -204,42 +208,55 @@ def _trusted_k(num: Poly2, den: Poly2) -> KElem:
     return out
 
 
-def _over(z, k: int = 0) -> KElem:
-    """Numerator k of the raw z over its denominator, reduced: by the
-    monomial cancel (no gcd) when g is the shared one, else by _cancel."""
+def _widening(run, w: int = W):
+    """run(w) at the first of the strides w, 2w, 4w, ... that holds its bounds."""
+    try:
+        return run(w)
+    except _Wider:
+        return _widening(run, 2 * w)
+
+
+def _over(z, w: int = W, k: int = 0) -> KElem:
+    """Numerator k of the raw z at stride w, reduced (module docstring)."""
     num, g = z[k], z[4]
+    if z[5] >= w:
+        raise _Wider
     if not num:
         return K_ZERO
-    if g is P_ONE:
-        return _trusted_k(*num.cancel_monomial(z[2], z[3]))
-    return _trusted_k(*_cancel(num, g.shift(z[2], z[3])))
+    num, i, j = _shrink(num, w), z[2], z[3]
+    if g is not P_ONE:
+        return _trusted_k(*_cancel(num, g.shift(i, j)))
+    return _trusted_k(*num.cancel_monomial(i, j)) if i | j else _trusted_k(num, P_ONE)
 
 
-def _lover(z) -> "LElem":
-    return LElem(_over(z), _over(z, 1))
+def _lover(z, w: int = W) -> "LElem":
+    return LElem(_over(z, w), _over(z, w, 1))
 
 
-def _kraw(k: KElem):
-    """(N, 0, i, j, g) with k = N / (s^i t^j g) and g free of s and t; g
-    is the shared one when k's denominator is 1 or a monomial."""
-    d = k.den
+def _kden(d: Poly2):
+    """(i, j, g) with d = s^i t^j g, g free of s and t and the shared one
+    when d is 1 or a monomial."""
+    if d.is_one():
+        return 0, 0, P_ONE
     if d.is_monomial():
-        return k.num, P_ZERO, *d.exponents(), P_ONE
+        return (*d.exponents(), P_ONE)
     i, j = d.val_s(), d.val_t()
-    return k.num, P_ZERO, i, j, poly_divexact(d, Poly2.monomial(i, j))
+    return i, j, poly_divexact(d, Poly2.monomial(i, j))
 
 
-def _shared(z: "LElem"):
-    """(A0, A1, i, j, g) with z = (A0 + A1 e) / (s^i t^j g)."""
-    (n0, d0), (n1, d1) = (z.c0.num, z.c0.den), (z.c1.num, z.c1.den)
-    if not (d0.is_monomial() and d1.is_monomial()):
-        (n0, _, i, j, g), (n1, _, k, m, h) = _kraw(z.c0), _kraw(z.c1)
-        return _radd((n0, P_ZERO, i, j, g), (P_ZERO, n1, k, m, h))
-    if d0 == d1:
-        return n0, n1, *d0.exponents(), P_ONE
-    (i, j), (k, m) = d0.exponents(), d1.exponents()
-    I, J = max(i, k), max(j, m)
-    return n0.shift(I - i, J - j), n1.shift(I - k, J - m), I, J, P_ONE
+def _kraw(k: KElem, w: int = W):
+    """(N, 0, i, j, g, b) with k = N / (s^i t^j g), N of s-degree b at w."""
+    N = _pack(k.num, w)
+    return (N, 0, *_kden(k.den), _sdeg(N, w))
+
+
+def _shared(z: "LElem", w: int = W):
+    """(A0, A1, i, j, g, b) with z = (A0 + A1 e) / (s^i t^j g)."""
+    (i, j, g), (k, m, h) = _kden(z.c0.den), _kden(z.c1.den)
+    A0, A1 = _pack(z.c0.num, w), _pack(z.c1.num, w)
+    if g is h and i == k and j == m:
+        return A0, A1, i, j, g, _sdeg(A0 | A1, w)
+    return _radd((A0, 0, i, j, g, _sdeg(A0, w)), (0, A1, k, m, h, _sdeg(A1, w)), w)
 
 
 def _gmul(g: Poly2, h: Poly2) -> Poly2:
@@ -255,32 +272,38 @@ def _lcm(g: Poly2, h: Poly2):
     return g * hc, hc, poly_divexact(g, c)
 
 
-def _radd(z, w):
-    """z + w for raw values: both met at the larger exponents and at the
-    lcm of their g parts."""
-    (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
-    I, J = max(i, k), max(j, m)
+def _radd(z, x, w: int = W):
+    """z + x, met at the larger exponents and at the lcm of the g parts."""
+    (A0, A1, i, j, g, b), (B0, B1, k, m, h, c) = z, x
     if g is not h:
-        g, cz, cw = _lcm(g, h)
-        A0, A1, B0, B1 = cz * A0, cz * A1, cw * B0, cw * B1
-    return (A0.shift(I - i, J - j) + B0.shift(I - k, J - m),
-            A1.shift(I - i, J - j) + B1.shift(I - k, J - m), I, J, g)
+        g, cz, cx = _lcm(g, h)
+        cz, cx = _pack(cz, w), _pack(cx, w)
+        A0, A1, B0, B1 = u_mul(cz, A0), u_mul(cz, A1), u_mul(cx, B0), u_mul(cx, B1)
+        b, c = b + _sdeg(cz, w), c + _sdeg(cx, w)
+    I, J = i if i > k else k, j if j > m else m
+    b, c = b + I - i, c + I - k
+    sz, sx = I - i + w * (J - j), I - k + w * (J - m)
+    return A0 << sz ^ B0 << sx, A1 << sz ^ B1 << sx, I, J, g, b if b > c else c
 
 
 def _rscale(f, z):
     """f z for a raw K value f and a raw value z."""
-    F = f[0]
-    return F * z[0], F * z[1], f[2] + z[2], f[3] + z[3], _gmul(f[4], z[4])
+    (F, _, k, m, h, c), (A0, A1, i, j, g, b) = f, z
+    if F & (F - 1):
+        A0, A1 = u_mul(F, A0), u_mul(F, A1) if A1 else 0
+    else:  # 0 or s^a t^c, at most one bit: the integer product is carry-less
+        A0, A1 = A0 * F, A1 * F
+    return A0, A1, i + k, j + m, _gmul(h, g), b + c
 
 
 def _rconj(z):
-    return z[0] + z[1], z[1], z[2], z[3], z[4]
+    return (z[0] ^ z[1],) + z[1:]
 
 
-def _rpolar(z, w):
-    """The raw K value tr(z conj(w)) = A0 B1 + A1 B0 (the polar form)."""
-    (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
-    return A0 * B1 + A1 * B0, P_ZERO, i + k, j + m, _gmul(g, h)
+def _rpolar(z, x):
+    """The raw K value tr(z conj(x)) = A0 B1 + A1 B0 (the polar form)."""
+    (A0, A1, i, j, g, b), (B0, B1, k, m, h, c) = z, x
+    return u_mul(A0, B1) ^ u_mul(A1, B0), 0, i + k, j + m, _gmul(g, h), b + c
 
 
 K_ZERO = KElem(P_ZERO)
@@ -404,7 +427,7 @@ L_E = LElem(K_ZERO, K_ONE)
 
 def kscale(k: KElem, z: LElem) -> LElem:
     """Multiply an L element by a K scalar."""
-    return _lover(_rscale(_kraw(k), _shared(z)))
+    return _widening(lambda w: _lover(_rscale(_kraw(k, w), _shared(z, w)), w))
 
 
 # ----------------------------------------------------------------------
@@ -482,25 +505,21 @@ class FieldInstance:
         self.alpha_inv = alpha.inv()
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
-        # delta = D / d with d = s^di t^dj dg; d is the shared one if 1
-        self._delta_raw = (delta.num, P_ONE if delta.den.is_one() else delta.den,
-                           *_kraw(delta)[2:])
+        self._deltas = {}  # stride -> delta there (_delta_at)
 
     # -- L arithmetic -------------------------------------------------------
 
-    def lmul(self, z: LElem, w: LElem) -> LElem:
+    def lmul(self, z: LElem, x: LElem) -> LElem:
         """(a0 + a1 e)(b0 + b1 e) with e^2 reduced to e + delta."""
-        a0, a1 = z.c0, z.c1
-        b0, b1 = w.c0, w.c1
-        if a1.is_zero():
-            return kscale(a0, w) if a0 else L_ZERO
-        if b1.is_zero():
-            return kscale(b0, z) if b0 else L_ZERO
-        return _lover(self._rmul(_shared(z), _shared(w)))
+        if not z.c1:
+            return kscale(z.c0, x) if z.c0 else L_ZERO
+        if not x.c1:
+            return kscale(x.c0, z) if x.c0 else L_ZERO
+        return _widening(lambda w: _lover(self._rmul(_shared(z, w), _shared(x, w), w), w))
 
     def lnorm(self, z: LElem) -> KElem:
         """z * conj(z) = c0^2 + c0 c1 + delta c1^2, an element of K."""
-        return _over(self._rnorm(_shared(z)))
+        return _widening(lambda w: _over(self._rnorm(_shared(z, w), w), w))
 
     def linv(self, z: LElem) -> LElem:
         if z.is_zero():
@@ -508,34 +527,42 @@ class FieldInstance:
         return kscale(self.lnorm(z).inv(), z.conj())
 
     def lsquare(self, z: LElem) -> LElem:
-        return _lover(self._rsquare(_shared(z)))
+        return _widening(lambda w: _lover(self._rsquare(_shared(z, w), w), w))
 
-    # raw L arithmetic (module docstring): a product's numerators take d,
-    # its denominator di, dj and dg
+    def _delta_at(self, w: int):
+        """(D, d, di, dj, dg, b) for delta = D / d, d = s^di t^dj dg, with
+        D and d at stride w and b the larger of their s-degrees."""
+        if w not in self._deltas:
+            (D, _, di, dj, dg, bn), d = _kraw(self.delta, w), _pack(self.delta.den, w)
+            self._deltas[w] = D, d, di, dj, dg, max(bn, _sdeg(d, w))
+        return self._deltas[w]
 
-    def _rmul(self, z, w):
+    def _rdelta(self, p, q, r, i, j, g, b, w):
+        """(p + delta r) + q e over s^i t^j g with bound b, at stride w:
+        delta = D / d enters as d p + D r and d q over d."""
+        D, d, di, dj, dg, bd = self._deltas.get(w) or self._delta_at(w)
+        if d != 1:
+            p, q = u_mul(d, p), u_mul(d, q)
+        return p ^ u_mul(D, r), q, i + di, j + dj, _gmul(g, dg), b + bd
+
+    def _rmul(self, z, x, w: int = W):
         """(A0 + A1 e)(B0 + B1 e) = A0 B0 + delta A1 B1
         + ((A0 + A1)(B0 + B1) + A0 B0) e."""
-        (A0, A1, i, j, g), (B0, B1, k, m, h) = z, w
-        D, d, di, dj, dg = self._delta_raw
-        p = A0 * B0
-        return (_gmul(d, p) + D * (A1 * B1),
-                _gmul(d, (A0 + A1) * (B0 + B1) + p),
-                i + k + di, j + m + dj, _gmul(_gmul(g, h), dg))
+        (A0, A1, i, j, g, b), (B0, B1, k, m, h, c) = z, x
+        p = u_mul(A0, B0)
+        return self._rdelta(p, u_mul(A0 ^ A1, B0 ^ B1) ^ p, u_mul(A1, B1),
+                            i + k, j + m, _gmul(g, h), b + c, w)
 
-    def _rsquare(self, z):
-        A0, A1, i, j, g = z
-        D, d, di, dj, dg = self._delta_raw
-        q = A1.square()
-        return (_gmul(d, A0.square()) + D * q, _gmul(d, q),
-                2 * i + di, 2 * j + dj, _gmul(_gmul(g, g), dg))
+    def _rsquare(self, z, w: int = W):
+        A0, A1, i, j, g, b = z
+        q = _spread(A1)
+        return self._rdelta(_spread(A0), q, q, 2 * i, 2 * j, _gmul(g, g), 2 * b, w)
 
-    def _rnorm(self, z):
+    def _rnorm(self, z, w: int = W):
         """The raw K value A0^2 + A0 A1 + delta A1^2."""
-        A0, A1, i, j, g = z
-        D, d, di, dj, dg = self._delta_raw
-        return (_gmul(d, A0 * (A0 + A1)) + D * A1.square(), P_ZERO,
-                2 * i + di, 2 * j + dj, _gmul(_gmul(g, g), dg))
+        A0, A1, i, j, g, b = z
+        return self._rdelta(u_mul(A0, A0 ^ A1), 0, _spread(A1), 2 * i, 2 * j,
+                            _gmul(g, g), 2 * b, w)
 
     # -- the twist on L -------------------------------------------------------
 

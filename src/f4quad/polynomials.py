@@ -70,7 +70,9 @@ further normalisation.
 have no other name.  P_ONE is the shared one: a factor 1 gives the
 other operand back, so P_ONE * P_ONE is P_ONE, and the raw L arithmetic
 of `fields` takes its monomial path on `g is P_ONE`, a test of identity,
-not of equality.
+not of equality.  Its numerators are ints in the layout above at the
+stride of an evaluation: in by `_pack`, bounded by `_sdeg`, multiplied
+by `u_mul`, squared by `_spread` and out by `_shrink`.
 """
 
 from __future__ import annotations
@@ -210,6 +212,25 @@ def _shrink(v: int, w: int) -> "Poly2":
         if w2 < w:
             return _new(_restride(v, w, w2), w2)
     return _new(v, w)
+
+
+class _Wider(Exception):
+    """A value or bound of the raw L arithmetic of `fields` does not fit the
+    stride of its evaluation, which then reruns at twice the stride."""
+
+
+def _pack(p: "Poly2", w: int) -> int:
+    """p's bits at stride w, the inverse of `_shrink`; _Wider when p's
+    s-degree reaches w, as its canonical stride then exceeds w."""
+    v, pw = p._v, p._w
+    if pw > w:
+        raise _Wider
+    return v if pw == w else _restride(v, pw, w)
+
+
+def _sdeg(v: int, w: int) -> int:
+    """The s-degree of the bits v at stride w, -1 for 0."""
+    return (_fold(v, w) if v >> w else v).bit_length() - 1
 
 
 def _clears_hi(v: int, w: int) -> bool:

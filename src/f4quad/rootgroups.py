@@ -18,9 +18,9 @@ inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 Relations (2)-(4) are written once, over operations and constants passed
 in: `_trace_form` is the K slot of (2) and (3) and the trace terms of
 (4), `_relation4` is (4).  UPlus evaluates them on the raw values of
-`fields` (one reduction per output coordinate, no gcd when every
-denominator is 1 or s^i t^j), for any instance; `UPlus.relation4` is (4)
-unchecked, and the quadrangle's solvers evaluate it.
+`fields` at one stride (one reduction per output coordinate, no gcd when
+every denominator is 1 or s^i t^j), for any instance; `UPlus.relation4`
+is (4) unchecked, and the quadrangle's solvers evaluate it.
 
 Membership checks (L' and K' slots) are always on and raise
 InternalConsistencyError; `comm14` is `relation4` followed by
@@ -46,11 +46,11 @@ associativity demonstrably fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .fields import (K_ZERO, L_ZERO, FieldInstance, KElem, LElem, _kraw,
+from .fields import (K_ZERO, L_ZERO, W, FieldInstance, KElem, LElem, _kraw,
                      _lover, _over, _radd, _rconj, _rpolar, _rscale, _shared,
-                     kprime_member)
+                     _widening, kprime_member)
 
 
 class InternalConsistencyError(AssertionError):
@@ -171,11 +171,25 @@ class UPlus:
         # per instance: a class-level cache would key on self and keep
         # every UPlus alive
         self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
-        # _relation4's raw ops and constants; a K sum is _radd, a K product _rscale
-        self._raw_consts = [_kraw(k) for k in (inst.alpha, inst.beta, inst.beta_sq,
-                                               inst.beta_inv, inst.beta_sq_inv)]
-        self._raw_ops = (inst._rmul, inst._rsquare, inst._rnorm, _radd,
-                         _rscale, _rconj, _radd, _rscale, _rpolar)
+        self._raws = {}  # stride -> _relation4's raw ops and constants there
+
+    def _raw_at(self, w: int):
+        """_relation4's raw ops (a K sum is _radd, a K product _rscale) and
+        constants at stride w, made on first use."""
+        if w not in self._raws:
+            i = self.inst
+            mul, sq, norm, add = (op if w == W else partial(op, w=w)
+                                  for op in (i._rmul, i._rsquare, i._rnorm, _radd))
+            self._raws[w] = ((mul, sq, norm, add, _rscale, _rconj, add, _rscale, _rpolar),
+                             [_kraw(k, w) for k in (i.alpha, i.beta, i.beta_sq,
+                                                    i.beta_inv, i.beta_sq_inv)])
+        return self._raws[w]
+
+    def _trace(self, w: int, c: int, d: int, z, x, z2, x2) -> KElem:
+        """_trace_form at w with constants c and d of `_raw_at`, reduced."""
+        ops, consts = self._raw_at(w)
+        return _over(_trace_form(ops, consts[c], consts[d], _shared(z, w), _shared(x, w),
+                                 _shared(z2, w), _shared(x2, w)), w)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -215,9 +229,7 @@ class UPlus:
         """
         if (p.x.is_zero() and p.y.is_zero()) or (q.x.is_zero() and q.y.is_zero()):
             return self.r2_zero
-        alpha, _, beta_sq, _, _ = self._raw_consts
-        val = _over(_trace_form(self._raw_ops, alpha, beta_sq, _shared(p.x),
-                                _shared(p.y), _shared(q.x), _shared(q.y)))
+        val = _widening(lambda w: self._trace(w, 0, 2, p.x, p.y, q.x, q.y))
         if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
         return R2Coord(L_ZERO, L_ZERO, val)
@@ -227,9 +239,7 @@ class UPlus:
         in p, whose K' slot it never reads."""
         if (p.u.is_zero() and p.v.is_zero()) or (q.u.is_zero() and q.v.is_zero()):
             return self.r1_zero
-        alpha, _, _, beta_inv, _ = self._raw_consts
-        val = _over(_trace_form(self._raw_ops, beta_inv, alpha, _shared(p.u),
-                                _shared(p.v), _shared(q.u), _shared(q.v)))
+        val = _widening(lambda w: self._trace(w, 3, 0, p.u, p.v, q.u, q.v))
         return R1Coord(L_ZERO, L_ZERO, val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
@@ -244,11 +254,14 @@ class UPlus:
     def relation4(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """Relation (4) at any p and q, unchecked: `_relation4` on the raw
         values of `fields`, one _over per output coordinate."""
-        w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
-            self._raw_ops, self._raw_consts, _shared(p.x), _shared(p.y),
-            _shared(q.u), _shared(q.v), _kraw(p.b), _kraw(q.a))
-        return (R2Coord(_lover(w_u), _lover(w_v), _over(w_a)),
-                R1Coord(_lover(z_x), _lover(z_y), _over(z_b)))
+        def at(w):
+            ops, consts = self._raw_at(w)
+            w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
+                ops, consts, _shared(p.x, w), _shared(p.y, w), _shared(q.u, w),
+                _shared(q.v, w), _kraw(p.b, w), _kraw(q.a, w))
+            return (R2Coord(_lover(w_u, w), _lover(w_v, w), _over(w_a, w)),
+                    R1Coord(_lover(z_x, w), _lover(z_y, w), _over(z_b, w)))
+        return _widening(at)
 
     def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """comm14 computed and checked, for p and q both nonzero."""

@@ -9,8 +9,8 @@ from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO,
                            FieldError, FieldInstance, KElem, LElem, _cancel,
                            default_instance, kprime_decompose, kprime_member,
                            kscale, phi_k, theta_k)
-from f4quad.polynomials import (P_ONE, P_S, P_T, P_ZERO, Poly2, _prs_gcd,
-                                poly_divexact, poly_gcd)
+from f4quad.polynomials import (P_ONE, P_S, P_T, P_ZERO, W, Poly2, _pack, _prs_gcd,
+                                _sdeg, poly_divexact, poly_gcd)
 from f4quad.sampling import (Rng, sample_k, sample_k_general, sample_l,
                              sample_lprime, sample_poly_nonzero)
 
@@ -547,7 +547,7 @@ def test_monomial_denominators_share_the_one():
         for d1 in dens:
             z = LElem(KElem(num, d), KElem(num * num, d1))
             assert fields._shared(z)[4] is P_ONE, (d, d1)
-    assert default_instance()._delta_raw[1] is P_ONE
+    assert default_instance()._delta_at(W)[4] is P_ONE
     # a factor 1 gives the other operand back, monomials included
     rng = Rng(47)
     polys = [sample_poly_nonzero(rng, 3, 4) for _ in range(20)]
@@ -579,9 +579,12 @@ def test_raw_sums_and_products_over_g():
     def raw(g, i, j, kval):
         num = [sample_poly_nonzero(rng, 2, 3) * (s1, t1, P_S)[rng.below(3)]
                for _ in range(2)]
-        z = (num[0], P_ZERO if kval else num[1], i, j, g)
+        if kval:
+            num[1] = P_ZERO
+        A0, A1 = (_pack(n, W) for n in num)
+        z = (A0, A1, i, j, g, _sdeg(A0 | A1, W))
         den = g.shift(i, j)
-        return z, LElem(KElem(z[0], den), KElem(z[1], den))
+        return z, LElem(KElem(num[0], den), KElem(num[1], den))
 
     for G, H in ((s1.square(), s1 * t1), (t1 * t1 * t1, P_ONE)):
         for (g, i, j), (h, k, m) in (((G, 0, 0), (H, 0, 0)),

@@ -10,9 +10,10 @@ import pytest
 
 from f4quad import fields, quadrangle
 from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO,
-                           FieldInstance, KElem, LElem, default_instance)
+                           FieldInstance, KElem, LElem, default_instance,
+                           kscale)
 from f4quad.moufang import MoufangSet
-from f4quad.polynomials import P_ONE, P_S, P_T, P_ZERO
+from f4quad.polynomials import P_ONE, P_S, P_T, P_ZERO, W, Poly2, _prs_gcd
 from f4quad.quadrangle import QLine, QPoint, Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
@@ -439,6 +440,95 @@ def test_comm13_comm24_match_k_formula(name):
             assert group.comm13(p, p2) == R2Coord(LZ, LZ, a), (p, p2)
             b = (_k_polar(q.u, q2.u) + alpha * _k_polar(q.v, q2.v)) / beta
             assert group.comm24(q, q2) == R1Coord(LZ, LZ, b), (q, q2)
+
+
+# g parts free of s and t: an lcm cofactor of s-degree 30 or 34 alone
+# carries a numerator of s-degree 30 past the stride W = 64
+_WIDE_G = (Poly2.from_terms([(30, 0), (0, 1), (0, 0)]),
+           Poly2.from_terms([(34, 0), (1, 1), (0, 0)]))
+# tests/test_parser.py::test_power_at_the_limit_is_exact's instance:
+# beta^2 = s^128 + ... needs stride 256, beta^-1 is over a g part
+_AT_CAP = FieldInstance(delta=K_S + K_T, phi_e=LElem(K_S, ONE),
+                        beta=_k(Poly2.from_terms([(64, 0), (32, 0), (0, 1)])),
+                        alpha=_k(Poly2.from_terms([(0, 64), (0, 32), (2, 0)])))
+# delta of s-degree 30 over s^2 + s + 1: every product's bound takes 30
+_WIDE_DELTA = FieldInstance(delta=_k(Poly2.from_terms([(30, 0), (0, 1)]),
+                                     Poly2.from_terms([(2, 0), (1, 0), (0, 0)])),
+                            phi_e=LElem(K_S, ONE), beta=K_S, alpha=K_T)
+
+
+def _wide_k(rng, kind, low):
+    """A K value with a numerator of s-degree low to 2 low, over 1 (kind
+    0), s^i t^j (1), or s^i t^j times a g part of _WIDE_G (2 and 3); i
+    reaches 2 low, so a sum's shift alone can carry a row past W."""
+    num = Poly2.from_terms([(low + rng.below(low + 1), rng.below(3)),
+                            (rng.below(low), 1 + rng.below(2)), (0, 0)])
+    mono = Poly2.monomial(rng.below(2 * low + 1), rng.below(3))
+    return _k(num, (P_ONE, mono, mono * _WIDE_G[0], mono * _WIDE_G[1])[kind])
+
+
+def _wide_l(rng, low=20):
+    """L values over every pair of denominator kinds, with t-exponents that
+    differ between the coordinates and g parts that differ too."""
+    return [LElem(_wide_k(rng, k0, low), _wide_k(rng, k1, low))
+            for k0, k1 in ((1, 1), (0, 2), (2, 3), (3, 1))]
+
+
+def _canonical(*values):
+    for c in values:
+        cs = dataclasses.astuple(c) if dataclasses.is_dataclass(c) else (c,)
+        for x in cs:
+            for k in (x.c0, x.c1) if isinstance(x, LElem) else (x,):
+                assert _prs_gcd(k.num, k.den).is_one(), k
+
+
+@pytest.mark.parametrize("case", ["wide-numerators", "at-cap", "wide-delta"])
+def test_wide_values_retry_at_a_wider_stride(case):
+    # an evaluation with a bound that reaches the stride reruns at twice
+    # the stride; no workload does, so here numerators of s-degree 20-40
+    # on the default instance, the at-cap instance's constants, and a
+    # delta of s-degree 30 with numerators of s-degree 10-20
+    rng = Rng(83)
+    wide = case == "wide-numerators"
+    inst = {"wide-numerators": default_instance(), "at-cap": _AT_CAP,
+            "wide-delta": _WIDE_DELTA}[case]
+    group = UPlus(inst)
+    small = [sample_l_nonzero(rng, 2) for _ in range(4)]
+    zs = small if case == "at-cap" else _wide_l(rng, 20 if wide else 10)
+    for z, x in zip(zs, zs[1:] + zs[:1]):
+        _canonical(inst.lmul(z, x), inst.lnorm(z), inst.lsquare(z),
+                   kscale(x.c1, z))
+        assert inst.lmul(z, x) == _k_mul(inst, z, x), (z, x)
+        assert inst.lnorm(z) == _k_norm(inst, z), z
+        assert inst.lsquare(z) == _k_mul(inst, z, z), z
+        assert kscale(x.c1, z) == _k_sc(x.c1, z), (x.c1, z)
+    # relations (2)-(4), with U1/U3 arguments in L' (squares), s-degree
+    # 20-40 and the rest 10-20 in the wide case
+    roots = _wide_l(rng, 10) if wide else small
+    sq = [_k_mul(inst, z, z) for z in roots]
+    alpha, beta = inst.alpha, inst.beta
+    for k in range(1 if wide else 4):
+        x, y, u, v = sq[k], sq[k - 1], roots[k - 2], roots[k - 3]
+        p = R1Coord(x, y, roots[k].c0)
+        q = R2Coord(u, v, sq[k - 2].c1)
+        p2, q2 = R1Coord(y, x, ZERO), R2Coord(v, u, ZERO)
+        got = group.relation4(p, q)
+        assert got == _k_relation4(inst, p, q), (p, q)
+        a = alpha * (_k_polar(x, y) + beta * beta * _k_polar(y, x))
+        assert group.comm13(p, p2) == R2Coord(LZ, LZ, a), (p, p2)
+        b = (_k_polar(u, v) + alpha * _k_polar(v, u)) / beta
+        assert group.comm24(q, q2) == R1Coord(LZ, LZ, b), (q, q2)
+        _canonical(*got, group.comm13(p, p2), group.comm24(q, q2))
+    if wide:
+        # products of s-degree below W, sums shifted by s^40 past it
+        x, y, u, v = _wide_l(rng, 6)
+        far = _k(Poly2.from_terms([(25, 0), (0, 1), (0, 0)]), Poly2.monomial(40, 0))
+        p, q = R1Coord(x, y, far), R2Coord(u, v, ONE)
+        got = group.relation4(p, q)
+        assert got == _k_relation4(inst, p, q), (p, q)
+        _canonical(*got)
+    # the evaluations above ran wider than W, not merely at it
+    assert max(inst._deltas) > W and max(group._raws) > W
 
 
 @pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
