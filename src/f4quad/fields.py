@@ -21,7 +21,10 @@ operand's but by a product with an exact 0: a result bounded below w is
 exact.  `_over` reduces once per coordinate, a monomial cancel when g is
 P_ONE (an identity test: a second Poly2 equal to 1 would send every
 reduction through `_cancel`), after raising `_Wider` on a bound that
-reaches w, as `_pack` does on an input; `_widening` reruns at 2w.
+reaches w, as `_pack` does on an input; `_widening` reruns at 2w.  Only
+this module sees the format: `FieldInstance.evaluate` runs formulas over
+the raw ops, with one table keyed by (stride, name) that converts delta
+and each constant on its first read at a stride.
 
 KElem is a reduced fraction of Poly2 values and is canonical: over
 GF(2) every nonzero leading coefficient is 1, so there is nothing to
@@ -40,6 +43,7 @@ classes define only `+`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .polynomials import (P_ONE, P_S, P_T, P_ZERO, W, Poly2, _pack, _sdeg,
                           _shrink, _spread, _Wider, poly_divexact, poly_gcd,
@@ -226,7 +230,7 @@ def _over(z, w: int = W, k: int = 0) -> KElem:
     num, i, j = _shrink(num, w), z[2], z[3]
     if g is not P_ONE:
         return _trusted_k(*_cancel(num, g.shift(i, j)))
-    return _trusted_k(*num.cancel_monomial(i, j)) if i | j else _trusted_k(num, P_ONE)
+    return _trusted_k(*num.cancel_monomial(i, j))
 
 
 def _lover(z, w: int = W) -> "LElem":
@@ -234,8 +238,7 @@ def _lover(z, w: int = W) -> "LElem":
 
 
 def _kden(d: Poly2):
-    """(i, j, g) with d = s^i t^j g, g free of s and t and the shared one
-    when d is 1 or a monomial."""
+    """(i, j, g) with d = s^i t^j g, g free of s and t (P_ONE for a monomial)."""
     if d.is_one():
         return 0, 0, P_ONE
     if d.is_monomial():
@@ -505,7 +508,7 @@ class FieldInstance:
         self.alpha_inv = alpha.inv()
         self.beta_sq = beta.square()
         self.beta_sq_inv = self.beta_sq.inv()
-        self._deltas = {}  # stride -> delta there (_delta_at)
+        self._raws = {}  # (stride, constant name or names) -> raw value(s) there
 
     # -- L arithmetic -------------------------------------------------------
 
@@ -529,18 +532,10 @@ class FieldInstance:
     def lsquare(self, z: LElem) -> LElem:
         return _widening(lambda w: _lover(self._rsquare(_shared(z, w), w), w))
 
-    def _delta_at(self, w: int):
-        """(D, d, di, dj, dg, b) for delta = D / d, d = s^di t^dj dg, with
-        D and d at stride w and b the larger of their s-degrees."""
-        if w not in self._deltas:
-            (D, _, di, dj, dg, bn), d = _kraw(self.delta, w), _pack(self.delta.den, w)
-            self._deltas[w] = D, d, di, dj, dg, max(bn, _sdeg(d, w))
-        return self._deltas[w]
-
     def _rdelta(self, p, q, r, i, j, g, b, w):
         """(p + delta r) + q e over s^i t^j g with bound b, at stride w:
         delta = D / d enters as d p + D r and d q over d."""
-        D, d, di, dj, dg, bd = self._deltas.get(w) or self._delta_at(w)
+        D, d, di, dj, dg, bd = self._raws.get((w, "delta")) or self._raw(w, "delta")
         if d != 1:
             p, q = u_mul(d, p), u_mul(d, q)
         return p ^ u_mul(D, r), q, i + di, j + dj, _gmul(g, dg), b + bd
@@ -563,6 +558,38 @@ class FieldInstance:
         A0, A1, i, j, g, b = z
         return self._rdelta(u_mul(A0, A0 ^ A1), 0, _spread(A1), 2 * i, 2 * j,
                             _gmul(g, g), 2 * b, w)
+
+    def evaluate(self, formula, names, kinds, *args):
+        """formula(ops, *constants, *args) at the first stride that holds it,
+        on the raw values of the L and K values args and of the instance's
+        constants named in `names` (ops: `_raw`); each output reduced to a
+        KElem where `kinds` has a K, else an LElem ("K": one K output)."""
+        def at(w):
+            ops, consts = self._raws.get((w, names)) or self._raw(w, names)
+            out = formula(ops, *consts, *[_kraw(a, w) if type(a) is KElem
+                                          else _shared(a, w) for a in args])
+            return _over(out, w) if kinds == "K" else [
+                _over(o, w) if k == "K" else _lover(o, w) for o, k in zip(out, kinds)]
+        return _widening(at)
+
+    def _raw(self, w: int, key):
+        """Table entry (w, key), made on first read: for a tuple of names,
+        the ops at stride w (L product, square, norm and sum, K-by-L scale,
+        conjugation, K sum and product, polar form tr(z conj(w))) and those
+        constants; for "delta", (D, d, di, dj, dg, b) with delta = D / d,
+        d = s^di t^dj dg, b the larger s-degree; else the constant, raw."""
+        if type(key) is tuple:
+            mul, sq, norm, add = (op if w == W else partial(op, w=w) for op in
+                                  (self._rmul, self._rsquare, self._rnorm, _radd))
+            v = ((mul, sq, norm, add, _rscale, _rconj, add, _rscale, _rpolar),
+                 [self._raws.get((w, n)) or self._raw(w, n) for n in key])
+        elif key == "delta":
+            (D, _, di, dj, dg, bn), d = _kraw(self.delta, w), _pack(self.delta.den, w)
+            v = D, d, di, dj, dg, max(bn, _sdeg(d, w))
+        else:
+            v = _kraw(getattr(self, key), w)
+        self._raws[w, key] = v
+        return v
 
     # -- the twist on L -------------------------------------------------------
 

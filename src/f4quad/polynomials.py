@@ -444,7 +444,9 @@ class Poly2:
     def cancel_monomial(self, i: int, j: int) -> tuple["Poly2", "Poly2"]:
         """(self/g, s^i t^j/g) for g = gcd(self, s^i t^j), self nonzero:
         g = s^min(i, val_s self) t^min(j, val_t self), so g divides both
-        and each quotient is a shift."""
+        and each quotient is a shift; a denominator 1 is P_ONE."""
+        if not i | j:
+            return self, P_ONE
         v, w = self._v, self._w
         ci = cj = 0
         if i:
@@ -453,7 +455,8 @@ class Poly2:
         if j:
             cj = min(j, ((v & -v).bit_length() - 1) // w)
         i, j = i - ci, j - cj
-        m = _new(1 << W * j + i, W) if i < W else Poly2.monomial(i, j)
+        m = (P_ONE if not i | j else _new(1 << W * j + i, W) if i < W
+             else Poly2.monomial(i, j))
         return (_shift_down(self, ci, cj) if ci | cj else self), m
 
     # -- structure --------------------------------------------------------

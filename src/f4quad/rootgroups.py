@@ -17,10 +17,9 @@ inverse, and the U2/U3-valued corrections for [g,h] and [h,g] coincide.
 
 Relations (2)-(4) are written once, over operations and constants passed
 in: `_trace_form` is the K slot of (2) and (3) and the trace terms of
-(4), `_relation4` is (4).  UPlus evaluates them on the raw values of
-`fields` at one stride (one reduction per output coordinate, no gcd when
-every denominator is 1 or s^i t^j), for any instance; `UPlus.relation4`
-is (4) unchecked, and the quadrangle's solvers evaluate it.
+(4), `_relation4` is (4); `FieldInstance.evaluate` runs them for any
+instance.  `UPlus.relation4` is (4) unchecked, and the quadrangle's
+solvers evaluate it.
 
 Membership checks (L' and K' slots) are always on and raise
 InternalConsistencyError; `comm14` is `relation4` followed by
@@ -46,11 +45,9 @@ associativity demonstrably fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .fields import (K_ZERO, L_ZERO, W, FieldInstance, KElem, LElem, _kraw,
-                     _lover, _over, _radd, _rconj, _rpolar, _rscale, _shared,
-                     _widening, kprime_member)
+from .fields import K_ZERO, L_ZERO, FieldInstance, KElem, LElem, kprime_member
 
 
 class InternalConsistencyError(AssertionError):
@@ -121,23 +118,19 @@ COMM14_MEMO_SIZE = 32
 def _trace_form(ops, c, d, z, w, z2, w2):
     """c (tr(z conj(z2)) + d tr(w conj(w2))), in K for any L inputs: the K
     slot of relation (2) with (c, d) = (alpha, beta^2), of relation (3)
-    with (c, d) = (beta^-1, alpha), and the trace terms of relation (4).
-    `ops` as for `_relation4`."""
+    with (c, d) = (beta^-1, alpha), and the trace terms of relation (4)."""
     *_, kadd, kmul, polar = ops
     return kmul(c, kadd(polar(z, z2), kmul(d, polar(w, w2))))
 
 
-def _relation4(ops, consts, x, y, u, v, b, a):
+def _relation4(ops, alpha, beta, beta_sq, beta_inv, beta_sq_inv, x, y, u, v, b, a):
     """Relation (4): the [U1,U4] correction of p = (x, y, b), q = (u, v, a)
-    is (w_u, w_v, w_a) in U2 and (z_x, z_y, z_b) in U3.  `ops`: L product,
-    square, norm and sum, K-by-L scale, conjugation, K sum and product,
-    and the polar form tr(z conj(w)); `consts`: alpha, beta, beta^2,
-    beta^-1, beta^-2.  The trace terms
+    is (w_u, w_v, w_a) in U2 and (z_x, z_y, z_b) in U3, with `ops` as
+    `FieldInstance.evaluate` passes them.  The trace terms
     alpha (u^2 x ybar + ubar^2 xbar y + alpha (vbar^2 x y + v^2 xbar ybar))
     and alpha (beta^-1 (x u vbar + xbar ubar v) + y ubar vbar + ybar u v)
     are `_trace_form`s."""
     mul, sq, norm, add, sc, conj, kadd, kmul, _ = ops
-    alpha, beta, beta_sq, beta_inv, beta_sq_inv = consts
     xbar, ybar, ubar, vbar = conj(x), conj(y), conj(u), conj(v)
     usq, vsq = sq(u), sq(v)
     ux, vx = mul(usq, x), mul(vsq, xbar)
@@ -163,33 +156,12 @@ class UPlus:
             raise ValueError("eq3_slot must be 2 or 3")
         self.inst = inst
         self.eq3_slot = eq3_slot
-        zr1 = R1Coord(L_ZERO, L_ZERO, K_ZERO)
-        zr2 = R2Coord(L_ZERO, L_ZERO, K_ZERO)
-        self.r1_zero = zr1
-        self.r2_zero = zr2
+        self.r1_zero = zr1 = R1Coord(L_ZERO, L_ZERO, K_ZERO)
+        self.r2_zero = zr2 = R2Coord(L_ZERO, L_ZERO, K_ZERO)
         self.identity = UPlusElem(zr1, zr2, zr1, zr2)
         # per instance: a class-level cache would key on self and keep
         # every UPlus alive
         self._comm14_cache = lru_cache(maxsize=COMM14_MEMO_SIZE)(self._comm14)
-        self._raws = {}  # stride -> _relation4's raw ops and constants there
-
-    def _raw_at(self, w: int):
-        """_relation4's raw ops (a K sum is _radd, a K product _rscale) and
-        constants at stride w, made on first use."""
-        if w not in self._raws:
-            i = self.inst
-            mul, sq, norm, add = (op if w == W else partial(op, w=w)
-                                  for op in (i._rmul, i._rsquare, i._rnorm, _radd))
-            self._raws[w] = ((mul, sq, norm, add, _rscale, _rconj, add, _rscale, _rpolar),
-                             [_kraw(k, w) for k in (i.alpha, i.beta, i.beta_sq,
-                                                    i.beta_inv, i.beta_sq_inv)])
-        return self._raws[w]
-
-    def _trace(self, w: int, c: int, d: int, z, x, z2, x2) -> KElem:
-        """_trace_form at w with constants c and d of `_raw_at`, reduced."""
-        ops, consts = self._raw_at(w)
-        return _over(_trace_form(ops, consts[c], consts[d], _shared(z, w), _shared(x, w),
-                                 _shared(z2, w), _shared(x2, w)), w)
 
     # -- coordinate validation ------------------------------------------------
 
@@ -229,7 +201,8 @@ class UPlus:
         """
         if (p.x.is_zero() and p.y.is_zero()) or (q.x.is_zero() and q.y.is_zero()):
             return self.r2_zero
-        val = _widening(lambda w: self._trace(w, 0, 2, p.x, p.y, q.x, q.y))
+        val = self.inst.evaluate(_trace_form, ("alpha", "beta_sq"), "K",
+                                 p.x, p.y, q.x, q.y)
         if not kprime_member(val):
             raise InternalConsistencyError(f"comm13 slot left K': {val}")
         return R2Coord(L_ZERO, L_ZERO, val)
@@ -239,7 +212,8 @@ class UPlus:
         in p, whose K' slot it never reads."""
         if (p.u.is_zero() and p.v.is_zero()) or (q.u.is_zero() and q.v.is_zero()):
             return self.r1_zero
-        val = _widening(lambda w: self._trace(w, 3, 0, p.u, p.v, q.u, q.v))
+        val = self.inst.evaluate(_trace_form, ("beta_inv", "alpha"), "K",
+                                 p.u, p.v, q.u, q.v)
         return R1Coord(L_ZERO, L_ZERO, val)
 
     def comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
@@ -252,16 +226,11 @@ class UPlus:
         return self._comm14_cache(p, q)
 
     def relation4(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
-        """Relation (4) at any p and q, unchecked: `_relation4` on the raw
-        values of `fields`, one _over per output coordinate."""
-        def at(w):
-            ops, consts = self._raw_at(w)
-            w_u, w_v, w_a, z_x, z_y, z_b = _relation4(
-                ops, consts, _shared(p.x, w), _shared(p.y, w), _shared(q.u, w),
-                _shared(q.v, w), _kraw(p.b, w), _kraw(q.a, w))
-            return (R2Coord(_lover(w_u, w), _lover(w_v, w), _over(w_a, w)),
-                    R1Coord(_lover(z_x, w), _lover(z_y, w), _over(z_b, w)))
-        return _widening(at)
+        """Relation (4) at any p and q, unchecked."""
+        w_u, w_v, w_a, z_x, z_y, z_b = self.inst.evaluate(
+            _relation4, ("alpha", "beta", "beta_sq", "beta_inv", "beta_sq_inv"),
+            "LLKLLK", p.x, p.y, q.u, q.v, p.b, q.a)
+        return R2Coord(w_u, w_v, w_a), R1Coord(z_x, z_y, z_b)
 
     def _comm14(self, p: R1Coord, q: R2Coord) -> tuple[R2Coord, R1Coord]:
         """comm14 computed and checked, for p and q both nonzero."""

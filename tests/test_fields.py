@@ -547,7 +547,7 @@ def test_monomial_denominators_share_the_one():
         for d1 in dens:
             z = LElem(KElem(num, d), KElem(num * num, d1))
             assert fields._shared(z)[4] is P_ONE, (d, d1)
-    assert default_instance()._delta_at(W)[4] is P_ONE
+    assert default_instance()._raw(W, "delta")[4] is P_ONE
     # a factor 1 gives the other operand back, monomials included
     rng = Rng(47)
     polys = [sample_poly_nonzero(rng, 3, 4) for _ in range(20)]

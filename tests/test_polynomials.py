@@ -1,5 +1,6 @@
 """Polynomial kernel: canonical forms, gcd, exact division, substitutions."""
 
+import ast
 import re
 import sys
 import threading
@@ -516,6 +517,22 @@ def test_only_the_field_layer_imports_polynomials():
     assert importers <= {"__init__.py", "fields.py", "sampling.py"}, importers
 
 
+_RAW_LAYER = {"W", "_kraw", "_shared", "_over", "_lover", "_radd", "_rscale",
+              "_rconj", "_rpolar", "_widening", "_pack", "_sdeg", "_Wider"}
+
+
+@pytest.mark.parametrize("name", ["rootgroups", "quadrangle", "moufang",
+                                  "verifier", "parser", "cli"])
+def test_only_the_field_layer_sees_raw_values(name):
+    # FieldInstance.evaluate takes L and K values and returns them: above
+    # fields, no module imports or reads a name of the raw L format
+    tree = ast.parse((Path(polynomials.__file__).parent / f"{name}.py").read_text())
+    seen = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            for a in n.names}
+    seen |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not seen & _RAW_LAYER, seen & _RAW_LAYER
+
+
 @pytest.mark.parametrize("i, j", [(0, 0), (3, 0), (0, 2), (2, 5), (70, 1)])
 def test_cancel_monomial_by_exponents(i, j):
     m = Poly2.monomial(i, j)
@@ -526,3 +543,5 @@ def test_cancel_monomial_by_exponents(i, j):
         g = poly_gcd(p, m)
         assert p.cancel_monomial(i, j) == (poly_divexact(p, g),
                                            poly_divexact(m, g)), p
+        if i == j == 0:
+            assert p.cancel_monomial(i, j)[1] is P_ONE, p

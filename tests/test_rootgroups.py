@@ -527,8 +527,32 @@ def test_wide_values_retry_at_a_wider_stride(case):
         got = group.relation4(p, q)
         assert got == _k_relation4(inst, p, q), (p, q)
         _canonical(*got)
-    # the evaluations above ran wider than W, not merely at it
-    assert max(inst._deltas) > W and max(group._raws) > W
+    # the evaluations above ran wider than W, not merely at it: delta and
+    # a formula's ops and constants were read there
+    wider = {key for w, key in inst._raws if w > W}
+    assert "delta" in wider and any(type(key) is tuple for key in wider)
+
+
+def test_comm24_stays_at_the_stride_its_constants_fit():
+    # at the cap beta^2 = s^128 + ... needs stride 256, while comm24 reads
+    # only beta^-1 (1 over a g part) and alpha, of s-degree below W; each
+    # constant is converted when an evaluation reads it, so comm24 runs
+    # at W, and comm13 (beta^2) and relation4 (all five) run wider
+    rng = Rng(89)
+    x, y, u, v = (sample_l_nonzero(rng, 2) for _ in range(4))
+    xs, ys = _k_mul(_AT_CAP, x, x), _k_mul(_AT_CAP, y, y)  # in L'
+    alpha, beta = _AT_CAP.alpha, _AT_CAP.beta
+    p, q = R1Coord(xs, ys, y.c0), R2Coord(u, v, xs.c1)
+    cases = [(lambda g: g.comm24(q, R2Coord(v, u, ZERO)), False,
+              R1Coord(LZ, LZ, (_k_polar(u, v) + alpha * _k_polar(v, u)) / beta)),
+             (lambda g: g.comm13(R1Coord(xs, ys, ZERO), R1Coord(ys, xs, ZERO)), True,
+              R2Coord(LZ, LZ, alpha * (_k_polar(xs, ys)
+                                       + beta * beta * _k_polar(ys, xs)))),
+             (lambda g: g.relation4(p, q), True, _k_relation4(_AT_CAP, p, q))]
+    for call, wide, want in cases:
+        inst = FieldInstance(_AT_CAP.delta, _AT_CAP.phi_e, beta, alpha)
+        assert call(UPlus(inst)) == want
+        assert (max(w for w, _ in inst._raws) > W) == wide, want
 
 
 @pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
