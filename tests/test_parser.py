@@ -98,6 +98,30 @@ def test_error_lines_count_newlines_only(sep):
     assert (err.value.line, err.value.col) == (4, 9)
 
 
+HEAD = "delta = s + t\nphiE = e + s\nbeta = s\n"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    (HEAD + "alpha = t +  \t", "unexpected end of expression", 4, 12),
+    (HEAD + "alpha = t t", "trailing input 't'", 4, 11),
+    (HEAD + "alpha = (s + t", "expected ')'", 4, 15),
+    (HEAD + "\t alpha = t + )", "unexpected token ')'", 4, 15),
+    (HEAD + "alpha = t^s", "exponent must be a non-negative integer", 4, 11),
+    (HEAD + "alpha = t + sx", "unknown name starting at 'sx'", 4, 13),
+    (HEAD + "alpha = t ? s", "unexpected character '?'", 4, 11),
+    (HEAD + "  alpha t", "expected 'name = expression'", 4, 3),
+    (HEAD + "gamma = t", "unknown field 'gamma'", 4, 1),
+    (HEAD + "beta = t", "duplicate field 'beta'", 4, 1),
+    ("delta = s + e\nphiE = e + s\nbeta = s\nalpha = t",
+     "delta must not involve e", 1, 13),
+])
+def test_error_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_unknown_character_rejected():
     with pytest.raises(ParseError):
         parse_instance_text("delta = s ? t\nphiE = e\nbeta = s\nalpha = t")
@@ -229,7 +253,8 @@ FIELDS = {"delta": "s + t", "phiE": "e + s", "beta": "s", "alpha": "t"}
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)),
-       body=st.text(alphabet="ste0123456789 +-*/^()\u00b2\u0663\u00e9",
+       body=st.text(alphabet="ste0123456789 +-*/^()\u00b2\u0663\u00e9"
+                    "\t\u00a0\u2028ux_",
                     max_size=40),
        depth=st.integers(0, 500))
 def test_fuzzed_right_hand_side_raises_only_parse_error(field, body, depth):
