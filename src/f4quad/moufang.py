@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .fields import (K_ONE, L_ZERO, CheckList, KElem, LElem, _first,
                      kprime_member, kscale, phi_k, theta_k)
-from .quadrangle import Flag, Quadrangle
+from .quadrangle import Flag, QLine, Quadrangle
 from .rootgroups import InternalConsistencyError, R1Coord, R2Coord, UPlusElem
 from .sampling import Rng, sample_k, sample_kprime, sample_l
 
@@ -506,15 +506,15 @@ class ReconstructedQuadrangle:
     Swapping the two sorts is the structure's polarity."""
 
     def __init__(self, ms: MoufangSet, points: list[MoufangPoint],
-                 spheres: list["Block"], centres: list):
-        """`centres[k]` is the projection of the base's flag point onto
-        the gnarl's flag line of `spheres[k]`."""
+                 spheres: list["Block"], images: list):
+        """`images[k]` is the (point, line) pair of `spheres[k]`: the
+        projection centre of the sphere's flag, and a line read off that
+        flag's coordinates without the polarity."""
         self.ms = ms
         self.points = list(points)
         self.spheres = list(spheres)
         self._flags = {p: ms.flag_of_label(p) for p in self.points}
-        self._images = {id(blk): (c, ms.quad.rho_point(c))
-                        for blk, c in zip(self.spheres, centres)}
+        self._images = {id(blk): img for blk, img in zip(self.spheres, images)}
 
     def incident(self, point_side, line_side) -> bool:
         """The three rules: labels match; the gnarl names the label; or
@@ -534,7 +534,7 @@ class ReconstructedQuadrangle:
     def embed_point(self, point_side):
         """Image in the coordinate quadrangle: flag points for labels,
         projection centres for spheres (`embed_line`: flag lines, and
-        the polar images of those centres)."""
+        the lines stored with those centres)."""
         if isinstance(point_side, MoufangPoint):
             return self._flags[point_side].point
         return self._images[id(point_side)][0]
@@ -558,7 +558,7 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
     points = list(dict.fromkeys(points))
 
     blocks: list[Block] = []
-    centres = []
+    images = []
     finite_gnarls: list[MoufangPoint] = []
     seen_centres = set()
     quad = ms.quad
@@ -571,19 +571,22 @@ def reconstruct_quadrangle(ms: MoufangSet, rng: Rng,
             else:
                 through = ms.sample_label(rng, 1)
             blk = ms.sphere_at_infinity(through)
-            centre = quad.project(ms.flag_of_label(through).point, quad.ln_inf)
+            flag = ms.flag_of_label(through)
+            centre = quad.project(flag.point, quad.ln_inf)
+            line = QLine(flag.line.coords[:1])
         else:
             blk = ms.sphere_general(gnarl, ms.infinity)
-            centre = quad.project(quad.pt_inf,
-                                  ms.flag_of_label(gnarl).line)
+            flag = ms.flag_of_label(gnarl)
+            centre = quad.project(quad.pt_inf, flag.line)
+            line = QLine(flag.point.coords[:2])
         if centre in seen_centres:
             continue
         seen_centres.add(centre)
         blocks.append(blk)
-        centres.append(centre)
+        images.append((centre, line))
         if not gnarl.is_inf:
             finite_gnarls.append(gnarl)
-    return ReconstructedQuadrangle(ms, points, blocks, centres)
+    return ReconstructedQuadrangle(ms, points, blocks, images)
 
 
 def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
@@ -591,10 +594,11 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
 
     The embedding sends a label's point sort to its flag point and its
     line sort to the flag line; a sphere's point sort goes to the
-    projection centre and its line sort to the polar image of that
-    centre.  All three incidence rules must agree with the coordinate
-    quadrangle's incidence through this map, and swapping the two sorts
-    must agree with the polarity.  Every mismatch is a failed sub-check
+    projection centre and its line sort to a line read off the sphere's
+    flag (the flag line's first coordinate for a gnarl at infinity, the
+    flag point's first two for a finite gnarl).  All three incidence
+    rules must agree with the coordinate quadrangle's incidence through
+    this map, and swapping the two sorts must agree with the polarity.  Every mismatch is a failed sub-check
     whose note names it.
     """
     quad = ms.quad
@@ -646,7 +650,6 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
                 if quad.rho_point(rq.embed_point(xp)) != rq.embed_line(xp)), None)
     rep.add("polarity-consistent-points", bad is None,
             "" if bad is None else f"sort swap differs from the polarity at {bad}")
-    # holds by construction: embed_line(blk) is rho_point of this centre
     bad = next((blk for blk in blocks[:10]
                 if quad.rho_point(rq.embed_point(blk)) != rq.embed_line(blk)), None)
     rep.add("polarity-consistent-spheres", bad is None,

@@ -7,7 +7,7 @@ from f4quad.fields import (K_ONE, K_S, K_T, K_ZERO, L_ONE, L_ZERO,
 from f4quad.moufang import (LABEL_CACHE_SIZE, ClosureError, MoufangPoint,
                             MoufangSet, UnsupportedBlock, derived_net_report,
                             reconstruct_report)
-from f4quad.quadrangle import Quadrangle
+from f4quad.quadrangle import QLine, Quadrangle
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import Rng
 from f4quad.verifier import SuiteConfig, run
@@ -360,6 +360,17 @@ def test_reconstruction_report(ms):
     assert {c.name for c in rep.checks if c.passed} >= {
         "rule3-exercised", "injective", "polarity-consistent-points",
         "polarity-consistent-spheres"}
+
+
+def test_polarity_consistent_spheres_can_fail(ms, monkeypatch):
+    # a polarity that is wrong on points of rank 1 and 2 (the projection
+    # centres of spheres) and right on the flag points of labels
+    rho = Quadrangle.rho_point
+    monkeypatch.setattr(Quadrangle, "rho_point", lambda quad, p: (
+        QLine(()) if len(p.coords) in (1, 2) else rho(quad, p)))
+    checks = {c.name: c for c in reconstruct_report(ms, Rng(80), 14).checks}
+    assert checks["polarity-consistent-points"].passed
+    assert not checks["polarity-consistent-spheres"].passed
 
 
 def test_reconstructed_structure_object(ms):
