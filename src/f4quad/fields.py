@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .polynomials import (P_ONE, P_S, P_T, P_ZERO, W, Poly2, _pack, _sdeg,
-                          _shrink, _spread, _Wider, poly_divexact, poly_gcd,
-                          u_mul)
+                          _shrink, _spread, _stride, _Wider, poly_divexact,
+                          poly_gcd, u_mul)
 
 
 class FieldError(ArithmeticError):
@@ -619,17 +619,16 @@ class FieldInstance:
 
     def validate(self, seed: int = 0, samples: int = 20,
                  max_degree: int = 3) -> CheckList:
-        """Machine checks of the defining conditions; anisotropy is probed,
-        not proved.  Rng(seed) feeds `samples` rounds each of the probes
+        """Machine checks of the defining conditions.  Irreducibility of
+        x^2 + x + delta is decided exactly; anisotropy is probed, not
+        proved.  Rng(seed) feeds `samples` rounds each of the probes
         `frobenius_miss`, `zero_of_form1` and `zero_of_form2`, which the
         fields suite's twist-square and anisotropy checks share."""
         rep = CheckList()
         rng = Rng(seed)
 
-        # (i) x^2 + x + delta has no root in K (roots reduce to the
-        # polynomial case; a non-square denominator of delta kills all
-        # candidates outright).
-        root = self._find_artin_schreier_root(max_degree)
+        # (i) x^2 + x + delta has no root in K, decided exactly.
+        root = self._artin_schreier_root()
         rep.add("irreducible-artin-schreier",
                 root is None,
                 "" if root is None else f"root found: {root}")
@@ -706,12 +705,17 @@ class FieldInstance:
         b = sample_k(rng, max_degree)
         return (x, y, b) if (x or y or b) and self.form2(x, y, b).is_zero() else None
 
-    def _find_artin_schreier_root(self, max_degree: int):
-        """Exhaustive search for a root of x^2 + x + delta up to the bound.
+    def _artin_schreier_root(self) -> KElem | None:
+        """A root of x^2 + x + delta in K, or None; decided, not searched.
 
         A rational root p/q in lowest terms forces q | p^2, so q = 1 when
         delta is a polynomial; for fractional delta = n/d the denominator
-        must satisfy q^2 = d, reducing to p^2 + p*q + n = 0.
+        must satisfy q^2 = d, reducing to p^2 + p*q = n.  The map
+        p -> p^2 + p*q is GF(2)-linear, and a root has total degree at
+        most max(deg q, deg n // 2): above deg q the top part of p^2 has
+        nothing to cancel against.  So one elimination decides it, on
+        packed ints at one stride, each image of a monomial p kept under
+        its highest bit together with the p that gives it.
         """
         n, d = self.delta.num, self.delta.den
         if d.is_one():
@@ -720,13 +724,24 @@ class FieldInstance:
             if not d.all_exponents_even():
                 return None  # no square denominator, no root at all
             q = d.sqrt()
-        monos = [(i, j) for i in range(max_degree + 1)
-                 for j in range(max_degree + 1 - i)]
-        for bits in range(1 << len(monos)):
-            p = Poly2.from_terms(m for k, m in enumerate(monos) if bits >> k & 1)
-            if p.square() + p * q + n == P_ZERO:
-                return KElem(p, q)
-        return None
+        top = max(q.total_degree(), n.total_degree() // 2)
+        w = _stride(2 * top + 2)  # holds n and every image
+        pivots: dict[int, tuple[int, int]] = {}
+
+        def reduce(image: int, p: int) -> tuple[int, int]:
+            while image.bit_length() in pivots:
+                pivot_image, pivot_p = pivots[image.bit_length()]
+                image, p = image ^ pivot_image, p ^ pivot_p
+            return image, p
+
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                m = Poly2.monomial(i, j)
+                image, p = reduce(_pack(m.square() + m * q, w), _pack(m, w))
+                if image:
+                    pivots[image.bit_length()] = image, p
+        rest, p = reduce(_pack(n, w), 0)
+        return None if rest else KElem(_shrink(p, w), q)
 
     def __repr__(self) -> str:
         return (f"FieldInstance(delta={self.delta}, phiE={self.phi_e}, "

@@ -396,6 +396,67 @@ def test_artin_schreier_root_detected():
     assert "irreducible-artin-schreier" in bad
 
 
+def _searched_artin_schreier_root(inst, max_degree):
+    """The exhaustive search the exact decision replaced: every p of total
+    degree <= max_degree, over q with q^2 the denominator of delta."""
+    n, d = inst.delta.num, inst.delta.den
+    if not d.all_exponents_even():
+        return None
+    q = d.sqrt()
+    monos = [(i, j) for i in range(max_degree + 1)
+             for j in range(max_degree + 1 - i)]
+    for bits in range(1 << len(monos)):
+        p = Poly2.from_terms(m for k, m in enumerate(monos) if bits >> k & 1)
+        if p.square() + p * q + n == P_ZERO:
+            return KElem(p, q)
+    return None
+
+
+def _with_delta(delta):
+    return FieldInstance(delta=delta, phi_e=LElem(S, ONE), beta=S, alpha=T)
+
+
+def test_artin_schreier_decision_agrees_with_search():
+    # half the deltas are r^2 + r, so have a root; the rest are shifted
+    # by a polynomial, which keeps the denominator a square
+    rng = Rng(5)
+    found = 0
+    for k in range(40):
+        r = sample_k(rng, 1)
+        shift = KElem(sample_poly_nonzero(rng, 2), P_ONE) if k % 2 else ZERO
+        inst = _with_delta(r.square() + r + shift)
+        root = inst._artin_schreier_root()
+        assert (root is None) == (_searched_artin_schreier_root(inst, 3) is None)
+        if root is not None:
+            assert root.square() + root == inst.delta
+            found += 1
+    assert found == 20
+
+
+def test_artin_schreier_root_past_the_search_degree():
+    # s^4 + t is a root, one degree past what the degree-3 search reaches
+    inst = _with_delta(S ** 8 + S ** 4 + T ** 2 + T)
+    assert _searched_artin_schreier_root(inst, 3) is None
+    root = inst._artin_schreier_root()
+    assert root in (S ** 4 + T, S ** 4 + T + ONE)
+    bad = {c.name for c in inst.validate(samples=2, max_degree=2).checks
+           if not c.passed}
+    assert "irreducible-artin-schreier" in bad
+
+
+@pytest.mark.parametrize("delta, has_root", [
+    (S + T, False),
+    ((S * S + S * T) / (T * T), True),  # (s/t)^2 + s/t
+    (S / T, False),  # t is not a square
+    (S ** 3 / T ** 2, False),
+])
+def test_artin_schreier_fractional_delta(delta, has_root):
+    root = _with_delta(delta)._artin_schreier_root()
+    assert (root is not None) == has_root
+    if has_root:
+        assert root.square() + root == delta
+
+
 def test_kscale():
     # sample_k gives monomial denominators, sample_k_general others
     rng = Rng(13)
