@@ -514,7 +514,7 @@ class ReconstructedQuadrangle:
         self.points = list(points)
         self.spheres = list(spheres)
         self._flags = {p: ms.flag_of_label(p) for p in self.points}
-        self._images = {id(blk): img for blk, img in zip(self.spheres, images)}
+        self._images = dict(zip(map(id, self.spheres), images))
 
     def incident(self, point_side, line_side) -> bool:
         """The three rules: labels match; the gnarl names the label; or
@@ -598,8 +598,8 @@ def reconstruct_report(ms: MoufangSet, rng: Rng, n: int) -> CheckList:
     flag (the flag line's first coordinate for a gnarl at infinity, the
     flag point's first two for a finite gnarl).  All three incidence
     rules must agree with the coordinate quadrangle's incidence through
-    this map, and swapping the two sorts must agree with the polarity.  Every mismatch is a failed sub-check
-    whose note names it.
+    this map, and swapping the two sorts must agree with the polarity.
+    Every mismatch is a failed sub-check whose note names it.
     """
     quad = ms.quad
     rq = reconstruct_quadrangle(ms, rng, n)
