@@ -37,6 +37,7 @@ from .fields import (K_ONE, K_S, K_T, K_ZERO, L_E, L_ONE, L_ZERO, FieldError,
 MAX_DEGREE = 64
 MAX_NESTING = 64
 _FIELDS = ("delta", "phiE", "beta", "alpha")
+_VARS = {"s": LElem(K_S), "t": LElem(K_T), "e": L_E}
 
 # \s and \w match exactly what str.isspace and str.isalnum (or '_') accept
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<var>[ste])(?!\w)|(?P<op>[-+*/^()])"
@@ -121,7 +122,7 @@ class _Parser:
         if kind == "var":
             if text == "e" and self.in_k:
                 raise ParseError("delta must not involve e", self.line, col)
-            return {"s": LElem(K_S), "t": LElem(K_T), "e": L_E}[text]
+            return _VARS[text]
         if kind == "int":
             return L_ONE if int(text[-1]) % 2 else L_ZERO
         if text == "(":
