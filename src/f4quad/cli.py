@@ -38,9 +38,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=3)
         p.add_argument("--instance", type=str, default=None,
                        help="instance file (defaults to the built-in instance)")
-        p.add_argument("--eq3-slot", type=int, choices=(2, 3), default=3,
-                       help="slot for the [U2,U4] correction (2 is the "
-                            "demonstrably failing reading)")
         p.add_argument("--survey", action="store_true",
                        help="keep going and report instead of failing hard")
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
@@ -77,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = SuiteConfig(seed=args.seed, samples=args.samples,
                       max_degree=args.max_degree,
                       suites=_COMMANDS[args.command],
-                      eq3_slot=args.eq3_slot,
                       survey=args.survey,
                       instance=instance)
     report = run(cfg)

@@ -159,32 +159,35 @@ def parse_expression(text: str, line: int, inst: FieldInstance | None,
 def parse_instance_text(text: str) -> FieldInstance:
     """Parse the four definitions into a FieldInstance (not yet validated)."""
     raw: dict[str, tuple[str, int, int]] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         body = line.lstrip()
         if body[:1] in ("", "#"):
             continue
         name, eq, rhs = line.partition("=")
+        col = len(line) - len(body) + 1  # of the name
         if not eq:
-            raise ParseError("expected 'name = expression'", lineno,
-                             len(line) - len(body) + 1)
+            raise ParseError("expected 'name = expression'", lineno, col)
         name = name.strip()
         if name not in _FIELDS:
-            raise ParseError(f"unknown field {name!r}", lineno, 1)
+            raise ParseError(f"unknown field {name!r}", lineno, col)
         if name in raw:
-            raise ParseError(f"duplicate field {name!r}", lineno, 1)
+            raise ParseError(f"duplicate field {name!r}", lineno, col)
         # the columns of the right-hand side count from the line start
         raw[name] = (rhs.rstrip(), lineno, len(line) - len(rhs))
     if missing := set(_FIELDS) - set(raw):
-        raise ParseError(f"missing fields: {', '.join(sorted(missing))}", 0, 0)
+        raise ParseError(f"missing fields: {', '.join(sorted(missing))}",
+                         len(lines), len(lines[-1]) + 1)
 
     def value(name: str, inst: FieldInstance | None):
         rhs, lineno, offset = raw[name]
         val = parse_expression(rhs, lineno, inst, offset)
+        col = offset + len(rhs) - len(rhs.lstrip()) + 1  # of the rhs
         if (name == "phiE") == val.c1.is_zero():
             must = "must" if name == "phiE" else "must not"
-            raise ParseError(f"{name} {must} involve e", lineno, 1)
+            raise ParseError(f"{name} {must} involve e", lineno, col)
         if name in ("beta", "alpha") and val.is_zero():
-            raise ParseError(f"{name} must be nonzero", lineno, 1)
+            raise ParseError(f"{name} must be nonzero", lineno, col)
         return val if name == "phiE" else val.c0
 
     delta = value("delta", None)

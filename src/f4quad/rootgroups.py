@@ -35,11 +35,6 @@ dataclasses, immutable by convention like Poly2 and KElem (no frozen
 `__setattr__`, so a record costs a third of the time to build).  A sum
 of coordinates with a zero operand returns the other operand, as KElem
 and LElem sums do: most sums of a collection add a zero correction.
-
-A debug switch (eq3_slot 2) puts that [U2,U4] correction into U2's K'
-slot instead of U3 (the untenable reading of relation (3)); under it no
-consistent collection exists, so a one-level truncation is used and
-associativity demonstrably fails.
 """
 
 from __future__ import annotations
@@ -151,11 +146,8 @@ def _relation4(ops, alpha, beta, beta_sq, beta_inv, beta_sq_inv, x, y, u, v, b, 
 class UPlus:
     """The unipotent group attached to a field instance."""
 
-    def __init__(self, inst: FieldInstance, eq3_slot: int = 3):
-        if eq3_slot not in (2, 3):
-            raise ValueError("eq3_slot must be 2 or 3")
+    def __init__(self, inst: FieldInstance):
         self.inst = inst
-        self.eq3_slot = eq3_slot
         self.r1_zero = zr1 = R1Coord(L_ZERO, L_ZERO, K_ZERO)
         self.r2_zero = zr2 = R2Coord(L_ZERO, L_ZERO, K_ZERO)
         self.identity = UPlusElem(zr1, zr2, zr1, zr2)
@@ -208,7 +200,7 @@ class UPlus:
         return R2Coord(L_ZERO, L_ZERO, val)
 
     def comm24(self, p: R2Coord, q: R2Coord) -> R1Coord:
-        """[U2, U4] correction into U3 (relation (3); see eq3_slot): additive
+        """[U2, U4] correction into U3 (relation (3)): additive
         in p, whose K' slot it never reads."""
         if (p.u.is_zero() and p.v.is_zero()) or (q.u.is_zero() and q.v.is_zero()):
             return self.r1_zero
@@ -245,18 +237,12 @@ class UPlus:
 
         Corrections: h1 past g3 emits comm13 into U2; h1 past g4 emits
         the comm14 pair (p2, p3), and p2 commutes with g4 (module
-        docstring); h2 past g4 emits comm24, into U3, or into U2's K'
-        slot under eq3_slot 2.  Everything else commutes, and nilpotency
-        class 3 stops the cascade.
+        docstring); h2 past g4 emits comm24 into U3.  Everything else
+        commutes, and nilpotency class 3 stops the cascade.
         """
         p2, p3 = self.comm14(h.g1, g.g4)
         c24 = self.comm24(h.g2, g.g4)
         c2 = g.g2 + self.comm13(h.g1, g.g3) + p2 + h.g2
-        if self.eq3_slot == 2:
-            # untenable reading: the [U2,U4] correction moved into U2,
-            # truncated after one level (no consistent collection exists)
-            c2 = c2 + R2Coord(c24.x, c24.y, c24.b)
-            c24 = self.r1_zero
         return UPlusElem(g.g1 + h.g1, c2, g.g3 + p3 + c24 + h.g3, g.g4 + h.g4)
 
     def inv(self, g: UPlusElem) -> UPlusElem:

@@ -45,7 +45,6 @@ class SuiteConfig:
     samples: int = 100
     max_degree: int = 3
     suites: tuple = tuple(SUITES)
-    eq3_slot: int = 3
     survey: bool = False
     instance: FieldInstance | None = None
 
@@ -56,7 +55,7 @@ class RunContext:
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.inst = cfg.instance or default_instance()
-        self.group = UPlus(self.inst, eq3_slot=cfg.eq3_slot)
+        self.group = UPlus(self.inst)
         self.quad = Quadrangle(self.group)
         self.ms = MoufangSet(self.quad)
 

@@ -18,6 +18,7 @@ from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 from f4quad.sampling import (Rng, sample_k, sample_kprime, sample_l,
                              sample_lprime)
 from f4quad.verifier import report_body
+from mutants import eq3_slot_2_mul
 
 LZ = L_ZERO
 ONE = K_ONE
@@ -82,12 +83,14 @@ def test_criterion_03_associativity_adjudication(world):
     for _ in range(200):
         a, b, c = (rand_elem(ms, rng) for _ in range(3))
         assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
-    alt = UPlus(inst, eq3_slot=2)
+    def alt(g, h):  # the slot-2 reading of relation (3)
+        return eq3_slot_2_mul(group, g, h)
+
     rng = Rng(0)
     counterexample = None
     for _ in range(200):
         a, b, c = (rand_elem(ms, rng) for _ in range(3))
-        if alt.mul(alt.mul(a, b), c) != alt.mul(a, alt.mul(b, c)):
+        if alt(alt(a, b), c) != alt(a, alt(b, c)):
             counterexample = (a, b, c)
             break
     assert counterexample is not None, \

@@ -12,6 +12,7 @@ from f4quad import verifier
 from f4quad.fields import Check, CheckList
 from f4quad.cli import MAX_DEGREE, MAX_SAMPLES, build_arg_parser, main
 from f4quad.verifier import report_body
+from mutants import MUTANTS
 
 FAST = ["--samples", "8", "--max-degree", "1"]
 
@@ -35,13 +36,21 @@ def test_verify_all_subcommand_exists(capsys):
     assert "generator-closure-derived" in out
 
 
-def test_eq3_slot_two_fails_with_counterexample(capsys):
-    code, out = run_cli(["verify-root-groups", "--eq3-slot", "2"] + FAST,
-                        capsys)
+def test_eq3_slot_two_fails_with_counterexample(capsys, monkeypatch):
+    MUTANTS["eq3-slot-2"](monkeypatch)
+    code, out = run_cli(["verify-root-groups"] + FAST, capsys)
     assert code == 1
     fail_lines = [l for l in out.splitlines() if l.startswith("fail")]
     assert fail_lines
     assert any("note=" in l for l in fail_lines)
+
+
+def test_eq3_slot_option_is_gone(capsys):
+    # the slot-2 reading is a test mutant, not a flag: a bad flag exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--eq3-slot", "2"])
+    assert exc.value.code == 2
+    assert "--eq3-slot" in capsys.readouterr().err
 
 
 def test_jsonl_schema(capsys):

@@ -308,6 +308,17 @@ def test_first_explicit_circle_values(ms):
                                         R2Coord(LZ, LZ, phi_k(K_S))))
 
 
+def test_first_explicit_circle_holds_its_defining_points(ms):
+    c1 = ms.special_circle_first()
+    through = MoufangPoint(R1Coord(LZ, LZ, ONE), R2Coord(LZ, LZ, ZERO))
+    assert (c1.gnarl, c1.base) == (ms.zero, through)
+    assert c1.contains(c1.gnarl) and c1.contains(through)
+    # the cleared equation holds at every (a, 0), the circle at two of them
+    for aa in (K_S, ONE + K_S):
+        assert not c1.contains(MoufangPoint(R1Coord(LZ, LZ, aa),
+                                            R2Coord(LZ, LZ, ZERO)))
+
+
 def test_second_explicit_circle_membership(ms):
     c2 = ms.special_circle_second()
     rng = Rng(75)

@@ -112,8 +112,18 @@ HEAD = "delta = s + t\nphiE = e + s\nbeta = s\n"
     (HEAD + "  alpha t", "expected 'name = expression'", 4, 3),
     (HEAD + "gamma = t", "unknown field 'gamma'", 4, 1),
     (HEAD + "beta = t", "duplicate field 'beta'", 4, 1),
+    # a field error points at the name, a value error at the right-hand side
+    (HEAD + " \t gamma = t", "unknown field 'gamma'", 4, 4),
+    (HEAD + "  beta = t", "duplicate field 'beta'", 4, 3),
     ("delta = s + e\nphiE = e + s\nbeta = s\nalpha = t",
      "delta must not involve e", 1, 13),
+    ("delta = s + t\nphiE = e + s\nbeta =  s + e\nalpha = t",
+     "beta must not involve e", 3, 9),
+    ("delta = s + t\nphiE = \ts\nbeta = s\nalpha = t",
+     "phiE must involve e", 2, 9),
+    (HEAD + "  alpha = t + t", "alpha must be nonzero", 4, 11),
+    ("delta = s + t\nphiE = e + s\nbeta = s", "missing fields: alpha", 3, 9),
+    ("beta = s\n\nalpha = t\n", "missing fields: delta, phiE", 4, 1),
 ])
 def test_error_position(text, message, line, col):
     with pytest.raises(ParseError) as err:

@@ -18,6 +18,7 @@ from f4quad.quadrangle import QLine, QPoint, Quadrangle
 from f4quad.rootgroups import (COMM14_MEMO_SIZE, InternalConsistencyError,
                                R1Coord, R2Coord, UPlus, UPlusElem)
 from f4quad.sampling import Rng, sample_l_nonzero
+from mutants import eq3_slot_2_mul
 
 ZERO = K_ZERO
 ONE = K_ONE
@@ -136,15 +137,15 @@ def test_associativity_holds_with_standard_slot(group, ms):
         assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
 
 
-def test_alternative_slot_reading_fails():
-    inst = default_instance()
-    alt = UPlus(inst, eq3_slot=2)
-    ms = MoufangSet(Quadrangle(UPlus(inst)))
+def test_alternative_slot_reading_fails(group, ms):
+    def alt(g, h):  # the slot-2 reading of relation (3)
+        return eq3_slot_2_mul(group, g, h)
+
     rng = Rng(25)
     broke = False
     for _ in range(20):
         a, b, c = (rand_elem(ms, rng) for _ in range(3))
-        if alt.mul(alt.mul(a, b), c) != alt.mul(a, alt.mul(b, c)):
+        if alt(alt(a, b), c) != alt(a, alt(b, c)):
             broke = True
             break
     assert broke, "the rerouted correction slot should break associativity"
@@ -582,12 +583,8 @@ def _mul_two_corrections(group, g, h):
     q2 = group.comm13(h.g1, g.g3)
     p2, p3 = group.comm14(h.g1, g.g4)
     r3, s3 = group.comm24(p2, g.g4), group.comm24(h.g2, g.g4)
-    if group.eq3_slot == 3:
-        return UPlusElem(g.g1 + h.g1, g.g2 + q2 + p2 + h.g2,
-                         g.g3 + r3 + p3 + s3 + h.g3, g.g4 + h.g4)
-    as_r2 = lambda c: R2Coord(c.x, c.y, c.b)
-    return UPlusElem(g.g1 + h.g1, g.g2 + q2 + p2 + h.g2 + as_r2(r3) + as_r2(s3),
-                     g.g3 + p3 + h.g3, g.g4 + h.g4)
+    return UPlusElem(g.g1 + h.g1, g.g2 + q2 + p2 + h.g2,
+                     g.g3 + r3 + p3 + s3 + h.g3, g.g4 + h.g4)
 
 
 def _count_comm24(monkeypatch):
@@ -596,10 +593,12 @@ def _count_comm24(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("slot", (3, 2))
-@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
-def test_mul_one_comm24_matches_two(name, slot, monkeypatch):
-    group = UPlus(_COMM14_INSTANCES[name], eq3_slot=slot)
+# ids end in "-3", the slot of relation (3)'s correction, as they did
+# while a slot-2 case ran beside them
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES),
+                         ids=lambda name: f"{name}-3")
+def test_mul_one_comm24_matches_two(name, monkeypatch):
+    group = UPlus(_COMM14_INSTANCES[name])
     calls = _count_comm24(monkeypatch)
     for monomial in (True, False):
         elts = _elements(group, 64 + monomial, monomial)
@@ -653,11 +652,11 @@ def test_collinear_p2_p3_matches_two_corrections(name, monkeypatch):
                 assert len(calls) == 1
 
 
-@pytest.mark.parametrize("slot", (3, 2))
-@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES))
-def test_line_transversal_is_the_collected_product(name, slot):
+@pytest.mark.parametrize("name", sorted(_COMM14_INSTANCES),
+                         ids=lambda name: f"{name}-3")
+def test_line_transversal_is_the_collected_product(name):
     # u2(k') u3(b) u4(k) is in normal order, so collecting it changes nothing
-    group = UPlus(_COMM14_INSTANCES[name], eq3_slot=slot)
+    group = UPlus(_COMM14_INSTANCES[name])
     quad = Quadrangle(group)
     for monomial in (True, False):
         pairs = _comm14_inputs(group, 69 + monomial, monomial)
