@@ -135,8 +135,13 @@ def _chk_twist_hom(ctx: RunContext, rng: Rng):
 
 @_sampled(lambda n: n)
 def _chk_twist_square(ctx: RunContext, rng: Rng):
-    miss = ctx.inst.frobenius_miss(rng, ctx.cfg.max_degree)
-    return None if miss is None else "%s sample %s" % miss
+    inst = ctx.inst
+    f = sample_k(rng, ctx.cfg.max_degree)
+    if phi_k(phi_k(f)) != f.square():
+        return f"K sample {f}"
+    z = sample_l(rng, ctx.cfg.max_degree)
+    if inst.phi_l(inst.phi_l(z)) != inst.lsquare(z):
+        return f"L sample {z}"
 
 
 @_sampled(lambda n: n)

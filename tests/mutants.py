@@ -2,31 +2,61 @@
 
 `MUTANTS[name](monkeypatch)` replaces one library function through
 pytest's monkeypatch, so the patch ends with the test that applied it.
-`test_mutants.py` runs every suite under each row and records which
-checks notice; other tests apply a row, or call `eq3_slot_2_mul`
-directly, to show that a known wrong reading fails.
+`test_mutants.py` runs the suites under each row and records which
+checks notice: every suite, or the suites `ROW_SUITES` names for the
+row.  Other tests apply a row, or call `eq3_slot_2_mul` directly, to
+show that a known wrong reading fails.
 
 A probe mutant makes the draws of the function it replaces before it
-answers wrongly: `FieldInstance.validate` feeds all its probes from one
-shared Rng(seed), so a mutant that drew less would move every later
+answers wrongly: `FieldInstance.validate` feeds both form probes from
+one shared Rng(seed), so a mutant that drew less would move the later
 probe's samples as well.
 """
 
 from functools import partial
 
-from f4quad.fields import FieldInstance, kscale, theta_k
+from f4quad import fields, verifier
+from f4quad.fields import FieldInstance, LElem, kscale, phi_k, theta_k
 from f4quad.moufang import MoufangSet
 from f4quad.quadrangle import Quadrangle
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
 
 MUTANTS = {}
+ROW_SUITES = {}  # row name -> the suites it runs, where not every suite
 
 
-def _mutant(name):
+def _mutant(name, suites=None):
     def register(patch):
         MUTANTS[name] = patch
+        if suites:
+            ROW_SUITES[name] = suites
         return patch
     return register
+
+
+# the field tower, one transcribed slot each; the fields suite sees them
+
+@_mutant("lnorm-drops-delta", suites=("fields",))
+def _(mp):  # c0^2 + c0 c1, without delta c1^2
+    mp.setattr(FieldInstance, "lnorm", lambda self, z: z.c0 * (z.c0 + z.c1))
+
+
+@_mutant("conj-identity", suites=("fields",))
+def _(mp):
+    mp.setattr(LElem, "conj", lambda self: self)
+
+
+@_mutant("kprime-member-accepts-all", suites=("fields",))
+def _(mp):
+    for module in (fields, verifier):
+        mp.setattr(module, "kprime_member", lambda f: True)
+
+
+@_mutant("phi-l-drops-phie-c0", suites=("fields",))
+def _(mp):
+    def phi_l(self, z):  # phi(c0) + phi(c1) c1' e, without phi(c1) c0'
+        return LElem(phi_k(z.c0), phi_k(z.c1) * self.phi_e.c1)
+    mp.setattr(FieldInstance, "phi_l", phi_l)
 
 
 def eq3_slot_2_mul(self, g, h):

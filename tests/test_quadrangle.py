@@ -4,6 +4,7 @@ import pytest
 
 from f4quad.fields import K_ONE, K_S, K_T, K_ZERO, L_ZERO, default_instance
 from f4quad.moufang import MoufangSet
+from f4quad.parser import parse_instance_text
 from f4quad.quadrangle import (ProjectionUnsupported, QLine, QPoint, Quadrangle,
                                solve_linear_k)
 from f4quad.rootgroups import R1Coord, R2Coord, UPlus, UPlusElem
@@ -494,3 +495,19 @@ def test_rank_rules_match_the_tables(quad, ms):
     # each adjacent-rank pair and the maximal pair meet both verdicts
     assert {(1, True), (1, False), (-1, True), (-1, False),
             (0, True), (0, False)} <= verdicts
+
+
+@pytest.mark.parametrize("text", [
+    "delta = s + t\nphiE = e + s\nbeta = s\nalpha = t\n",  # the default
+    "delta = s^2 + t\nphiE = e + t\nbeta = s\nalpha = t\n",  # at e + s
+    "delta = s^2 + t\nphiE = e + t\nbeta = s^2 + s\nalpha = t^2 + t\n",
+], ids=["default", "default-e+s", "candidate"])
+def test_u3_pivot_is_form1_over_beta(text):
+    # the pivot D that _solve_comm14_u3 divides by satisfies D beta =
+    # form1(q), so that solve fails exactly at the zeros of form 1
+    ms = MoufangSet(Quadrangle(UPlus(parse_instance_text(text))))
+    inst, unit, rng = ms.inst, R1Coord(L_ZERO, L_ZERO, K_ONE), Rng(23)
+    for _ in range(6):
+        q = ms.sample_r2(rng, 2)
+        pivot = ms.group.relation4(unit, q)[1].b
+        assert pivot * inst.beta == inst.form1(q.u, q.v, q.a), q

@@ -5,6 +5,8 @@ import hashlib
 import pytest
 
 from f4quad import verifier
+from f4quad.fields import K_ONE, K_S, L_E, L_ONE, LElem, default_instance
+from f4quad.parser import parse_instance_text
 from f4quad.sampling import Rng
 
 SAMPLES = (60, 20, 7, 3)
@@ -191,3 +193,17 @@ def test_sampled_stops_at_the_first_note():
     assert verifier._sampled(lambda n: n // 10)(trial)(ctx, Rng(1)) == (
         True, None)
     assert calls == []
+
+
+def test_default_and_its_e_plus_s_twin_agree():
+    # e' = e + s rewrites the default as delta = s^2 + t, phi(e') = e' + t
+    # with beta and alpha kept; x + y e is (x + y s) + y e' there
+    twin = parse_instance_text(
+        "delta = s^2 + t\nphiE = e + t\nbeta = s\nalpha = t\n")
+    checks = {c.name: (c.passed, c.note) for c in twin.validate().checks}
+    assert checks["twist-squared-is-frobenius"] == (True, "")
+    assert default_instance().form1(L_ONE + L_E, L_ONE, K_ONE).is_zero()
+    assert twin.form1(LElem(K_ONE + K_S, K_ONE), L_ONE, K_ONE).is_zero()
+    statuses = [{c.name: c.status for c in verifier.run(verifier.SuiteConfig(
+        samples=7, instance=inst)).checks} for inst in (None, twin)]
+    assert len(statuses[0]) == 38 and statuses[0] == statuses[1]
